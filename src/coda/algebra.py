@@ -97,10 +97,7 @@ def small_probes(
     alphabet: Sequence[str] = (), budget: Budget = DEFAULT_BUDGET
 ) -> ProbeSet:
     """A light probe set for bulk screening (candidate search)."""
-    probes: List[Data] = [tuple(d) for d in enumerate_pure_data(SizeBound(2, 1))]
-    for name in alphabet:
-        probes.append((word(name),))
-    return ProbeSet(tuple(probes), budget)
+    return default_probes(alphabet, SizeBound(2, 1), budget)
 
 
 @dataclass(frozen=True)
@@ -163,35 +160,34 @@ def _judge(law: str, cases, probes: ProbeSet, ctx: Context) -> Verdict:
     return Verdict(HOLDS, law, checked)
 
 
+def _judge_each_probe(law: str, lhs: Data, rhs: Data, probes: ProbeSet,
+                      ctx: Optional[Context]) -> Verdict:
+    """Compare lhs : X with rhs : X for every single probe X."""
+    cases = (((x,), apply_to(lhs, x), apply_to(rhs, x)) for x in probes.probes)
+    return _judge(law, cases, probes, _ctx(ctx))
+
+
 def check_right_distributivity(
     a: Data, b: Data, c: Data, probes: ProbeSet, ctx: Optional[Context] = None
 ) -> Verdict:
     """(A+B).C : X  versus  ((A.C)+(B.C)) : X on every probe."""
-    lhs_d = product(sum_data(a, b), c)
-    rhs_d = sum_data(product(a, c), product(b, c))
-    cases = (
-        ((x,), apply_to(lhs_d, x), apply_to(rhs_d, x)) for x in probes.probes
-    )
-    return _judge("right-distributivity", cases, probes, _ctx(ctx))
+    lhs = product(sum_data(a, b), c)
+    rhs = sum_data(product(a, c), product(b, c))
+    return _judge_each_probe("right-distributivity", lhs, rhs, probes, ctx)
 
 
 def check_left_distributivity(
     a: Data, b: Data, c: Data, probes: ProbeSet, ctx: Optional[Context] = None
 ) -> Verdict:
     """C.(A+B) : X  versus  ((C.A)+(C.B)) : X; not an identity in general."""
-    lhs_d = product(c, sum_data(a, b))
-    rhs_d = sum_data(product(c, a), product(c, b))
-    cases = (
-        ((x,), apply_to(lhs_d, x), apply_to(rhs_d, x)) for x in probes.probes
-    )
-    return _judge("left-distributivity", cases, probes, _ctx(ctx))
+    lhs = product(c, sum_data(a, b))
+    rhs = sum_data(product(c, a), product(c, b))
+    return _judge_each_probe("left-distributivity", lhs, rhs, probes, ctx)
 
 
 def check_idempotent(d: Data, probes: ProbeSet, ctx: Optional[Context] = None) -> Verdict:
     """(A.A) : X versus A : X."""
-    dd = product(d, d)
-    cases = (((x,), apply_to(dd, x), apply_to(d, x)) for x in probes.probes)
-    return _judge("idempotent", cases, probes, _ctx(ctx))
+    return _judge_each_probe("idempotent", product(d, d), d, probes, ctx)
 
 
 def check_associative(d: Data, probes: ProbeSet, ctx: Optional[Context] = None) -> Verdict:

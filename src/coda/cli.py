@@ -31,6 +31,10 @@ from .terms import CapExceeded, SizeBound, count_pure_data, enumerate_pure_data
 BUDGET_ENV = "CODA_BUDGET"
 
 
+def _steps_budget(steps: int) -> Budget:
+    return Budget(max_steps=steps, max_nodes=max(10 * steps, 1))
+
+
 def _budget(args) -> Budget:
     steps = getattr(args, "budget", None)
     if steps is None:
@@ -38,7 +42,7 @@ def _budget(args) -> Budget:
         steps = int(raw) if raw else None
     if steps is None:
         return Budget()
-    return Budget(max_steps=steps, max_nodes=max(10 * steps, 1))
+    return _steps_budget(steps)
 
 
 def _load_preludes(paths: List[str]) -> Context:
@@ -100,7 +104,7 @@ def cmd_repl(args) -> int:
                 print(" ".join(ctx.names()))
             elif parts[0] == ":budget" and len(parts) == 2 and parts[1].isdigit():
                 steps = int(parts[1])
-                budget = Budget(max_steps=steps, max_nodes=max(10 * steps, 1))
+                budget = _steps_budget(steps)
                 print(f"budget set to {steps} steps", file=sys.stderr)
             else:
                 print(f"unknown meta-command: {stripped}", file=sys.stderr)

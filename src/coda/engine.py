@@ -198,7 +198,7 @@ class Engine:
                     not self.is_atom(x) for x in c.left + c.right
                 ):
                     return False
-            elif not defn.fixed_point:
+            elif defn is LANG or not defn.fixed_point:
                 return False
         return all(self.is_invariant(x) for x in c.left + c.right)
 

@@ -203,14 +203,14 @@ def rem(p: int, q: int, carrier: Optional[CarrierTable] = None) -> Endo:
         raise ValueError("rem needs p, q >= 1")
     if carrier is None:
         carrier = bounded_n_carrier()
-    return Endo(tuple(rem_value(p, q, i) for i in range(carrier.size)))
+    return tuple(rem_value(p, q, i) for i in range(carrier.size))
 
 
 def mult_endo(k: int, carrier: CarrierTable) -> Endo:
     """Multiplication by k on a truncated natural-number carrier; values
     past the end are clamped (their sums are undefined anyway)."""
     top = carrier.size - 1
-    return Endo(tuple(min(k * i, top) for i in range(carrier.size)))
+    return tuple(min(k * i, top) for i in range(carrier.size))
 
 
 def organic_N(limit: int = 16) -> DemoReport:
@@ -255,7 +255,7 @@ def organic_N(limit: int = 16) -> DemoReport:
     carrier = bounded_n_carrier(limit)
     for p in (2, 3, 5):
         e = rem(p, p, carrier)
-        bad = sum(1 for n in range(limit + 1) if e(n) != n % p)
+        bad = sum(1 for n in range(limit + 1) if e[n] != n % p)
         r.check(f"rem({p},{p}) equals mod {p} on the carrier", 0, bad)
     for p, q in ((3, 3), (1, 3), (2, 4)):
         e = rem(p, q, carrier)
@@ -691,7 +691,7 @@ def demo_sets() -> DemoReport:
 
     units = [
         p for p in itertools.permutations(range(8))
-        if is_homomorphism(Endo(p), carrier)
+        if is_homomorphism(p, carrier)
     ]
     r.check("the bijective homomorphisms form S3", 6, len(units))
 
@@ -771,7 +771,7 @@ def inner_bool_endos(carrier: CarrierTable) -> Dict[str, Endo]:
     counts = [_colon_count(e) for e in carrier.elements]
     out: Dict[str, Endo] = {}
     for name, recipe, _ in TABLE_ROWS:
-        out[name] = Endo(tuple(by_letter[recipe[c]] for c in counts))
+        out[name] = tuple(by_letter[recipe[c]] for c in counts)
     return out
 
 
@@ -810,7 +810,7 @@ def demo_bool_sequences() -> DemoReport:
     t_idx, f_idx = c2.index_of(T_ELEM), c2.index_of(F_ELEM)
     letter = {t_idx: "T", f_idx: "F"}
     for name, _, _ in TABLE_ROWS:
-        row = "".join(letter[v] for v in endos8[name].map)
+        row = "".join(letter[v] for v in endos8[name])
         r.check(f"{name} value row", EXPECTED_GRID[name], row)
 
     engine_builds = {
@@ -824,7 +824,7 @@ def demo_bool_sequences() -> DemoReport:
         bad = 0
         for i, elem in enumerate(c2.elements):
             got = ev_apply(e_data, elem, ctx)
-            if got != c2.elements[endos8[name](i)]:
+            if got != c2.elements[endos8[name][i]]:
                 bad += 1
         r.check(f"{name} from engine rewriting matches the table", 0, bad)
     return r
@@ -866,7 +866,7 @@ def bool_endo_names(rep) -> List[str]:
         (1, 1): "FALSE",
         (1, 0): "NOT",
     }
-    return [named[e.map] for e in rep.endos]
+    return [named[e] for e in rep.endos]
 
 
 def demo_bool() -> DemoReport:

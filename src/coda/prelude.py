@@ -71,10 +71,6 @@ _sort_key = cmp_to_key(_sort_cmp)
 # ---------------------------------------------------------------------------
 # Branch functions
 
-def _b_pass(eng, a, b):
-    return b
-
-
 def _b_null(eng, a, b):
     return ()
 
@@ -85,10 +81,6 @@ def _b_left(eng, a, b):
 
 def _b_right(eng, a, b):
     return b
-
-
-def _b_const(eng, a, b):
-    return a
 
 
 def _b_put(eng, a, b):
@@ -381,11 +373,11 @@ def _b_map(eng, a, b):
 
 
 _BRANCHES = {
-    "pass": _b_pass,
+    "pass": _b_right,
     "null": _b_null,
     "left": _b_left,
     "right": _b_right,
-    "const": _b_const,
+    "const": _b_left,
     "put": _b_put,
     "get": _b_get,
     "get0": _b_get0,

@@ -6,6 +6,11 @@ the element set and everything in the classification (constants,
 homomorphisms, units, central maps, idempotents, subspaces, the field
 criteria, quotients) is decided by exhaustive checks over the tables.
 
+An endomorphism is a tuple of element indices: `f[i]` is the index of the
+image of element i.  On the two-element bool carrier, for instance,
+`enumerate_endos` lists (0, 0), (0, 1), (1, 0), (1, 1), so the identity is
+`report.endos[1] == (0, 1)`.
+
 Carriers come from two directions: extraction through the rewriting engine,
 or directly from a Python-level addition function when an independent oracle
 (mod-n arithmetic, saturation, and so on) is wanted.
@@ -223,24 +228,15 @@ def check_carrier_monoid(c: CarrierTable) -> bool:
 # ---------------------------------------------------------------------------
 # Endomorphisms
 
-@dataclass(frozen=True)
-class Endo:
-    map: Tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.map[i]
-
-    @property
-    def size(self) -> int:
-        return len(self.map)
+Endo = Tuple[int, ...]
 
 
 def identity_endo(c: CarrierTable) -> Endo:
-    return Endo(tuple(range(c.size)))
+    return tuple(range(c.size))
 
 
 def constant_endo(c: CarrierTable, k: int) -> Endo:
-    return Endo((k,) * c.size)
+    return (k,) * c.size
 
 
 def zero_endo(c: CarrierTable) -> Endo:
@@ -249,50 +245,49 @@ def zero_endo(c: CarrierTable) -> Endo:
 
 def compose(f: Endo, g: Endo) -> Endo:
     """f after g."""
-    return Endo(tuple(f.map[g.map[i]] for i in range(len(g.map))))
+    return tuple(map(f.__getitem__, g))
 
 
 def oplus(f: Endo, g: Endo, c: CarrierTable) -> Optional[Endo]:
     """Pointwise sum; None when the carrier's table is missing an entry."""
-    out = []
-    for i in range(c.size):
-        v = c.add[f(i)][g(i)]
-        if v is None:
-            return None
-        out.append(v)
-    return Endo(tuple(out))
+    out = tuple(c.add[a][b] for a, b in zip(f, g))
+    return None if None in out else out
 
 
 def enumerate_endos(c: CarrierTable, cap: int = DEFAULT_ENDO_CAP) -> List[Endo]:
     n = c.size
     if n ** n > cap:
         raise TooManyEndos(f"{n}^{n} endofunctions exceed cap {cap}")
-    return [Endo(m) for m in itertools.product(range(n), repeat=n)]
+    return list(itertools.product(range(n), repeat=n))
 
 
 def is_constant(f: Endo) -> bool:
-    return len(set(f.map)) <= 1
+    return len(set(f)) <= 1
 
 
-def is_homomorphism(f: Endo, c: CarrierTable) -> bool:
-    for i in range(c.size):
-        for j in range(c.size):
-            ij = c.add[i][j]
-            fij = c.add[f(i)][f(j)]
-            if ij is None or fij is None:
-                continue
-            if f(ij) != fij:
+def _respects(a: CarrierTable, b: CarrierTable, f: Sequence[int]) -> bool:
+    """f[i + j] == f[i] + f[j], the left sum in a and the right one in b,
+    wherever both are defined."""
+    for i, row in enumerate(a.add):
+        image_row = b.add[f[i]]
+        for j, ij in enumerate(row):
+            fij = image_row[f[j]]
+            if ij is not None and fij is not None and f[ij] != fij:
                 return False
     return True
 
 
+def is_homomorphism(f: Endo, c: CarrierTable) -> bool:
+    return _respects(c, c, f)
+
+
 def inverse_of(f: Endo) -> Optional[Endo]:
-    if len(set(f.map)) != len(f.map):
+    if len(set(f)) != len(f):
         return None
-    inv = [0] * len(f.map)
-    for i, v in enumerate(f.map):
+    inv = [0] * len(f)
+    for i, v in enumerate(f):
         inv[v] = i
-    return Endo(tuple(inv))
+    return tuple(inv)
 
 
 def is_idempotent(f: Endo) -> bool:
@@ -307,13 +302,13 @@ def is_subspace(f: Endo, c: CarrierTable) -> bool:
     for i in range(c.size):
         for j in range(c.size):
             ij = c.add[i][j]
-            fi_j = c.add[f(i)][j]
-            i_fj = c.add[i][f(j)]
+            fi_j = c.add[f[i]][j]
+            i_fj = c.add[i][f[j]]
             if ij is None:
                 continue
-            if fi_j is not None and f(ij) != f(fi_j):
+            if fi_j is not None and f[ij] != f[fi_j]:
                 return False
-            if i_fj is not None and f(ij) != f(i_fj):
+            if i_fj is not None and f[ij] != f[i_fj]:
                 return False
     return True
 
@@ -382,51 +377,40 @@ class SemiringReport:
         return [i for i, f in enumerate(self.flags) if f.subspace]
 
     def endo_name(self, i: int) -> str:
-        return "".join(self.carrier.label(v) for v in self.endos[i].map)
+        return "".join(self.carrier.label(v) for v in self.endos[i])
 
 
 def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     endos = list(endos)
     pos = {e: i for i, e in enumerate(endos)}
+    if len(pos) != len(endos):
+        raise ValueError("endo list must not repeat an endo")
     ident = identity_endo(c)
     zero = zero_endo(c)
     if ident not in pos or zero not in pos:
         raise ValueError("endo list must contain the identity and zero maps")
 
-    units: List[Endo] = []
-    for f in endos:
-        inv = inverse_of(f)
-        if inv is not None and inv in pos:
-            units.append(f)
-
-    flags: List[EndoFlags] = []
-    for f in endos:
-        inv = inverse_of(f)
-        flags.append(
-            EndoFlags(
-                constant=is_constant(f),
-                homomorphism=is_homomorphism(f, c),
-                unit=inv is not None and inv in pos,
-                central=all(compose(f, u) == compose(u, f) for u in units),
-                idempotent=is_idempotent(f),
-                subspace=is_subspace(f, c),
-            )
-        )
-
     product_table = [[pos.get(compose(f, g)) for g in endos] for f in endos]
-    sum_table = []
-    for f in endos:
-        row = []
-        for g in endos:
-            s = oplus(f, g, c)
-            row.append(pos.get(s) if s is not None else None)
-        sum_table.append(row)
-
+    sum_table = [[pos.get(oplus(f, g, c)) for g in endos] for f in endos]
     order_pairs = [
         (i, j)
+        for i, row in enumerate(product_table)
+        for j, fg in enumerate(row)
+        if fg == i
+    ]
+
+    is_unit = [inverse_of(f) in pos for f in endos]
+    units = [f for f, unit in zip(endos, is_unit) if unit]
+    flags = [
+        EndoFlags(
+            constant=is_constant(f),
+            homomorphism=is_homomorphism(f, c),
+            unit=is_unit[i],
+            central=all(compose(f, u) == compose(u, f) for u in units),
+            idempotent=product_table[i][i] == i,
+            subspace=is_subspace(f, c),
+        )
         for i, f in enumerate(endos)
-        for j, g in enumerate(endos)
-        if compose(f, g) == f
     ]
 
     algebraic = is_commutative(c)
@@ -467,13 +451,12 @@ def field_check(c: CarrierTable, cap: int = 7 ** 7) -> Tuple[bool, bool]:
     subspaces_ok = True
     homs_ok = True
     for m in itertools.product(range(n), repeat=n):
-        f = Endo(m)
-        const = len(set(m)) <= 1
-        if const:
+        distinct = len(set(m))
+        if distinct <= 1:
             continue
-        if subspaces_ok and m != ident and is_subspace(f, c):
+        if subspaces_ok and m != ident and is_subspace(m, c):
             subspaces_ok = False
-        if homs_ok and len(set(m)) != n and is_homomorphism(f, c):
+        if homs_ok and distinct != n and is_homomorphism(m, c):
             homs_ok = False
         if not subspaces_ok and not homs_ok:
             break
@@ -484,15 +467,15 @@ def quotient_of_hom(h: Endo, c: CarrierTable) -> Endo:
     """The idempotent with the same fibers as h, picking the canonically
     smallest element of each fiber as representative."""
     if not is_homomorphism(h, c):
-        raise NotAHomomorphism(f"endo {h.map} does not preserve the sum")
+        raise NotAHomomorphism(f"endo {h} does not preserve the sum")
     fibers: Dict[int, List[int]] = {}
-    for i in range(c.size):
-        fibers.setdefault(h(i), []).append(i)
+    for i, v in enumerate(h):
+        fibers.setdefault(v, []).append(i)
     rep = {
         v: min(members, key=lambda i: data_key(c.elements[i]))
         for v, members in fibers.items()
     }
-    return Endo(tuple(rep[h(i)] for i in range(c.size)))
+    return tuple(rep[v] for v in h)
 
 
 def verify_semialgebra(
@@ -505,7 +488,7 @@ def verify_semialgebra(
     constants, injective, every image a homomorphism (and central if asked)."""
     checked = 0
     images = list(mapping.values())
-    if len({e.map for e in images}) != len(images):
+    if len(set(images)) != len(images):
         return Verdict(REFUTED, "semialgebra-injective", len(images))
     for k, h in mapping.items():
         checked += 1
@@ -530,18 +513,7 @@ class IsoResult:
 
 
 def _table_respects(c1: CarrierTable, c2: CarrierTable, p: Sequence[int]) -> bool:
-    if p[c1.neutral] != c2.neutral:
-        return False
-    n = c1.size
-    for i in range(n):
-        for j in range(n):
-            a = c1.add[i][j]
-            b = c2.add[p[i]][p[j]]
-            if a is None or b is None:
-                continue
-            if p[a] != b:
-                return False
-    return True
+    return p[c1.neutral] == c2.neutral and _respects(c1, c2, p)
 
 
 def iso_check(c1: CarrierTable, c2: CarrierTable, max_size: int = 8) -> Optional[IsoResult]:

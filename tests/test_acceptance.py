@@ -167,7 +167,7 @@ def test_criterion_03_bool_sequence_grid():
     f_idx = c2.index_of(((parse("(b:(:))")[0]),))
     letter = {t_idx: "T", f_idx: "F"}
     for name, _, _ in TABLE_ROWS:
-        got = "".join(letter[v] for v in endos[name].map)
+        got = "".join(letter[v] for v in endos[name])
         assert got == EXPECTED_GRID[name], name
     ok(3, "the 8 inner endomorphisms reproduce the reference value grid")
 

@@ -103,6 +103,7 @@ def test_classify_atom():
     assert classify_atom(parse("(zzz:a)")[0], ctx) == "invariant_atom"
     assert classify_atom(Coda((word("b"),), (word("x"),)), ctx) == "invariant_atom"
     assert classify_atom(parse("(b:(pass:x))")[0], ctx) == "defined_fixed_point"
+    assert classify_atom(parse("(b:({B}:x))")[0], ctx) == "defined_fixed_point"
 
 
 def test_determinism():

@@ -54,7 +54,7 @@ def test_rem_values():
 def test_rem_endo_on_carrier():
     c = bounded_n_carrier(10)
     e = rem(3, 3, c)
-    assert e.map[:7] == (0, 1, 2, 0, 1, 2, 0)
+    assert e[:7] == (0, 1, 2, 0, 1, 2, 0)
 
 
 def test_qatom():

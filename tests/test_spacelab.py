@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
 
 from coda.algebra import ProbeSet
 from coda.lang import parse
+from coda.organic import _bool_probes, bool_seq_truncated
 from coda.spacelab import (
     CarrierOverflow,
-    Endo,
+    EndoFlags,
     NotAHomomorphism,
     TooManyEndos,
     carrier_from_function,
@@ -16,6 +19,7 @@ from coda.spacelab import (
     extract_carrier,
     field_check,
     identity_endo,
+    inverse_of,
     is_cancellative,
     is_commutative,
     is_homomorphism,
@@ -70,13 +74,13 @@ def test_open_carrier_from_function():
 
 def test_endo_algebra():
     c = zn_carrier(4)
-    f = Endo((0, 2, 0, 2))
+    f = (0, 2, 0, 2)
     g = identity_endo(c)
     assert compose(f, g) == f
     assert compose(g, f) == f
     assert oplus(f, zero_endo(c), c) == f
     assert is_homomorphism(f, c)
-    assert not is_homomorphism(Endo((1, 1, 1, 1)), c)
+    assert not is_homomorphism((1, 1, 1, 1), c)
     assert is_idempotent(constant_endo(c, 2))
 
 
@@ -99,6 +103,40 @@ def test_classify_bool():
     assert rep.field == (True, True)
 
 
+def test_classify_matches_brute_force():
+    l1 = extract_carrier(bool_seq_truncated(1), _bool_probes(), cap=8)
+    for c in (zn_carrier(3), saturation_carrier(3), bool_carrier(), l1):
+        assert c.closed
+        add, pairs = c.add, list(itertools.product(range(c.size), repeat=2))
+        endos = enumerate_endos(c)
+        rep = classify(c, endos)
+        assert rep.order_pairs == [
+            (i, j)
+            for i, f in enumerate(endos)
+            for j, g in enumerate(endos)
+            if compose(f, g) == f
+        ]
+        units = [f for f in endos if inverse_of(f) in endos]
+        assert rep.units() == [endos.index(u) for u in units]
+        assert rep.identity == endos.index(tuple(range(c.size)))
+        assert rep.zero == endos.index((c.neutral,) * c.size)
+        for f, flags in zip(endos, rep.flags):
+            idempotent = compose(f, f) == f
+            assert flags == EndoFlags(
+                constant=len(set(f)) == 1,
+                homomorphism=all(f[add[i][j]] == add[f[i]][f[j]] for i, j in pairs),
+                unit=f in units,
+                central=all(compose(f, u) == compose(u, f) for u in units),
+                idempotent=idempotent,
+                subspace=idempotent and all(
+                    f[add[i][j]] == f[add[f[i]][j]] == f[add[i][f[j]]]
+                    for i, j in pairs
+                ),
+            )
+    with pytest.raises(ValueError):
+        classify(l1, enumerate_endos(l1) + [identity_endo(l1)])
+
+
 def test_field_check_verdicts():
     fields = [bool_carrier(), zn_carrier(2), zn_carrier(3), zn_carrier(5)]
     non_fields = [zn_carrier(4), zn_carrier(6), saturation_carrier(3)]
@@ -111,25 +149,25 @@ def test_field_check_verdicts():
 
 def test_subspace_example():
     c = zn_carrier(4)
-    assert is_subspace(Endo((0, 1, 0, 1)), c)  # reduction mod 2
-    assert not is_subspace(Endo((0, 2, 0, 2)), c)  # a hom, but not idempotent-compatible
+    assert is_subspace((0, 1, 0, 1), c)  # reduction mod 2
+    assert not is_subspace((0, 2, 0, 2), c)  # a hom, but not idempotent-compatible
     assert is_subspace(identity_endo(c), c)
 
 
 def test_quotient_of_hom():
     c = zn_carrier(4)
-    doubling = Endo((0, 2, 0, 2))
+    doubling = (0, 2, 0, 2)
     q = quotient_of_hom(doubling, c)
-    assert q.map == (0, 1, 0, 1)
+    assert q == (0, 1, 0, 1)
     with pytest.raises(NotAHomomorphism):
-        quotient_of_hom(Endo((1, 1, 1, 1)), c)
+        quotient_of_hom((1, 1, 1, 1), c)
 
 
 def test_verify_semialgebra():
     c = zn_carrier(5)
-    mapping = {k: Endo(tuple((k * i) % 5 for i in range(5))) for k in range(5)}
+    mapping = {k: tuple((k * i) % 5 for i in range(5)) for k in range(5)}
     units = [e for e in enumerate_endos(c)
-             if is_homomorphism(e, c) and len(set(e.map)) == 5]
+             if is_homomorphism(e, c) and len(set(e)) == 5]
     assert verify_semialgebra(c, mapping, central=True, units=units).holds
     bad = dict(mapping)
     bad[7] = mapping[2]
