@@ -146,8 +146,9 @@ def _judge(law: str, cases, probes: ProbeSet, ctx: Context) -> Verdict:
     """Run (probe-tuple, lhs, rhs) comparisons and fold into a Verdict."""
     undecided = False
     checked = 0
+    memo: dict = {}  # normal forms shared by this verdict's cases
     for used, lhs, rhs in cases:
-        eng = Engine(ctx, probes.budget)
+        eng = Engine(ctx, probes.budget, memo)
         t = eng.tri_equal(lhs, rhs)
         checked += 1
         if eng.exhausted or t is TriBool.UNDECIDED:

@@ -13,18 +13,33 @@ admit; it is documented rather than canonical.
 
 There are no run-time errors: evaluation either normalizes or stops at the
 step/node budget, reporting normalized=False.
+
+Normal-form memo.  `eval_coda` remembers, per context, each coda it
+normalized together with the steps and nodes that evaluation charged.  The
+memo is exact: a hit charges the stored steps and nodes, and is taken only
+when they fit strictly inside the remaining budget, so exhaustion happens
+where recomputing would have put it; an entry is stored only when its
+evaluation ended unexhausted in the context it started in (a `def` firing
+inside prevents the store).  Results, `normalized` and `steps_used` are the
+same as without it.  Its scope is one engine (so one `evaluate`), or one law
+verdict or carrier extraction, whose engines share it through the `memo`
+argument; it is never kept across calls.  Each context's entries are
+cleared when they reach MEMO_CAP.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .encoding import is_lang_atom, is_word_atom, word, word_text
 from .terms import Coda, Data
 
 BranchFn = Callable[["Engine", Data, Data], Optional[Data]]
+
+# normal forms kept per context before the memo is cleared
+MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -40,6 +55,10 @@ class TriBool(enum.Enum):
     ALWAYS = "always"
     NEVER = "never"
     UNDECIDED = "undecided"
+
+
+# a memoised normal form: the result and the steps and nodes it charged
+MemoEntry = Tuple[Data, int, int]
 
 
 @dataclass
@@ -96,14 +115,23 @@ class Context:
 
 
 class Engine:
-    """One evaluation: a context, a budget and the step/node meters."""
+    """One evaluation: a context, a budget and the step/node meters.
 
-    def __init__(self, context: Context, budget: Budget = DEFAULT_BUDGET):
+    `memo` is a dict to share normal forms with other engines (one law
+    verdict, one carrier extraction): pass the same empty dict to each.
+    The engine files its entries under the context they were computed in.
+    Without it the engine keeps a private memo.
+    """
+
+    def __init__(self, context: Context, budget: Budget = DEFAULT_BUDGET,
+                 memo: Optional[Dict[Context, Dict[Coda, MemoEntry]]] = None):
         self.context = context
         self.budget = budget
         self.steps = 0
         self.nodes = 0
         self.exhausted = False
+        self._memo_context = context
+        self._memo = (memo if memo is not None else {}).setdefault(context, {})
 
     # -- budget ------------------------------------------------------------
 
@@ -124,9 +152,11 @@ class Engine:
         if not c.left:
             return None  # structural atom (:X)
         head = c.left[0]
-        if is_lang_atom(head):
+        # no trigger is a language atom: def binds words, markers are fixed
+        defn = self.context.defs.get(head)
+        if defn is None and is_lang_atom(head):
             return LANG
-        return self.context.lookup(head)
+        return defn
 
     # -- evaluation --------------------------------------------------------
 
@@ -137,11 +167,24 @@ class Engine:
         return tuple(out)
 
     def eval_coda(self, c: Coda) -> Data:
+        if self.spent() or not c.left:
+            return (c,)  # out of budget, or (:X), a fixed point
+        context = self.context
+        if context is not self._memo_context:
+            # a def replaced the context: earlier entries no longer apply
+            self._memo_context = context
+            self._memo = {}
+        memo = self._memo
+        hit = memo.get(c)
+        if hit is not None:
+            result, steps, nodes = hit
+            if (self.steps + steps < self.budget.max_steps
+                    and self.nodes + nodes < self.budget.max_nodes):
+                self.steps += steps
+                self.nodes += nodes
+                return result
+        key, steps, nodes = c, self.steps, self.nodes
         while True:
-            if self.spent():
-                return (c,)
-            if not c.left:
-                return (c,)  # (:X) is a fixed point
             defn = self.dispatch(c)
             if defn is LANG:
                 from .lang import eval_lang_atom  # circular at import time
@@ -149,25 +192,42 @@ class Engine:
                 src = _lang_src(c.left[0])
                 res = eval_lang_atom(src, c.left[1:], c.right, self)
                 self.charge(res)
-                return self.eval_data(res)
+                result = self.eval_data(res)
+                break
             if defn is None:
                 head = c.left[0]
                 hv = self.eval_coda(head)
                 if hv != (head,):
                     c = Coda(hv + c.left[1:], c.right)
+                    if self.spent() or not c.left:
+                        result = (c,)
+                        break
                     continue
                 # head is normal and out of domain: the coda is inert;
                 # normalize its components (congruence steps only)
-                left = (head,) + self.eval_data(c.left[1:])
+                args = c.left[1:]
+                tail = self.eval_data(args)
                 right = self.eval_data(c.right)
-                return (Coda(left, right),)
+                if tail == args and right == c.right:
+                    result = (c,)
+                else:
+                    result = (Coda((head,) + tail, right),)
+                break
             if defn.fixed_point:
-                return (c,)
+                result = (c,)
+                break
             res = defn.apply(self, c.left[1:], c.right)
             if res is None:
-                return (c,)  # no branch in domain; stuck as-is
+                result = (c,)  # no branch in domain; stuck as-is
+                break
             self.charge(res)
-            return self.eval_data(res)
+            result = self.eval_data(res)
+            break
+        if not self.exhausted and self.context is context:
+            if len(memo) >= MEMO_CAP:
+                memo.clear()
+            memo[key] = (result, self.steps - steps, self.nodes - nodes)
+        return result
 
     # -- decision helpers --------------------------------------------------
 

@@ -79,8 +79,9 @@ class CarrierTable:
         return None
 
 
-def _normalize(space: Data, x: Data, ctx: Context, budget: Budget) -> Optional[Data]:
-    eng = Engine(ctx, budget)
+def _normalize(space: Data, x: Data, ctx: Context, budget: Budget,
+               memo: dict) -> Optional[Data]:
+    eng = Engine(ctx, budget, memo)
     out = eng.eval_data((Coda(tuple(space), tuple(x)),))
     if eng.exhausted:
         return None
@@ -104,24 +105,28 @@ def extract_carrier(
     budget = probes.budget
     space = tuple(space)
 
+    memo: dict = {}  # normal forms shared by this extraction's engines
     seen: Dict[Data, None] = {}
-    neutral_elem = _normalize(space, (), ctx, budget)
+    neutral_elem = _normalize(space, (), ctx, budget, memo)
     if neutral_elem is None:
         raise CarrierOverflow("budget exhausted while normalizing the neutral")
     seen[neutral_elem] = None
     for p in probes.probes:
-        e = _normalize(space, p, ctx, budget)
+        e = _normalize(space, p, ctx, budget, memo)
         if e is not None:
             seen[e] = None
 
+    # every element enters one frontier and is summed there, both ways, with
+    # every element seen before it, so `sums` ends up holding every pair
     closed = True
+    sums: Dict[Tuple[Data, Data], Optional[Data]] = {}
     frontier = list(seen)
     while frontier:
         new: List[Data] = []
         for x in frontier:
             for y in list(seen):
-                for s in (_normalize(space, x + y, ctx, budget),
-                          _normalize(space, y + x, ctx, budget)):
+                for a, b in ((x, y), (y, x)):
+                    s = sums[a, b] = _normalize(space, a + b, ctx, budget, memo)
                     if s is None:
                         closed = False
                         continue
@@ -139,20 +144,16 @@ def extract_carrier(
 
     elements = tuple(sorted(seen, key=data_key))
     index = {e: i for i, e in enumerate(elements)}
-    table: List[Tuple[Optional[int], ...]] = []
-    for x in elements:
-        row: List[Optional[int]] = []
-        for y in elements:
-            s = _normalize(space, x + y, ctx, budget)
-            row.append(index.get(s) if s is not None else None)
-        if any(v is None for v in row):
-            closed = False
-        table.append(tuple(row))
+    table = tuple(
+        tuple(index.get(sums[x, y]) for y in elements) for x in elements
+    )
+    if any(v is None for row in table for v in row):
+        closed = False
     return CarrierTable(
         space=space,
         elements=elements,
         neutral=index[neutral_elem],
-        add=tuple(table),
+        add=table,
         closed=closed,
     )
 

@@ -16,21 +16,23 @@ from itertools import product
 from typing import Iterator, NamedTuple, Tuple
 
 
+_set = object.__setattr__
+
+
 class Coda:
     """An ordered pair of data.  Immutable, hashable, value semantics."""
 
     __slots__ = ("left", "right", "_hash")
 
     def __init__(self, left: "Data" = (), right: "Data" = ()):
-        self.left = tuple(left)
-        self.right = tuple(right)
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        left = tuple(left)
+        right = tuple(right)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
 
     def __setattr__(self, name, value):
-        if name in ("left", "right") and not hasattr(self, "_hash"):
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("Coda is immutable")
+        raise AttributeError("Coda is immutable")
 
     def __hash__(self):
         return self._hash

@@ -1,6 +1,10 @@
+import pytest
+
+from coda.algebra import apply_to, small_probes
 from coda.encoding import word
 from coda.engine import (
     Budget,
+    Engine,
     TriBool,
     add_definition,
     classify_atom,
@@ -109,3 +113,84 @@ def test_classify_atom():
 def test_determinism():
     src = "sort : (pass:b) (null:c) a"
     assert ev(src) == ev(src)
+
+
+class _Unmemoised(Engine):
+    """The engine with a memo that never holds an entry: the oracle."""
+
+    _memo = property(lambda self: {}, lambda self, value: None)
+
+
+def _run(eng, form):
+    return eng.eval_data(form), eng.exhausted, eng.steps, eng.nodes
+
+
+# the spaces of the search workload's known-space verdicts
+SEARCH_SPACES = ("bool", "sort", "once", "pass", "is a b", "first 2",
+                 "sort once (is a b c)", "rev", "not")
+
+
+@pytest.mark.parametrize("src", SEARCH_SPACES)
+def test_shared_memo_is_exact(src):
+    # the associativity forms of one verdict, evaluated in turn by engines
+    # sharing one memo, under budgets that run out before, at and after
+    # the point a memo hit would reach
+    space = parse(src)
+    probes = small_probes(("a", "b")).probes
+    forms = []
+    for x in probes:
+        for y in probes:
+            forms.append(apply_to(space, x + y))
+            forms.append(apply_to(space, apply_to(space, x) + y))
+            forms.append(apply_to(space, x + apply_to(space, y)))
+    ctx = prelude()
+    for steps in range(1, 61):
+        budget = Budget(max_steps=steps)
+        memo: dict = {}
+        for form in forms:
+            expect = _run(_Unmemoised(ctx, budget), form)
+            assert _run(Engine(ctx, budget, memo), form) == expect
+            assert _run(Engine(ctx, budget), form) == expect
+
+
+def test_memo_hit_respects_the_remaining_budget():
+    form = parse("sort : (rev : b a) (rev : c)")
+    ctx = prelude()
+    cost = evaluate(form, ctx).steps_used
+    memo: dict = {}
+    Engine(ctx, Budget(max_steps=cost + 1), memo).eval_data(form)
+    for steps in (cost - 1, cost, cost + 1):
+        for d in (form, parse("pass : x") + form):
+            budget = Budget(max_steps=steps)
+            expect = _run(_Unmemoised(ctx, budget), d)
+            assert _run(Engine(ctx, budget, memo), d) == expect
+    eng = Engine(ctx)
+    eng.eval_data(form)
+    budget = Budget(max_nodes=eng.nodes)
+    assert _run(Engine(ctx, budget, memo), form) == _run(_Unmemoised(ctx, budget), form)
+
+
+def test_def_inside_an_evaluation_bypasses_the_memo():
+    # the inert (f:x) normalized before the def must not answer after it
+    assert ev("(f : x) (def f : g) (f : x)") == "(f:x) (g:x)"
+    memo: dict = {}
+    ctx = prelude()
+    Engine(ctx, Budget(), memo).eval_data(parse("f : x"))
+    eng = Engine(ctx, Budget(), memo)
+    assert render(eng.eval_data(parse("(def f : g) (f : x)"))) == "(g:x)"
+    # an evaluation in which a def fires is not stored: a hit would skip
+    # the def, and the engine would go on in the old context
+    defines = "pass : (def h : g) (h : x)"
+    Engine(ctx, Budget(), memo).eval_data(parse(defines))
+    eng = Engine(ctx, Budget(), memo)
+    assert render(eng.eval_data(parse(f"({defines}) (h : y)"))) == "(g:x) (g:y)"
+
+
+def test_budget_bounds_time():
+    out = evaluate(parse("while {(B:B)} : a"), prelude(), Budget(max_steps=200))
+    assert not out.normalized
+    assert out.steps_used == 200
+
+
+def test_deep_pass_chain():
+    assert render(evaluate(parse("pass:" * 400 + "a"), prelude()).result) == "a"

@@ -3,8 +3,11 @@ import itertools
 import pytest
 
 from coda.algebra import ProbeSet
+from coda.encoding import word
+from coda.engine import Engine
 from coda.lang import parse
-from coda.organic import _bool_probes, bool_seq_truncated
+from coda.organic import _bool_probes, bool_seq_truncated, sets_space
+from coda.prelude import prelude
 from coda.spacelab import (
     CarrierOverflow,
     EndoFlags,
@@ -35,7 +38,7 @@ from coda.spacelab import (
     zn_carrier,
     zero_endo,
 )
-from coda.terms import COLON
+from coda.terms import COLON, Coda
 
 
 def bool_carrier():
@@ -135,6 +138,30 @@ def test_classify_matches_brute_force():
             )
     with pytest.raises(ValueError):
         classify(l1, enumerate_endos(l1) + [identity_endo(l1)])
+
+
+def test_extracted_table_matches_fresh_engines():
+    # the table is read from the sums the closure computed with a shared
+    # memo; recompute every entry with its own engine
+    sets_probes = ProbeSet(((), (word("a"),), (word("b"),), (word("c"),), parse("a b c")))
+    cases = (
+        (parse("bool"), ProbeSet(((), (COLON,))), 4),
+        (sets_space(), sets_probes, 16),
+        (bool_seq_truncated(1), _bool_probes(), 8),
+    )
+    for space, probes, cap in cases:
+        c = extract_carrier(space, probes, cap=cap)
+        assert c.closed
+        table = []
+        for x in c.elements:
+            row = []
+            for y in c.elements:
+                eng = Engine(prelude(), probes.budget)
+                s = eng.eval_data((Coda(space, x + y),))
+                assert not eng.exhausted
+                row.append(c.index_of(s))
+            table.append(tuple(row))
+        assert c.add == tuple(table)
 
 
 def test_field_check_verdicts():

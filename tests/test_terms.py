@@ -28,8 +28,9 @@ pure_data = st.recursive(
 
 def test_coda_is_immutable_and_hashable():
     c = Coda((COLON,), ())
-    with pytest.raises(AttributeError):
-        c.left = ()
+    for attr in ("left", "right", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, attr, ())
     assert hash(c) == hash(Coda((COLON,), ()))
     assert c == Coda((COLON,), ())
     assert c != COLON
