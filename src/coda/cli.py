@@ -3,7 +3,8 @@ analysis, and the demo runner.
 
 Every subcommand is a thin adapter over the library; the primary output is
 exactly what the corresponding API call renders.  Exit codes: 0 success,
-1 demo assertion failure, 2 cap or overflow refusal.
+1 demo assertion failure, 2 cap or overflow refusal or a malformed
+CODA_BUDGET.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ def _budget(args) -> Budget:
     steps = getattr(args, "budget", None)
     if steps is None:
         raw = os.environ.get(BUDGET_ENV)
-        steps = int(raw) if raw else None
+        try:
+            steps = int(raw) if raw else None
+        except ValueError:
+            print(f"coda: {BUDGET_ENV} must be an integer, not {raw!r}", file=sys.stderr)
+            raise SystemExit(2)
     if steps is None:
         return Budget()
     return _steps_budget(steps)

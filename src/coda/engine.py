@@ -3,7 +3,10 @@
 A context is a partial function from codas to data.  Named definitions
 trigger on a word atom heading the left data of a coda: in (name A : B) the
 definition receives A (the rest of the left data) and B (the right data).
-Marker definitions are fixed points: their codas are atoms.
+Marker definitions are fixed points: their codas are atoms.  A language
+atom heading a coda is a definition too, built by `dispatch` from the
+atom's own source (decoded once per atom, then cached): it always applies,
+and `eval_coda`, `step` and the decision helpers treat it as any other.
 
 Evaluation strategy: repeated outermost rewriting, left to right.  A coda's
 head is evaluated just far enough to resolve dispatch; branch guards may
@@ -31,15 +34,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
-from .encoding import is_lang_atom, is_word_atom, word, word_text
+from .encoding import LANG_NAME, is_lang_atom, is_word_atom, lang_source, word, word_text
 from .terms import Coda, Data
 
 BranchFn = Callable[["Engine", Data, Data], Optional[Data]]
 
 # normal forms kept per context before the memo is cleared
 MEMO_CAP = 4096
+# language-atom definitions kept before the least recently used is dropped
+_LANG_DEFS_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,6 @@ class Definition:
     trigger: Coda
     apply: Optional[BranchFn] = None
     fixed_point: bool = False
-
-
-class _Lang:
-    """Sentinel for dispatch on language-atom heads."""
-
-
-LANG = _Lang()
 
 
 class Context:
@@ -146,16 +145,16 @@ class Engine:
 
     # -- dispatch ----------------------------------------------------------
 
-    def dispatch(self, c: Coda):
-        """The definition owning coda `c`, LANG for language applications,
-        or None when `c` is out of every definition's domain."""
+    def dispatch(self, c: Coda) -> Optional[Definition]:
+        """The definition owning coda `c`, or None when `c` is out of every
+        definition's domain.  A language-atom head defines itself."""
         if not c.left:
             return None  # structural atom (:X)
         head = c.left[0]
         # no trigger is a language atom: def binds words, markers are fixed
         defn = self.context.defs.get(head)
         if defn is None and is_lang_atom(head):
-            return LANG
+            return _lang_definition(head)
         return defn
 
     # -- evaluation --------------------------------------------------------
@@ -186,14 +185,6 @@ class Engine:
         key, steps, nodes = c, self.steps, self.nodes
         while True:
             defn = self.dispatch(c)
-            if defn is LANG:
-                from .lang import eval_lang_atom  # circular at import time
-
-                src = _lang_src(c.left[0])
-                res = eval_lang_atom(src, c.left[1:], c.right, self)
-                self.charge(res)
-                result = self.eval_data(res)
-                break
             if defn is None:
                 head = c.left[0]
                 hv = self.eval_coda(head)
@@ -237,8 +228,6 @@ class Engine:
         if not c.left:
             return True
         defn = self.dispatch(c)
-        if defn is LANG:
-            return False
         if defn is None:
             head = c.left[0]
             # normal head with no definition: inert coda, treated as atomic
@@ -258,7 +247,7 @@ class Engine:
                     not self.is_atom(x) for x in c.left + c.right
                 ):
                     return False
-            elif defn is LANG or not defn.fixed_point:
+            elif not defn.fixed_point:
                 return False
         return all(self.is_invariant(x) for x in c.left + c.right)
 
@@ -306,10 +295,18 @@ class Engine:
         return TriBool.UNDECIDED
 
 
-def _lang_src(atom: Coda) -> str:
-    from .encoding import lang_source
+@lru_cache(maxsize=_LANG_DEFS_CAP)
+def _lang_definition(atom: Coda) -> Definition:
+    """A language atom's definition: (atom A : B) rewrites by the atom's
+    source, decoded once here, with A and B spliced in."""
+    src = lang_source(atom) or ""
 
-    return lang_source(atom) or ""
+    def apply(engine: Engine, a: Data, b: Data) -> Data:
+        from .lang import eval_lang_atom  # circular at import time
+
+        return eval_lang_atom(src, a, b, engine)
+
+    return Definition(name=LANG_NAME, trigger=atom, apply=apply)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +325,8 @@ def step(d: Data, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> Data:
     out: list = []
     for c in d:
         defn = eng.dispatch(c)
-        if defn is LANG:
-            from .lang import eval_lang_atom
-
-            out.extend(eval_lang_atom(_lang_src(c.left[0]), c.left[1:], c.right, eng))
-            continue
-        if defn is None or defn.fixed_point:
-            out.append(c)
-            continue
-        res = defn.apply(eng, c.left[1:], c.right)
-        out.extend(res if res is not None else (c,))
+        res = None if defn is None or defn.fixed_point else defn.apply(eng, c.left[1:], c.right)
+        out.extend((c,) if res is None else res)
     return tuple(out)
 
 
@@ -351,8 +340,6 @@ def classify_atom(c: Coda, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> str
     if not c.left:
         return "invariant_atom"
     defn = eng.dispatch(c)
-    if defn is LANG:
-        return "reducible"
     if defn is None:
         head = c.left[0]
         hv = eng.eval_coda(head)

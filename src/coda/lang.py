@@ -67,17 +67,7 @@ _DELIMS = " \t\r\n({"
 
 def parse(src: str) -> Data:
     """Parse source text into data.  Total: accepts any string."""
-    return _expr(src)
-
-
-def _expr(s: str) -> Data:
-    i = _find_top(s, ":")
-    if i is not None:
-        return (Coda(_expr(s[:i]), _expr(s[i + 1 :])),)
-    j = _find_top(s, "=")
-    if j is not None and s[:j].strip():
-        return (Coda((word("="),) + _expr(s[:j]), _expr(s[j + 1 :])),)
-    return _terms(s, None, None)
+    return _template(src, None, None)
 
 
 def _terms(s: str, a: Optional[Data], b: Optional[Data]) -> Data:
@@ -93,10 +83,7 @@ def _terms(s: str, a: Optional[Data], b: Optional[Data]) -> Data:
         elif ch == "(":
             j = _match(s, i, "(", ")", opaque_braces=True)
             inner = s[i + 1 : j - 1] if j > i + 1 else ""
-            if a is None:
-                out.extend(_expr(inner))
-            else:
-                out.extend(_template(inner, a, b))
+            out.extend(_template(inner, a, b))
             i = j
         elif ch == "{":
             j = _match(s, i, "{", "}", opaque_braces=False)
@@ -121,7 +108,9 @@ def _terms(s: str, a: Optional[Data], b: Optional[Data]) -> Data:
     return tuple(out)
 
 
-def _template(s: str, a: Data, b: Data) -> Data:
+def _template(s: str, a: Optional[Data], b: Optional[Data]) -> Data:
+    """One recursive descent for source and templates: `a`/`b` None parses
+    plain source, non-None substitutes them for `A`/`B`."""
     i = _find_top(s, ":")
     if i is not None:
         return (Coda(_template(s[:i], a, b), _template(s[i + 1 :], a, b)),)
@@ -174,7 +163,7 @@ def eval_lang_atom(source: str, a: Data, b: Data, engine=None) -> Data:
     """
     a, b = tuple(a), tuple(b)
     if _find_top(source, ":") is None and not _mentions_ab(source):
-        d = _expr(source)
+        d = _template(source, None, None)
         if engine is not None and d and engine.dispatch(Coda(d, b)) is not None:
             return (Coda(d + a, b),)
         return d

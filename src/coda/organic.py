@@ -274,13 +274,6 @@ def organic_N(limit: int = 16) -> DemoReport:
 # ---------------------------------------------------------------------------
 # N2 = (is a b) and its subspaces
 
-def _letters(counts: Dict[str, int]) -> Data:
-    out: List[Coda] = []
-    for name in sorted(counts):
-        out.extend((word(name),) * counts[name])
-    return tuple(out)
-
-
 def reduce_int(d: Data) -> int:
     """The reduce normal form of a/b data read as an integer."""
     plus = sum(1 for c in d if c == WORD_A)
@@ -616,6 +609,16 @@ def fibonacci(k: int, budget: Budget = FIB_BUDGET) -> List[int]:
     return vals
 
 
+def _fib_oracle(k: int) -> List[int]:
+    """The first k Fibonacci numbers, computed in Python: the demos' oracle."""
+    out: List[int] = []
+    a, b = 1, 1
+    for _ in range(k):
+        out.append(a)
+        a, b = b, a + b
+    return out
+
+
 def demo_seq() -> DemoReport:
     r = DemoReport("seq")
     ctx = prelude()
@@ -632,17 +635,8 @@ def demo_seq() -> DemoReport:
             render(ev(parse("min : (n:a a a) (n:) (n:a a) (n:a) (n:)"), ctx)))
     r.check("first : T", "(n:a a a)",
             render(ev(parse("first : (n:a a a) (n:) (n:a a) (n:a) (n:)"), ctx)))
-
-    def fib_oracle(k: int) -> List[int]:
-        out: List[int] = []
-        a, b = 1, 1
-        for _ in range(k):
-            out.append(a)
-            a, b = b, a + b
-        return out
-
     for k in (1, 2, 6, 10):
-        r.check(f"fibonacci({k})", fib_oracle(k), fibonacci(k))
+        r.check(f"fibonacci({k})", _fib_oracle(k), fibonacci(k))
     return r
 
 
@@ -902,12 +896,7 @@ def demo_bool() -> DemoReport:
 
 def demo_fibonacci(k: int = 10) -> DemoReport:
     r = DemoReport("fibonacci")
-    want: List[int] = []
-    x, y = 1, 1
-    for _ in range(k):
-        want.append(x)
-        x, y = y, x + y
-    r.check(f"first {k} values", want, fibonacci(k))
+    r.check(f"first {k} values", _fib_oracle(k), fibonacci(k))
     return r
 
 

@@ -3,32 +3,32 @@
 Each builtin implements its rewrite branches natively; the branch function
 receives the engine (for guard evaluation against the shared budget), the
 left-data tail A and the right data B of the coda (name A : B).  Returning
-None means no branch is in domain and the coda stays put.
+None means no branch is in domain and the coda stays put.  A builtin that
+branches on the normal form of A, B or both says so once, with `_strict`.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import wraps
+from operator import itemgetter
 from typing import Optional
 
 from .encoding import (
     BIT_MARKER,
     BYTE_MARKER,
     WORD_MARKER,
-    is_word_atom,
     lang_atom,
     word,
     word_text,
 )
 from .engine import (
-    Budget,
     Context,
     Definition,
     Engine,
     TriBool,
     add_definition,
 )
-from .terms import COLON, Coda, Data, cmp_coda, data_key
+from .terms import COLON, Coda, Data, coda_key, data_key
 
 
 class UnknownBuiltin(Exception):
@@ -54,18 +54,33 @@ def _domain_of(eng: Engine, c: Coda) -> Data:
     return ()
 
 
-def _sort_cmp(x: Coda, y: Coda) -> int:
-    xt, yt = word_text(x), word_text(y)
-    if xt is not None and yt is not None:
-        return -1 if xt < yt else (1 if xt > yt else 0)
-    if xt is not None:
-        return 1  # words sort after non-words
-    if yt is not None:
-        return -1
-    return cmp_coda(x, y)
+def _word_order(d: Data) -> Data:
+    """`d` sorted: non-words in canonical order, then words by their text.
+    Each element is decoded once."""
+    texts = [(word_text(c), c) for c in d]
+    others = sorted((c for t, c in texts if t is None), key=coda_key)
+    words = sorted(((t, c) for t, c in texts if t is not None), key=itemgetter(0))
+    return tuple(others) + tuple(c for _, c in words)
 
 
-_sort_key = cmp_to_key(_sort_cmp)
+def _strict(operands: str):
+    """Branch decorator: normalise the operands named in `operands` ("A",
+    "B" or "AB", A first) before the branch sees them.  When that runs the
+    budget out, no branch is in domain and the coda stays put."""
+    strict_a, strict_b = "A" in operands, "B" in operands
+
+    def wrap(branch):
+        @wraps(branch)
+        def apply(eng, a, b):
+            if strict_a:
+                a = eng.eval_data(a)
+            if strict_b:
+                b = eng.eval_data(b)
+            return None if eng.exhausted else branch(eng, a, b)
+
+        return apply
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -83,43 +98,34 @@ def _b_right(eng, a, b):
     return b
 
 
+@_strict("AB")
 def _b_put(eng, a, b):
-    # normalize before wrapping: marker codas are fixed points, so whatever
+    # normalized before wrapping: marker codas are fixed points, so whatever
     # ends up inside would otherwise stay frozen unevaluated
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    return (Coda(ev_a, ev_b),)
+    return (Coda(a, b),)
 
 
+@_strict("AB")
 def _b_get(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
     out: list = []
-    for c in ev_b:
-        if c.left == ev_a:
+    for c in b:
+        if c.left == a:
             out.extend(c.right)
     return tuple(out)
 
 
+@_strict("AB")
 def _b_get0(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    if ev_b and ev_b[0].left == ev_a:
-        return ev_b[0].right
+    if b and b[0].left == a:
+        return b[0].right
     return ()
 
 
+@_strict("B")
 def _b_atoms(eng, a, b):
-    ev = eng.eval_data(b)
-    if eng.exhausted or not all(eng.is_atom(c) for c in ev):
+    if not all(eng.is_atom(c) for c in b):
         return None
-    return (COLON,) * len(ev)
+    return (COLON,) * len(b)
 
 
 def _b_bool(eng, a, b):
@@ -194,175 +200,122 @@ def _b_while(eng, a, b):
         cur = nxt
 
 
+@_strict("A")
 def _b_prod(eng, a, b):
-    ev_a = eng.eval_data(a)
-    if eng.exhausted:
-        return None
     cur = b
-    for c in reversed(ev_a):
+    for c in reversed(a):
         cur = (Coda(c.right, cur),)
     return cur
 
 
+@_strict("A")
 def _b_sum(eng, a, b):
-    if not a:
-        return ()
-    ev_a = eng.eval_data(a)
-    if eng.exhausted:
-        return None
-    out: list = []
-    for c in ev_a:
-        out.append(Coda(c.right, b))
-    return tuple(out)
+    return tuple(Coda(c.right, b) for c in a)
 
 
+@_strict("B")
 def _b_domain(eng, a, b):
-    ev = eng.eval_data(b)
-    if eng.exhausted:
-        return None
     out: list = []
-    for c in ev:
+    for c in b:
         out.extend(_domain_of(eng, c))
     return tuple(out)
 
 
+@_strict("B")
 def _b_ap(eng, a, b):
-    ev = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    return tuple(Coda(a, (c,)) for c in ev)
+    return tuple(Coda(a, (c,)) for c in b)
 
 
+@_strict("A")
 def _b_aq(eng, a, b):
-    ev = eng.eval_data(a)
-    if eng.exhausted:
-        return None
-    if len(ev) < 2 or not b:
+    if len(a) < 2 or not b:
         return ()
-    return tuple(Coda((ev[0], x), b) for x in ev[1:])
+    return tuple(Coda((a[0], x), b) for x in a[1:])
 
 
+@_strict("AB")
 def _b_ar(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted or not ev_a:
+    if not a:
         return None
-    op, rest = ev_a[0], ev_a[1:]
-    return tuple(Coda((op, x), (y,)) for x in rest for y in ev_b)
+    op, rest = a[0], a[1:]
+    return tuple(Coda((op, x), (y,)) for x in rest for y in b)
 
 
+@_strict("AB")
 def _b_first(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    return ev_b[: _word_count(ev_a)]
+    return b[: _word_count(a)]
 
 
+@_strict("AB")
 def _b_last(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    n = _word_count(ev_a)
-    return ev_b[-n:] if n else ()
+    n = _word_count(a)
+    return b[-n:] if n else ()
 
 
-def _b_has(eng, a, b):
-    return _has_impl(eng, a, b, keep_matching=True)
+def _has(keep_matching: bool):
+    """has/hasnt: keep the codas of B whose trigger is (or is not) A."""
+
+    @_strict("AB")
+    def branch(eng, a, b):
+        return tuple(c for c in b if (_domain_of(eng, c) == a) is keep_matching)
+
+    return branch
 
 
-def _b_hasnt(eng, a, b):
-    return _has_impl(eng, a, b, keep_matching=False)
+def _is(keep_equal: bool):
+    """is/isnt: keep the codas of B equal (or unequal) to some atom of A."""
 
-
-def _has_impl(eng, a, b, keep_matching):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    out: list = []
-    for c in ev_b:
-        if (_domain_of(eng, c) == ev_a) is keep_matching:
-            out.append(c)
-    return tuple(out)
-
-
-def _b_is(eng, a, b):
-    return _is_impl(eng, a, b, keep_equal=True)
-
-
-def _b_isnt(eng, a, b):
-    return _is_impl(eng, a, b, keep_equal=False)
-
-
-def _is_impl(eng, a, b, keep_equal):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    out: list = []
-    for c in ev_b:
-        verdicts = [eng.tri_compare((x,), (c,)) for x in ev_a]
-        if any(v is TriBool.ALWAYS for v in verdicts):
-            if keep_equal:
+    @_strict("AB")
+    def branch(eng, a, b):
+        out: list = []
+        for c in b:
+            verdicts = [eng.tri_compare((x,), (c,)) for x in a]
+            if any(v is TriBool.ALWAYS for v in verdicts):
+                equal = True
+            elif all(v is TriBool.NEVER for v in verdicts):
+                equal = False
+            else:
+                return None  # an undecided comparison blocks the whole filter
+            if equal is keep_equal:
                 out.append(c)
-        elif all(v is TriBool.NEVER for v in verdicts):
-            if not keep_equal:
-                out.append(c)
-        else:
-            return None  # an undecided comparison blocks the whole filter
-    return tuple(out)
+        return tuple(out)
+
+    return branch
 
 
+@_strict("AB")
 def _b_once(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    seen = list(ev_a)
+    seen = list(a)
     out: list = []
-    for c in ev_b:
+    for c in b:
         if c not in seen:
             seen.append(c)
             out.append(c)
     return tuple(out)
 
 
+@_strict("B")
 def _b_rev(eng, a, b):
-    ev = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    return tuple(reversed(ev))
+    return tuple(reversed(b))
 
 
+@_strict("AB")
 def _b_remove(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    if ev_a and ev_b[: len(ev_a)] == ev_a:
-        return ev_b[len(ev_a) :]
-    return ev_b
+    if a and b[: len(a)] == a:
+        return b[len(a) :]
+    return b
 
 
+@_strict("B")
 def _b_sort(eng, a, b):
-    ev = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    return tuple(sorted(ev, key=_sort_key))
+    return _word_order(b)
 
 
+@_strict("AB")
 def _b_min(eng, a, b):
-    ev_a = eng.eval_data(a)
-    ev_b = eng.eval_data(b)
-    if eng.exhausted:
-        return None
-    if ev_a:
-        return min(ev_a, ev_b, key=data_key)
-    if not ev_b:
-        return ()
-    return (min(ev_b, key=_sort_key),)
+    if a:
+        return min(a, b, key=data_key)
+    return _word_order(b)[:1]
 
 
 def _b_map(eng, a, b):
@@ -398,10 +351,10 @@ _BRANCHES = {
     "map": _b_map,
     "first": _b_first,
     "last": _b_last,
-    "has": _b_has,
-    "hasnt": _b_hasnt,
-    "is": _b_is,
-    "isnt": _b_isnt,
+    "has": _has(True),
+    "hasnt": _has(False),
+    "is": _is(True),
+    "isnt": _is(False),
     "once": _b_once,
     "rev": _b_rev,
     "remove": _b_remove,

@@ -591,7 +591,7 @@ def render_report(
             ["neutral_space", str(report.neutral_space)],
             ["algebraic", str(report.algebraic)],
             ["semilattice", str(report.semilattice)],
-            ["field", str(report.field[0]), str(report.field[1])],
+            ["field", *map(str, report.field or [None])],
         ]
         out = ["\n".join("\t".join(r) for r in rows)]
         out.append(render_table(report, "product", names, fmt))

@@ -44,6 +44,15 @@ def test_budget_env(capsys, monkeypatch):
     assert code == 0 and "budget exhausted" in err
 
 
+def test_budget_env_malformed(capsys, monkeypatch):
+    monkeypatch.setenv("CODA_BUDGET", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "pass : a"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "CODA_BUDGET" in err and "Traceback" not in err
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--width", "2", "--depth", "2")
     assert code == 0 and out == "91\n"

@@ -82,6 +82,24 @@ def test_step_is_one_pass():
     once = step(d, prelude())
     assert render(once) == "(pass:a)"
     assert render(step(once, prelude())) == "a"
+    # a language-atom head rewrites by its source, once
+    assert render(step(parse("({B B} : (pass:a)) b"), prelude())) == "(pass:a) (pass:a) b"
+
+
+def test_is_atom_and_is_invariant():
+    eng = Engine(prelude())
+    cases = {
+        "(:)": (True, True),
+        "a": (True, True),
+        "(n:a)": (True, True),
+        "(n:(pass:a))": (True, False),
+        "(zzz:a)": (True, False),
+        "(pass:a)": (False, False),
+        "({B B}:a)": (False, False),
+    }
+    for src, want in cases.items():
+        c = parse(src)[0]
+        assert (eng.is_atom(c), eng.is_invariant(c)) == want, src
 
 
 def test_add_definition_and_monotonicity():
@@ -104,6 +122,7 @@ def test_classify_atom():
     ctx = prelude()
     assert classify_atom(COLON, ctx) == "invariant_atom"
     assert classify_atom(parse("(pass:a)")[0], ctx) == "reducible"
+    assert classify_atom(parse("({B B}:a)")[0], ctx) == "reducible"
     assert classify_atom(parse("(zzz:a)")[0], ctx) == "invariant_atom"
     assert classify_atom(Coda((word("b"),), (word("x"),)), ctx) == "invariant_atom"
     assert classify_atom(parse("(b:(pass:x))")[0], ctx) == "defined_fixed_point"

@@ -3,7 +3,7 @@ import pytest
 from coda.encoding import word
 from coda.engine import Budget, evaluate
 from coda.lang import parse, render
-from coda.prelude import UnknownBuiltin, builtin, prelude
+from coda.prelude import _BRANCHES, UnknownBuiltin, builtin, prelude
 
 
 def ev(src):
@@ -103,6 +103,14 @@ def test_rev_remove_sort_min():
     assert ev("min : b a c") == "a"
     assert ev("min : ") == "()"
     assert ev("min a a : a a a") == "a a"
+    # non-words first in canonical order, then words by their text
+    assert (ev("sort : b (x:y) a (:) b {q} (zzz:) a c (x:y)")
+            == "(:) (x:y) (x:y) {q} (zzz:) a a b b c")
+    assert ev("sort : bb b ab a b") == "a ab b b bb"
+    assert ev("sort : (n:a) (zz:) (n:) (:a) (:)") == "(:) (:a) (n:) (n:a) (zz:)"
+    assert ev("min : c b a b") == "a"
+    assert ev("min : b (x:y) a (:) b (zzz:)") == "(:)"
+    assert ev("min : b {q} (zzz:) (x:y) b") == "(x:y)"
 
 
 def test_map_guard_filters_unbound_function():
@@ -113,3 +121,93 @@ def test_map_guard_filters_unbound_function():
 
 def test_def_word():
     assert ev("(def dup : ap {B B}) (dup : p q)") == "p p q q"
+
+
+
+# One program per builtin, with a reducible (pass:x) in every operand, so
+# that each pin shows which operands the builtin normalises and in what
+# order.  Each entry: the program, a step budget that runs out inside the
+# operands (nothing to run out in for null), and (render(result),
+# normalized, steps_used) under the default budget and under that one.
+PINS = {
+    "pass": ("pass (pass:x) : (pass:a) (pass:b)", 2,
+        ("a b", True, 3), ("a (pass:b)", False, 2)),
+    "null": ("null (pass:x) : (pass:a)", 1,
+        ("()", True, 1), ("()", True, 1)),
+    "left": ("left (pass:a) (pass:b) : (pass:x)", 2,
+        ("a b", True, 3), ("a (pass:b)", False, 2)),
+    "right": ("right (pass:x) : (pass:a) (pass:b)", 2,
+        ("a b", True, 3), ("a (pass:b)", False, 2)),
+    "const": ("const (pass:a) (pass:b) : (pass:x)", 2,
+        ("a b", True, 3), ("a (pass:b)", False, 2)),
+    "put": ("put (pass:a) : (pass:b) c", 2,
+        ("(a:b c)", True, 3), ("(put (pass:a):(pass:b) c)", False, 2)),
+    "get": ("get (pass:a) : (a:x) (b:y) (pass:(a:z))", 2,
+        ("x z", True, 3), ("(get (pass:a):(a:x) (b:y) (pass:(a:z)))", False, 2)),
+    "get0": ("get0 (pass:a) : (pass:(a:x)) (a:y)", 2,
+        ("x", True, 3), ("(get0 (pass:a):(pass:(a:x)) (a:y))", False, 2)),
+    "atoms": ("atoms (pass:x) : (pass:a) (pass:b) c", 2,
+        ("(:) (:) (:)", True, 3), ("(atoms (pass:x):(pass:a) (pass:b) c)", False, 2)),
+    "bool": ("bool (pass:x) : (pass:a) (pass:b)", 2,
+        ("(:)", True, 3), ("(:)", False, 3)),
+    "not": ("not (pass:x) : (pass:) (pass:)", 2,
+        ("(:)", True, 3), ("(:)", False, 3)),
+    "=": ("= (pass:a) : (pass:a)", 2,
+        ("()", True, 3), ("()", False, 3)),
+    "def": ("(def f (pass:x) : pass) (f (pass:y) : (pass:a) b)", 2,
+        ("a b", True, 4), ("(pass (pass:y):(pass:a) b)", False, 2)),
+    "if": ("if (pass:a) : (pass:b) c", 1,
+        ("()", True, 2), ("()", False, 2)),
+    "nif": ("nif (pass:(pass:)) : (pass:b) c", 1,
+        ("()", True, 3), ("(nif (pass:(pass:)):(pass:b) c)", False, 1)),
+    "while": ("while (pass:remove) a : (pass:a) a a b", 2,
+        ("b", True, 14), ("(while (pass:remove) a:(pass:a) a a b)", False, 2)),
+    "prod": ("prod (pass:(x:rev)) (y:pass) : (pass:a) b", 2,
+        ("b a", True, 5), ("(rev:(pass:(pass:a) b))", False, 2)),
+    "sum": ("sum (pass:(x:rev)) (y:pass) : (pass:a) b", 2,
+        ("b a a b", True, 6), ("(rev:(pass:a) b) (pass:(pass:a) b)", False, 2)),
+    "domain": ("domain (pass:x) : (pass:(q:a)) (pass:(n:b)) c", 2,
+        ("q n ((:):(:))", True, 3), ("(domain (pass:x):(pass:(q:a)) (pass:(n:b)) c)", False, 2)),
+    "ap": ("ap (pass:x) : (pass:a) (pass:b)", 2,
+        ("(x:a) (x:b)", True, 5), ("(ap (pass:x):(pass:a) (pass:b))", False, 2)),
+    "aq": ("aq (pass:put) (pass:a) b : (pass:c)", 2,
+        ("(a:c) (b:c)", True, 7), ("(aq (pass:put) (pass:a) b:(pass:c))", False, 2)),
+    "ar": ("ar (pass:put) a : (pass:b) (pass:c)", 2,
+        ("(a:b) (a:c)", True, 6), ("(ar (pass:put) a:(pass:b) (pass:c))", False, 2)),
+    "map": ("map (pass:x) : (pass:a)", 2,
+        ("()", True, 6), ("(aq {if ((arg:A):B):(right:B):B} (pass:x):(pass:a))", False, 2)),
+    "first": ("first (pass:2) : (pass:a) b c", 2,
+        ("a b", True, 3), ("(first (pass:2):(pass:a) b c)", False, 2)),
+    "last": ("last (pass:2) : (pass:a) b c", 2,
+        ("b c", True, 3), ("(last (pass:2):(pass:a) b c)", False, 2)),
+    "has": ("has (pass:q) : (q:a) (n:b) (pass:(q:c))", 2,
+        ("(q:a) (q:c)", True, 3), ("(has (pass:q):(q:a) (n:b) (pass:(q:c)))", False, 2)),
+    "hasnt": ("hasnt (pass:q) : (q:a) (n:b) (pass:(q:c))", 2,
+        ("(n:b)", True, 3), ("(hasnt (pass:q):(q:a) (n:b) (pass:(q:c)))", False, 2)),
+    "is": ("is (pass:a) b : a (pass:b) c", 2,
+        ("a b", True, 3), ("(is (pass:a) b:a (pass:b) c)", False, 2)),
+    "isnt": ("isnt (pass:a) b : a (pass:b) c", 2,
+        ("c", True, 3), ("(isnt (pass:a) b:a (pass:b) c)", False, 2)),
+    "once": ("once (pass:a) : a (pass:b) b c", 2,
+        ("b c", True, 3), ("(once (pass:a):a (pass:b) b c)", False, 2)),
+    "rev": ("rev (pass:x) : (pass:a) (pass:b) c", 2,
+        ("c b a", True, 3), ("(rev (pass:x):(pass:a) (pass:b) c)", False, 2)),
+    "remove": ("remove (pass:a) b : a (pass:b) c", 2,
+        ("c", True, 3), ("(remove (pass:a) b:a (pass:b) c)", False, 2)),
+    "sort": ("sort (pass:x) : (pass:c) (pass:b) a", 2,
+        ("a b c", True, 3), ("(sort (pass:x):(pass:c) (pass:b) a)", False, 2)),
+    "min": ("min (pass:) : (pass:c) b a", 2,
+        ("a", True, 3), ("(min (pass:):(pass:c) b a)", False, 2)),
+}
+
+
+def test_every_builtin_is_pinned():
+    assert set(PINS) == set(_BRANCHES)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_builtin_pins(name):
+    src, steps, default, tight = PINS[name]
+    for budget, want in ((Budget(), default), (Budget(max_steps=steps), tight)):
+        out = evaluate(parse(src), prelude(), budget)
+        assert (render(out.result), out.normalized, out.steps_used) == want

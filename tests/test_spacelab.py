@@ -226,3 +226,12 @@ def test_render_table_and_report():
     full = render_report(rep)
     assert "endomorphisms: 4" in full
     assert "field" in full
+
+
+def test_render_report_tsv_without_field_verdict():
+    c = zn_carrier(8)
+    rep = classify(c, [identity_endo(c), zero_endo(c)])
+    assert rep.field is None
+    rows = render_report(rep, fmt="tsv").split("\n")
+    assert "field\tNone" in rows
+    assert "field (subspace criterion, unit criterion): None" in render_report(rep)
