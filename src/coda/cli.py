@@ -37,7 +37,7 @@ def _steps_budget(steps: int) -> Budget:
 
 
 def _budget(args) -> Budget:
-    steps = getattr(args, "budget", None)
+    steps = args.budget
     if steps is None:
         raw = os.environ.get(BUDGET_ENV)
         try:
@@ -192,13 +192,20 @@ def cmd_demo(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "tsv"), default="text",
-                   help="output format (default text)")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"step budget (default {BUDGET_ENV} or 100000)")
-    p.add_argument("--prelude", action="append", default=[], metavar="FILE",
-                   help="definition file loaded before the command; repeatable")
+_COMMON = {
+    "format": dict(choices=("text", "tsv"), default="text",
+                   help="output format (default text)"),
+    "budget": dict(type=int, default=None,
+                   help=f"step budget (default {BUDGET_ENV} or 100000)"),
+    "prelude": dict(action="append", default=[], metavar="FILE",
+                    help="definition file loaded before the command; repeatable"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    """Give `p` the shared options it reads, named as in `_COMMON`."""
+    for name in names:
+        p.add_argument("--" + name, **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,11 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an expression ('-' reads stdin)")
     p.add_argument("expr")
-    _add_common(p)
+    _add_common(p, "budget", "prelude")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("repl", help="interactive session")
-    _add_common(p)
+    _add_common(p, "budget", "prelude")
     p.set_defaults(fn=cmd_repl)
 
     p = sub.add_parser("count", help="count pure data within a size bound")
@@ -222,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true",
                    help="cross-check the count by enumeration")
     p.add_argument("--cap", type=int, default=100_000)
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("search", help="screen token sequences for associativity")
     p.add_argument("--words", nargs="*", default=[])
     p.add_argument("--max-len", type=int, default=2)
     p.add_argument("--cap", type=int, default=5_000)
-    _add_common(p)
+    _add_common(p, "format", "prelude")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("space", help="carrier and endomorphism analysis")
@@ -237,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--cap", type=int, default=64, help="carrier size cap")
     p.add_argument("--endo-cap", type=int, default=5 ** 5)
-    _add_common(p)
+    _add_common(p, "format", "budget", "prelude")
     p.set_defaults(fn=cmd_space)
 
     p = sub.add_parser("demo", help="run a worked construction")
     p.add_argument("name", choices=sorted(DEMOS))
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(fn=cmd_demo)
 
     return parser

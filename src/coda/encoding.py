@@ -38,8 +38,11 @@ def byte_atom(value: int) -> Coda:
 
 
 def bits(text: str) -> Data:
-    """The byte-atom sequence encoding `text` (UTF-8)."""
-    return tuple(byte_atom(b) for b in text.encode("utf-8"))
+    """The byte-atom sequence encoding `text` (UTF-8).  Total: a lone
+    surrogate, which is how Python hands over a command-line byte that is
+    not UTF-8, encodes as three bytes that strict decoding refuses, so the
+    atom holding it renders structurally."""
+    return tuple(byte_atom(b) for b in text.encode("utf-8", "surrogatepass"))
 
 
 @lru_cache(maxsize=None)

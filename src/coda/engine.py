@@ -204,12 +204,9 @@ class Engine:
                 else:
                     result = (Coda((head,) + tail, right),)
                 break
-            if defn.fixed_point:
-                result = (c,)
-                break
-            res = defn.apply(self, c.left[1:], c.right)
+            res = self._rewrite(c, defn)
             if res is None:
-                result = (c,)  # no branch in domain; stuck as-is
+                result = (c,)  # stuck as-is
                 break
             self.charge(res)
             result = self.eval_data(res)
@@ -219,6 +216,15 @@ class Engine:
                 memo.clear()
             memo[key] = (result, self.steps - steps, self.nodes - nodes)
         return result
+
+    def _rewrite(self, c: Coda, defn: Definition) -> Optional[Data]:
+        """`c` rewritten by its definition `defn`, or None when the coda
+        stays put: `defn` is a fixed point, no branch is in domain, or the
+        branch's guards spent the budget (so steps never pass the limit)."""
+        if defn.fixed_point:
+            return None
+        res = defn.apply(self, c.left[1:], c.right)
+        return None if res is None or self.spent() else res
 
     # -- decision helpers --------------------------------------------------
 
@@ -325,7 +331,7 @@ def step(d: Data, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> Data:
     out: list = []
     for c in d:
         defn = eng.dispatch(c)
-        res = None if defn is None or defn.fixed_point else defn.apply(eng, c.left[1:], c.right)
+        res = None if defn is None else eng._rewrite(c, defn)
         out.extend((c,) if res is None else res)
     return tuple(out)
 
@@ -352,8 +358,7 @@ def classify_atom(c: Coda, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> str
         if all(eng.is_invariant(x) for x in c.left + c.right):
             return "invariant_atom"
         return "defined_fixed_point"
-    res = defn.apply(eng, c.left[1:], c.right)
-    if res is not None:
+    if eng._rewrite(c, defn) is not None:
         return "reducible"
     return "undecided"
 

@@ -1,153 +1,120 @@
 """The internal `{}` language: total parser and source renderer.
 
-Every byte sequence is a valid expression, so parsing never fails.  The
-grammar: an expression is whitespace-separated terms; the colon is the
+Every string is a valid expression, so parsing never fails.  The grammar:
+an expression is whitespace-separated terms; the colon is the
 lowest-precedence operator and binds from the right, so `a:b:c` is
 `(a:(b:c))` and `a:b c` is `(a:(b c))`.  A term is a word, a parenthesized
 group (a coda when the group contains a top-level colon), or `{...}` which
 builds a language atom carrying its source verbatim.  `(x=y)` is sugar for
 `(= x : y)`.  Unbalanced `(` or `{` are healed by implicit closure at end
-of input; unmatched closers are ordinary word characters.
+of input; unmatched closers are ordinary word characters.  Parsing and
+template expansion are one left-to-right pass with a stack of open groups;
+nothing here recurses, so nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import List, Optional, Tuple
 
 from .encoding import is_lang_atom, lang_atom, lang_source, word, word_text
 from .terms import Coda, Data
 
-
-def _find_top(s: str, target: str) -> Optional[int]:
-    """Leftmost occurrence of `target` outside parens and braces."""
-    paren = brace = 0
-    for i, ch in enumerate(s):
-        if ch == "{":
-            brace += 1
-        elif ch == "}":
-            if brace:
-                brace -= 1
-        elif brace:
-            continue
-        elif ch == "(":
-            paren += 1
-        elif ch == ")":
-            if paren:
-                paren -= 1
-        elif ch == target and paren == 0:
-            return i
-    return None
-
-
-def _match(s: str, i: int, open_ch: str, close_ch: str, opaque_braces: bool) -> int:
-    """Index just past the matching closer for the opener at `i`;
-    unbalanced input heals to an implicit closer past end of string."""
-    depth = 0
-    brace = 0
-    j = i
-    while j < len(s):
-        ch = s[j]
-        if opaque_braces and ch == "{" and open_ch != "{":
-            brace += 1
-        elif opaque_braces and ch == "}" and open_ch != "{":
-            if brace:
-                brace -= 1
-        elif not brace and ch == open_ch:
-            depth += 1
-        elif not brace and ch == close_ch:
-            depth -= 1
-            if depth == 0:
-                return j + 1
-        j += 1
-    return len(s) + 1
-
-
-_DELIMS = " \t\r\n({"
+# a token: a bracket, colon or `=`, a whitespace run, or a run of the rest
+_TOKEN = re.compile(r"[(){}:=]|[ \t\r\n]+|[^(){}:= \t\r\n]+")
 
 
 def parse(src: str) -> Data:
     """Parse source text into data.  Total: accepts any string."""
-    return _template(src, None, None)
+    return _scan(src, None, None)[0]
 
 
-def _terms(s: str, a: Optional[Data], b: Optional[Data]) -> Data:
-    """Whitespace-split terms; `a`/`b` non-None enables A/B substitution
-    (language-atom evaluation mode)."""
-    out: list = []
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "(":
-            j = _match(s, i, "(", ")", opaque_braces=True)
-            inner = s[i + 1 : j - 1] if j > i + 1 else ""
-            out.extend(_template(inner, a, b))
-            i = j
-        elif ch == "{":
-            j = _match(s, i, "{", "}", opaque_braces=False)
-            inner = s[i + 1 : j - 1] if j > i + 1 else ""
-            if a is None:
-                out.append(lang_atom(inner))
-            else:
-                out.extend(_template(inner, a, b))  # nested braces recurse
-            i = j
-        else:
-            j = i
-            while j < n and s[j] not in _DELIMS:
-                j += 1
-            token = s[i:j]
-            if a is not None and token == "A":
-                out.extend(a)
-            elif a is not None and token == "B":
-                out.extend(b)
-            else:
-                out.append(word(token))
-            i = j
-    return tuple(out)
+def _fold(segments: List[Data], eqs: List[Data], terms: list) -> Data:
+    """A group's data: the last segment's `=` chain over its terms, under
+    the earlier colon segments, both nested to the right."""
+    d = tuple(terms)
+    for left in reversed(eqs):
+        d = (Coda((word("="),) + left, d),)
+    for seg in reversed(segments):
+        d = (Coda(seg, d),)
+    return d
 
 
-def _template(s: str, a: Optional[Data], b: Optional[Data]) -> Data:
-    """One recursive descent for source and templates: `a`/`b` None parses
-    plain source, non-None substitutes them for `A`/`B`."""
-    i = _find_top(s, ":")
-    if i is not None:
-        return (Coda(_template(s[:i], a, b), _template(s[i + 1 :], a, b)),)
-    j = _find_top(s, "=")
-    if j is not None and s[:j].strip():
-        return (
-            Coda((word("="),) + _template(s[:j], a, b), _template(s[j + 1 :], a, b)),
-        )
-    return _terms(s, a, b)
+def _emit(out: list, text: str, a: Optional[Data], b: Optional[Data]) -> bool:
+    """Append the word `text`, less leading whitespace, or in a template splice
+    `a`/`b` for `A`/`B`.  True when it, or a piece of it split at `=`, is one."""
+    text = text.lstrip()
+    if a is not None and text in ("A", "B"):
+        out.extend(a if text == "A" else b)
+        return True
+    if text:
+        out.append(word(text))
+    return a is not None and "=" in text and any(
+        p.lstrip() in ("A", "B") for p in text.split("="))
 
 
-def _mentions_ab(s: str) -> bool:
-    """Does the template reference either component token?"""
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace() or ch in ":=":
-            i += 1
-        elif ch == "(":
-            j = _match(s, i, "(", ")", opaque_braces=True)
-            if _mentions_ab(s[i + 1 : j - 1]):
-                return True
-            i = j
-        elif ch == "{":
-            j = _match(s, i, "{", "}", opaque_braces=False)
-            if _mentions_ab(s[i + 1 : j - 1]):
-                return True
-            i = j
-        else:
-            j = i
-            while j < n and s[j] not in _DELIMS and s[j] not in ":=":
-                j += 1
-            if s[i:j] in ("A", "B"):
-                return True
-            i = j
-    return False
+def _scan(src: str, a: Optional[Data], b: Optional[Data]) -> Tuple[Data, bool]:
+    """The one pass.  With `a` None it parses plain source, where `{...}` is
+    captured raw as a language atom; otherwise it expands a template, where
+    braces group like parens and `A`/`B` splice in `a`/`b`.  Also returns
+    whether the source has a top-level colon or mentions `A` or `B`."""
+    # the open group: its opener, the data of its colon segments so far, the
+    # left sides of the current segment's `=` chain, the current terms, and
+    # whether an `=` after blank text made the rest of the segment words
+    opener, segments, eqs, out, eq_words = "", [], [], [], False
+    stack: list = []   # the enclosing groups, saved as the tuple above
+    blank = True       # only whitespace since the segment began or `=` split it
+    braces = raw = 0   # open template brace groups; depth of a raw atom read
+    text = ""          # the word, or the raw atom source, being read
+    mentions = False
+    for tok in _TOKEN.findall(src):
+        if raw:
+            raw += (tok == "{") - (tok == "}")
+            if not raw:
+                out.append(lang_atom(text))
+            text = text + tok if raw else ""
+            continue
+        ch = tok[0]
+        if (ch not in "(){}:= \t\r\n" or (ch == "=" and (blank or eq_words))
+                or (ch == ")" and opener != "(") or (ch == "}" and not braces)):
+            text += tok  # a word character
+            eq_words = eq_words or ch == "="
+            blank = blank and tok.isspace()
+            continue
+        if text:
+            mentions = _emit(out, text, a, b) or mentions
+            text = ""
+        if ch == ":":
+            segments.append(_fold([], eqs, out))
+            eqs, out, blank, eq_words = [], [], True, False
+        elif ch == "=":
+            eqs.append(tuple(out))
+            out, blank = [], True
+        elif ch == "{" and a is None:
+            raw, blank = 1, False
+        elif ch in "({":
+            stack.append((opener, segments, eqs, out, eq_words))
+            opener, segments, eqs, out, blank, eq_words = ch, [], [], [], True, False
+            braces += ch == "{"
+        elif ch in ")}":
+            # `)` closes the paren group on top, `}` up to the nearest brace
+            while True:
+                d, closed = _fold(segments, eqs, out), opener
+                opener, segments, eqs, out, eq_words = stack.pop()
+                out.extend(d)
+                braces -= closed == "{"
+                if ch == ")" or closed == "{":
+                    break
+            blank = False
+    if raw:
+        out.append(lang_atom(text))
+    elif text:
+        mentions = _emit(out, text, a, b) or mentions
+    while stack:  # heal the groups still open
+        d = _fold(segments, eqs, out)
+        opener, segments, eqs, out, eq_words = stack.pop()
+        out.extend(d)
+    return _fold(segments, eqs, out), bool(segments) or mentions
 
 
 def eval_lang_atom(source: str, a: Data, b: Data, engine=None) -> Data:
@@ -162,12 +129,14 @@ def eval_lang_atom(source: str, a: Data, b: Data, engine=None) -> Data:
     (ap {a}) idempotent.
     """
     a, b = tuple(a), tuple(b)
-    if _find_top(source, ":") is None and not _mentions_ab(source):
-        d = _template(source, None, None)
-        if engine is not None and d and engine.dispatch(Coda(d, b)) is not None:
-            return (Coda(d + a, b),)
+    d, template = _scan(source, a, b)
+    if template:
         return d
-    return _template(source, a, b)
+    # nothing was spliced in, so only raw braces can parse differently
+    d = _scan(source, None, None)[0] if "{" in source else d
+    if engine is not None and d and engine.dispatch(Coda(d, b)) is not None:
+        return (Coda(d + a, b),)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +147,22 @@ def render(d: Data) -> str:
     `{src}`, everything else structurally."""
     if not d:
         return "()"
-    return _render_seq(d)
-
-
-def _render_seq(d: Data) -> str:
-    return " ".join(_render_coda(c) for c in d)
-
-
-def _render_coda(c: Coda) -> str:
-    text = word_text(c)
-    if text:
-        return text
-    if is_lang_atom(c):
-        return "{" + (lang_source(c) or "") + "}"
-    return "(" + _render_seq(c.left) + ":" + _render_seq(c.right) + ")"
+    out: List[str] = []
+    todo = [(d, 0, "")]  # sequences to finish: codas, next index, text after
+    while todo:
+        seq, i, after = todo.pop()
+        while i < len(seq):
+            c = seq[i]
+            out.append(" " if i else "")
+            i += 1
+            text = word_text(c)
+            if text:
+                out.append(text)
+            elif is_lang_atom(c):
+                out.append("{" + (lang_source(c) or "") + "}")
+            else:
+                out.append("(")
+                todo += [(seq, i, after), (c.right, 0, ")")]
+                seq, i, after = c.left, 0, ":"
+        out.append(after)
+    return "".join(out)

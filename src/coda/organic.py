@@ -118,7 +118,6 @@ class DemoReport:
 class SearchResult:
     candidate: Data
     verdict: Verdict
-    carrier_preview: Optional[CarrierTable] = None
 
     @property
     def source(self) -> str:
@@ -150,10 +149,7 @@ def search_spaces(
         raise CapExceeded(f"{total} candidates exceed cap {cap}")
     if probes is None:
         free = [w for w in words if not ctx.has_name(w)]
-        probes = ProbeSet(
-            small_probes(tuple(free)).probes,
-            budget=Budget(max_steps=2_000, max_nodes=50_000),
-        )
+        probes = small_probes(tuple(free), Budget(max_steps=2_000, max_nodes=50_000))
     results: List[SearchResult] = []
     for k in range(max_len + 1):
         for combo in itertools.product(pool, repeat=k):
@@ -642,9 +638,6 @@ def demo_seq() -> DemoReport:
 
 # ---------------------------------------------------------------------------
 # Sets as semilattices
-
-SETS_SOURCE = "sort once (is a b c)"
-
 
 def sets_space() -> Data:
     return product_chain(

@@ -65,8 +65,8 @@ def _word_order(d: Data) -> Data:
 
 def _strict(operands: str):
     """Branch decorator: normalise the operands named in `operands` ("A",
-    "B" or "AB", A first) before the branch sees them.  When that runs the
-    budget out, no branch is in domain and the coda stays put."""
+    "B" or "AB", A first) before the branch sees them.  When that spends the
+    budget, `Engine._rewrite` leaves the coda put."""
     strict_a, strict_b = "A" in operands, "B" in operands
 
     def wrap(branch):
@@ -76,7 +76,7 @@ def _strict(operands: str):
                 a = eng.eval_data(a)
             if strict_b:
                 b = eng.eval_data(b)
-            return None if eng.exhausted else branch(eng, a, b)
+            return branch(eng, a, b)
 
         return apply
 
@@ -188,16 +188,13 @@ def _b_nif(eng, a, b):
 
 def _b_while(eng, a, b):
     cur = eng.eval_data(b)
-    while True:
-        if eng.spent():
-            return None
+    while not eng.spent():
         eng.charge(())
         nxt = eng.eval_data((Coda(a, cur),))
-        if eng.exhausted:
-            return None
         if nxt == cur:
             return cur
         cur = nxt
+    return None
 
 
 @_strict("A")

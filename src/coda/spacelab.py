@@ -63,9 +63,6 @@ class CarrierTable:
     def size(self) -> int:
         return len(self.elements)
 
-    def add_idx(self, i: int, j: int) -> Optional[int]:
-        return self.add[i][j]
-
     def label(self, i: int) -> str:
         if self.labels is not None:
             return self.labels[i]

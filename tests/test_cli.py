@@ -26,6 +26,13 @@ def test_eval_empty(capsys):
     assert code == 0 and out == "()\n"
 
 
+def test_eval_undecodable_argument(capsys):
+    # Python hands an argv byte that is not UTF-8 over as a lone surrogate;
+    # the word holding it renders structurally
+    code, out, err = run(capsys, "eval", "a \udcff")
+    assert code == 0 and out.startswith("a (((:):(:)):") and not err
+
+
 def test_eval_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("null : x"))
     code, out, _ = run(capsys, "eval", "-")
@@ -111,6 +118,14 @@ def test_demo(capsys):
 def test_demo_unknown_name():
     with pytest.raises(SystemExit):
         main(["demo", "no-such-demo"])
+
+
+def test_options_a_subcommand_ignores_are_usage_errors(capsys):
+    # demo reads no definition file, so it takes no --prelude
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "bool", "--prelude", "/nonexistent"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prelude" in capsys.readouterr().err
 
 
 def test_prelude_file(capsys, tmp_path):

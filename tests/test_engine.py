@@ -16,6 +16,8 @@ from coda.lang import parse, render
 from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
+from conftest import random_data
+
 
 def ev(src, ctx=None, budget=Budget()):
     return render(evaluate(parse(src), ctx or prelude()).result)
@@ -68,6 +70,17 @@ def test_tri_equal():
 def test_budget_exhaustion_is_reported():
     out = evaluate(parse("while {B B} : x"), prelude(), Budget(max_steps=10))
     assert not out.normalized
+
+
+def test_steps_never_pass_the_budget(rng):
+    # a rewrite whose guards spent the budget is not taken, so a builtin
+    # that decides from an exhausted guard cannot charge one step more
+    out = evaluate(parse("if (null:x) : b"), prelude(), Budget(max_steps=1))
+    assert (render(out.result), out.normalized, out.steps_used) == ("(if (null:x):b)", False, 1)
+    for _ in range(5000):
+        d = random_data(rng, 3)
+        for steps in range(1, 9):
+            assert evaluate(d, prelude(), Budget(max_steps=steps)).steps_used <= steps
 
 
 def test_no_runtime_errors_on_junk():

@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from coda.encoding import is_lang_atom, lang_source, word
-from coda.engine import evaluate
+from coda.encoding import is_lang_atom, lang_source, word, word_text
+from coda.engine import Engine, evaluate
 from coda.lang import eval_lang_atom, parse, render
 from coda.prelude import prelude
 from coda.terms import COLON, Coda
@@ -75,9 +76,104 @@ def test_bound_head_template_applies():
     assert ev("{pass} x : y") == "y"
     assert ev("{pass} : x y") == "x y"
     assert ev("ap {pass} : x y") == "x y"
+    # `=A` mentions A, so the source is a template, not a borderline case
+    assert ev("{pass (=A)} x : y") == "pass =A"
 
 
-@given(st.text(max_size=60))
+def shape(d):
+    """`d` as nested tuples: words as their text, language atoms as
+    `{source}`, other codas as (left, right)."""
+    out = []
+    for c in d:
+        text = word_text(c)
+        if text is not None:
+            out.append(text)
+        elif is_lang_atom(c):
+            out.append("{" + lang_source(c) + "}")
+        else:
+            out.append((shape(c.left), shape(c.right)))
+    return tuple(out)
+
+
+# (source, shape(parse(source)), shape(eval_lang_atom(source, (x,), (y, z),
+# engine))): unbalanced and unmatched brackets, `=` sugar and its blank-left
+# cases, brackets of one kind inside the other in both modes, and Unicode
+# whitespace (\x0c, \xa0) that only leads a word when it starts one
+CORPUS = [
+    ("(a b", ("a", "b"), ("a", "b")),
+    ("{a b", ("{a b}",), ((("{a b}", "x"), ("y", "z")),)),
+    ("((a", ("a",), ("a",)),
+    ("{{a}", ("{{a}}",), ((("{{a}}", "x"), ("y", "z")),)),
+    ("a)b", ("a)b",), ("a)b",)),
+    ("a}b c", ("a}b", "c"), ("a}b", "c")),
+    ("(a}b)", ("a}b",), ("a}b",)),
+    ("a) (b", ("a)", "b"), ("a)", "b")),
+    ("x=y", ((("=", "x"), ("y",)),), ((("=", "x"), ("y",)),)),
+    ("=x", ("=x",), ("=x",)),
+    (" =x=y", ("=x=y",), ("=x=y",)),
+    ("a=b=c", ((("=", "a"), ((("=", "b"), ("c",)),)),), ((("=", "a"), ((("=", "b"), ("c",)),)),)),
+    ("a= =b", ((("=", "a"), ("=b",)),), ((("=", "a"), ("=b",)),)),
+    ("a:b=c:d", ((("a",), ((((("=", "b"), ("c",)),), ("d",)),)),), ((("a",), ((((("=", "b"), ("c",)),), ("d",)),)),)),
+    ("(x=y) z", ((("=", "x"), ("y",)), "z"), ((("=", "x"), ("y",)), "z")),
+    ("() = x", ((("=",), ("x",)),), ((("=",), ("x",)),)),
+    ("({a:b} c)", ("{a:b}", "c"), ((("{a:b}", "c", "x"), ("y", "z")),)),
+    ("{(a:b) c}", ("{(a:b) c}",), ((("{(a:b) c}", "x"), ("y", "z")),)),
+    ("({)} x", ("{)}", "x"), ((("{)}", "x", "x"), ("y", "z")),)),
+    ("{(} x)", ("{(}", "x)"), ((("{(}", "x)", "x"), ("y", "z")),)),
+    ("{(} B", ("{(}", "B"), ("y", "z")),
+    ("{(B} A)", ("{(B}", "A)"), ("y", "z", "A)")),
+    ("(a {b) c}", ("a", "{b) c}"), ("a", "{b) c}")),
+    ("\x0ca b", ("a", "b"), ("a", "b")),
+    ("a\x0cb", ("a\x0cb",), ("a\x0cb",)),
+    ("\xa0A", ("A",), ("x",)),
+    ("A\xa0", ("A\xa0",), ("A\xa0",)),
+    ("a\x0c=b", ((("=", "a\x0c"), ("b",)),), ((("=", "a\x0c"), ("b",)),)),
+    ("\x0c=A", ("=A",), ("=A",)),
+    ("{pass (=A)}", ("{pass (=A)}",), ("pass", "=A")),
+    ("{=A}", ("{=A}",), ("=A",)),
+    ("{a}", ("{a}",), ((("{a}", "x"), ("y", "z")),)),
+    ("{pass}", ("{pass}",), ((("{pass}", "x"), ("y", "z")),)),
+    ("{pass (=A)} x : y", ((("{pass (=A)}", "x"), ("y",)),), ((("pass", "=A", "x"), ("y",)),)),
+    ("A B", ("A", "B"), ("x", "y", "z")),
+    ("first 2 : B", ((("first", "2"), ("B",)),), ((("first", "2"), ("y", "z")),)),
+    ("{B B}", ("{B B}",), ("y", "z", "y", "z")),
+    ("pass:A", ((("pass",), ("A",)),), ((("pass",), ("x",)),)),
+    ("((A)) : {B}", ((("A",), ("{B}",)),), ((("x",), ("y", "z")),)),
+    ("(A=B)", ((("=", "A"), ("B",)),), ((("=", "x"), ("y", "z")),)),
+    ("", (), ()),
+    (":", (((), ()),), (((), ()),)),
+    ("=", ("=",), ((("=", "x"), ("y", "z")),)),
+    ("a:(b", ((("a",), ("b",)),), ((("a",), ("b",)),)),
+    ("x = \x0c= y", ((("=", "x"), ("=", "y")),), ((("=", "x"), ("=", "y")),)),
+]
+
+
+@pytest.mark.parametrize("src, parsed, expanded", CORPUS)
+def test_corpus(src, parsed, expanded):
+    x, y, z = word("x"), word("y"), word("z")
+    assert shape(parse(src)) == parsed
+    assert shape(eval_lang_atom(src, (x,), (y, z), Engine(prelude()))) == expanded
+
+
+def test_deep_input_needs_no_recursion():
+    n = 10 ** 5
+    assert parse("(" * n + "w" + ")" * n) == (word("w"),)
+    # walked in a loop: comparing deep codas would recurse
+    d = parse("pass:" * n + "a")
+    for _ in range(n):
+        assert len(d) == 1 and d[0].left == (word("pass"),)
+        d = d[0].right
+    assert d == (word("a"),)
+    deep = "{" * 10 ** 4 + "B" + "}" * 10 ** 4
+    assert eval_lang_atom(deep, (word("x"),), (word("y"),)) == (word("y"),)
+    n = 10 ** 4
+    assert render(parse("pass:" * n + "a")) == "(pass:" * n + "a" + ")" * n
+
+
+# every character; lone surrogates (category Cs) are also drawn on their
+# own, as they are 2048 of 1.1M code points
+@given(st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]),
+               max_size=60))
 def test_parser_is_total(src):
     d = parse(src)
     # rendering and reparsing is stable

@@ -149,15 +149,15 @@ PINS = {
     "atoms": ("atoms (pass:x) : (pass:a) (pass:b) c", 2,
         ("(:) (:) (:)", True, 3), ("(atoms (pass:x):(pass:a) (pass:b) c)", False, 2)),
     "bool": ("bool (pass:x) : (pass:a) (pass:b)", 2,
-        ("(:)", True, 3), ("(:)", False, 3)),
+        ("(:)", True, 3), ("(bool (pass:x):(pass:a) (pass:b))", False, 2)),
     "not": ("not (pass:x) : (pass:) (pass:)", 2,
-        ("(:)", True, 3), ("(:)", False, 3)),
+        ("(:)", True, 3), ("(not (pass:x):(pass:) (pass:))", False, 2)),
     "=": ("= (pass:a) : (pass:a)", 2,
-        ("()", True, 3), ("()", False, 3)),
+        ("()", True, 3), ("(= (pass:a):(pass:a))", False, 2)),
     "def": ("(def f (pass:x) : pass) (f (pass:y) : (pass:a) b)", 2,
         ("a b", True, 4), ("(pass (pass:y):(pass:a) b)", False, 2)),
     "if": ("if (pass:a) : (pass:b) c", 1,
-        ("()", True, 2), ("()", False, 2)),
+        ("()", True, 2), ("(if (pass:a):(pass:b) c)", False, 1)),
     "nif": ("nif (pass:(pass:)) : (pass:b) c", 1,
         ("()", True, 3), ("(nif (pass:(pass:)):(pass:b) c)", False, 1)),
     "while": ("while (pass:remove) a : (pass:a) a a b", 2,
