@@ -85,15 +85,25 @@ def decode_bytes(d: Data) -> Optional[str]:
         return None
 
 
+# atoms whose text stays decoded; a word is met again and again
+_TEXT_CAP = 4096
+
+
+@lru_cache(maxsize=_TEXT_CAP)
+def _text(c: Coda) -> Optional[str]:
+    """The text the bytes of a word or language atom spell, decoded once."""
+    return decode_bytes(c.right)
+
+
 def is_word_atom(c: Coda) -> bool:
-    return c.left == (WORD_MARKER,) and decode_bytes(c.right) is not None
+    return word_text(c) is not None
 
 
 def word_text(c: Coda) -> Optional[str]:
     """The text of a word atom, or None if `c` is not one."""
     if c.left != (WORD_MARKER,):
         return None
-    return decode_bytes(c.right)
+    return _text(c)
 
 
 def is_lang_atom(c: Coda) -> bool:
@@ -103,4 +113,4 @@ def is_lang_atom(c: Coda) -> bool:
 def lang_source(c: Coda) -> Optional[str]:
     if not is_lang_atom(c):
         return None
-    return decode_bytes(c.right)
+    return _text(c)

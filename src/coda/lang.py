@@ -1,4 +1,4 @@
-"""The internal `{}` language: total parser and source renderer.
+"""The internal `{}` language: total parser and faithful source renderer.
 
 Every string is a valid expression, so parsing never fails.  The grammar:
 an expression is whitespace-separated terms; the colon is the
@@ -10,6 +10,9 @@ builds a language atom carrying its source verbatim.  `(x=y)` is sugar for
 of input; unmatched closers are ordinary word characters.  Parsing and
 template expansion are one left-to-right pass with a stack of open groups;
 nothing here recurses, so nesting depth is bounded by memory alone.
+`render` is the package's one printer, and `parse(render(d)) == d` for
+every data `d`: an atom whose text would read back as something else
+prints structurally.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from .encoding import is_lang_atom, lang_atom, lang_source, word, word_text
+from .encoding import lang_atom, lang_source, word, word_text
 from .terms import Coda, Data
 
 # a token: a bracket, colon or `=`, a whitespace run, or a run of the rest
@@ -142,27 +145,55 @@ def eval_lang_atom(source: str, a: Data, b: Data, engine=None) -> Data:
 # ---------------------------------------------------------------------------
 # Rendering back to source
 
+# a character that ends a word wherever it stands
+_BREAK = re.compile(r"[(){}: \t\r\n]")
+
+
+def _balanced(src: str) -> bool:
+    """Whether `{src}` reads back as one language atom holding `src`."""
+    depth = 0
+    for ch in re.findall("[{}]", src):
+        depth += 1 if ch == "{" else -1
+        if depth < 0:
+            return False
+    return not depth
+
+
 def render(d: Data) -> str:
-    """Human-facing source form: words print as text, language atoms as
-    `{src}`, everything else structurally."""
+    """Source text that parses back to `d`.  A word prints as its text and a
+    language atom as `{src}` where that text reads back as the atom in its
+    place; every other coda prints structurally, as `(left:right)`."""
     if not d:
         return "()"
     out: List[str] = []
-    todo = [(d, 0, "")]  # sequences to finish: codas, next index, text after
+    # sequences to finish: codas, next index, text after, and whether their
+    # first item printed as a word starting with `=`, so that every later
+    # `=` in the sequence is a word character
+    todo = [(d, 0, "", False)]
     while todo:
-        seq, i, after = todo.pop()
+        seq, i, after, eq = todo.pop()
         while i < len(seq):
             c = seq[i]
+            text = word_text(c)
+            if text is not None:
+                # `_scan` drops a word's leading whitespace, ends it at a
+                # bracket, colon or whitespace run, and splits it at `=`
+                eq_ok = eq if i else text[:1] == "="
+                if (not text or text != text.lstrip() or _BREAK.search(text)
+                        or "=" in text and not eq_ok):
+                    text = None
+            else:
+                text = lang_source(c)
+                text = "{" + text + "}" if text is not None and _balanced(text) else None
+            if not i:
+                eq = text is not None and text[0] == "="
             out.append(" " if i else "")
             i += 1
-            text = word_text(c)
-            if text:
+            if text is not None:
                 out.append(text)
-            elif is_lang_atom(c):
-                out.append("{" + (lang_source(c) or "") + "}")
             else:
                 out.append("(")
-                todo += [(seq, i, after), (c.right, 0, ")")]
-                seq, i, after = c.left, 0, ":"
+                todo += [(seq, i, after, eq), (c.right, 0, ")", False)]
+                seq, i, after, eq = c.left, 0, ":", False
         out.append(after)
     return "".join(out)

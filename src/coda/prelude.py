@@ -17,7 +17,6 @@ from .encoding import (
     BIT_MARKER,
     BYTE_MARKER,
     WORD_MARKER,
-    lang_atom,
     word,
     word_text,
 )
@@ -315,13 +314,6 @@ def _b_min(eng, a, b):
     return _word_order(b)[:1]
 
 
-def _b_map(eng, a, b):
-    # Glossary expansion; `arg` is never defined in the source material, so
-    # this reduces only as far as its aq unfolding
-    guard = lang_atom("if ((arg:A):B):(right:B):B")
-    return (Coda((word("aq"), guard) + a, b),)
-
-
 _BRANCHES = {
     "pass": _b_right,
     "null": _b_null,
@@ -345,7 +337,6 @@ _BRANCHES = {
     "ap": _b_ap,
     "aq": _b_aq,
     "ar": _b_ar,
-    "map": _b_map,
     "first": _b_first,
     "last": _b_last,
     "has": _has(True),

@@ -49,47 +49,15 @@ class Coda:
         )
 
     def __repr__(self):
-        return f"<coda {render_coda(self)}>"
+        from .lang import render  # lang imports terms
+
+        return f"<coda {render((self,))}>"
 
 
 Data = Tuple[Coda, ...]
 
 EMPTY: Data = ()
 COLON = Coda()  # the primordial atom (:)
-
-
-def data(*codas: Coda) -> Data:
-    return tuple(codas)
-
-
-def make_coda(left: Data, right: Data) -> Coda:
-    return Coda(left, right)
-
-
-def concat(a: Data, b: Data) -> Data:
-    return tuple(a) + tuple(b)
-
-
-def structural_eq(a: Data, b: Data) -> bool:
-    return tuple(a) == tuple(b)
-
-
-# ---------------------------------------------------------------------------
-# Rendering (canonical text form; bit-exact)
-
-def render_coda(c: Coda) -> str:
-    return "(" + render_inner(c.left) + ":" + render_inner(c.right) + ")"
-
-
-def render_inner(d: Data) -> str:
-    return " ".join(render_coda(c) for c in d)
-
-
-def render(d: Data) -> str:
-    """Canonical text form: `()` for empty data, items joined by one space."""
-    if not d:
-        return "()"
-    return render_inner(d)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from coda.algebra import (
     small_probes,
     sum_data,
 )
+from coda.encoding import word
 from coda.engine import evaluate
 from coda.lang import parse, render
 from coda.prelude import prelude
@@ -92,3 +93,12 @@ def test_verdict_str_mentions_witness():
     ps = small_probes()
     v = check_associative(parse("not"), ps)
     assert "witness" in str(v)
+
+
+def test_printed_witness_parses_back():
+    # the word `x y` must not print as the two words `x` and `y`
+    v = check_idempotent(parse("rev"), ProbeSet(((word("x y"), word("b")),)))
+    assert v.refuted
+    lhs, rhs = str(v).split("; witness lhs=")[1].split(" rhs=")
+    assert parse(lhs) == v.witness.lhs
+    assert parse(rhs) == v.witness.rhs

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coda.encoding import is_lang_atom, lang_source, word, word_text
+from coda.encoding import is_lang_atom, lang_atom, lang_source, word, word_text
 from coda.engine import Engine, evaluate
 from coda.lang import eval_lang_atom, parse, render
 from coda.prelude import prelude
@@ -51,6 +51,13 @@ def test_unbalanced_input_heals():
     assert parse(")x") == (word(")x"),)
 
 
+def test_render_basics():
+    assert render(()) == "()"
+    assert render((COLON,)) == "(:)"
+    assert render((Coda((COLON,), ()),)) == "((:):)"
+    assert render((COLON, COLON)) == "(:) (:)"
+
+
 def test_render_roundtrip_examples():
     for src in ("a b", "(a:b)", "{x : B}", "(:)", "((:):)"):
         assert render(parse(src)) == src or parse(render(parse(src))) == parse(src)
@@ -76,8 +83,9 @@ def test_bound_head_template_applies():
     assert ev("{pass} x : y") == "y"
     assert ev("{pass} : x y") == "x y"
     assert ev("ap {pass} : x y") == "x y"
-    # `=A` mentions A, so the source is a template, not a borderline case
-    assert ev("{pass (=A)} x : y") == "pass =A"
+    # `=A` mentions A, so the source is a template, not a borderline case;
+    # `pass =A` would read back as (= pass : A), so `=A` prints structurally
+    assert parse(ev("{pass (=A)} x : y")) == (word("pass"), word("=A"))
 
 
 def shape(d):
@@ -172,18 +180,39 @@ def test_deep_input_needs_no_recursion():
 
 # every character; lone surrogates (category Cs) are also drawn on their
 # own, as they are 2048 of 1.1M code points
-@given(st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]),
-               max_size=60))
+any_char = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+# word and source text, with the characters the parser treats specially
+# drawn often
+any_text = st.text(any_char | st.sampled_from("=(){}: \t\r\n\x0c\xa0AB"), max_size=12)
+
+
+@given(st.text(any_char, max_size=60))
 def test_parser_is_total(src):
     d = parse(src)
-    # rendering and reparsing is stable
-    assert parse(render(d)) is not None
+    assert parse(render(d)) == d
 
 
 @given(st.recursive(
     st.just(()),
-    lambda inner: st.lists(st.builds(Coda, inner, inner), max_size=3).map(tuple),
+    lambda inner: st.lists(st.builds(Coda, inner, inner) | st.builds(word, any_text)
+                           | st.builds(lang_atom, any_text), max_size=3).map(tuple),
     max_leaves=10,
 ))
 def test_structural_render_roundtrip(d):
+    assert parse(render(d)) == d
+
+
+@pytest.mark.parametrize("d", [
+    (word("{}"),),
+    (lang_atom("\udcff"),),
+    (word("x y"),),
+    (word("a\tb"), word("c\rd"), word("e\nf")),
+    (word("a:b"),),
+    (word("pass"), word("=A")),
+    (word("=a"), word("b=c"), Coda((word("d=e"),), ())),
+    (lang_atom("a}"),),
+    (lang_atom("}{"),),
+    (word(""), word("\xa0a"), word("a\xa0")),
+])
+def test_render_reads_back(d):
     assert parse(render(d)) == d

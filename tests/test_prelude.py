@@ -113,12 +113,6 @@ def test_rev_remove_sort_min():
     assert ev("min : b {q} (zzz:) (x:y) b") == "(x:y)"
 
 
-def test_map_guard_filters_unbound_function():
-    # the expansion's guard rejects atoms the function leaves undefined
-    assert ev("map f : x") == "()"
-    assert ev("map f : x") == ev("map f : x")
-
-
 def test_def_word():
     assert ev("(def dup : ap {B B}) (dup : p q)") == "p p q q"
 
@@ -174,8 +168,6 @@ PINS = {
         ("(a:c) (b:c)", True, 7), ("(aq (pass:put) (pass:a) b:(pass:c))", False, 2)),
     "ar": ("ar (pass:put) a : (pass:b) (pass:c)", 2,
         ("(a:b) (a:c)", True, 6), ("(ar (pass:put) a:(pass:b) (pass:c))", False, 2)),
-    "map": ("map (pass:x) : (pass:a)", 2,
-        ("()", True, 6), ("(aq {if ((arg:A):B):(right:B):B} (pass:x):(pass:a))", False, 2)),
     "first": ("first (pass:2) : (pass:a) b c", 2,
         ("a b", True, 3), ("(first (pass:2):(pass:a) b c)", False, 2)),
     "last": ("last (pass:2) : (pass:a) b c", 2,

@@ -13,8 +13,6 @@ from coda.terms import (
     data_width,
     enumerate_pure_data,
     measure,
-    render,
-    structural_eq,
 )
 
 pure_data = st.recursive(
@@ -34,17 +32,6 @@ def test_coda_is_immutable_and_hashable():
     assert hash(c) == hash(Coda((COLON,), ()))
     assert c == Coda((COLON,), ())
     assert c != COLON
-
-
-def test_render_basics():
-    assert render(()) == "()"
-    assert render((COLON,)) == "(:)"
-    assert render((Coda((COLON,), ()),)) == "((:):)"
-    assert render((COLON, COLON)) == "(:) (:)"
-
-
-def test_structural_eq_ignores_container_type():
-    assert structural_eq([COLON], (COLON,))
 
 
 def test_measure():
