@@ -127,24 +127,6 @@ def _b_atoms(eng, a, b):
     return (COLON,) * len(b)
 
 
-def _b_bool(eng, a, b):
-    e = eng.emptiness(b)
-    if e is TriBool.ALWAYS:
-        return ()
-    if e is TriBool.NEVER:
-        return (COLON,)
-    return None
-
-
-def _b_not(eng, a, b):
-    e = eng.emptiness(b)
-    if e is TriBool.ALWAYS:
-        return (COLON,)
-    if e is TriBool.NEVER:
-        return ()
-    return None
-
-
 def _b_eq(eng, a, b):
     if eng.tri_equal(a, b) is TriBool.ALWAYS:
         return ()
@@ -165,24 +147,6 @@ def _b_def(eng, a, b):
         return None  # rebinding: the coda is simply out of domain
     eng.context = add_definition(eng.context, name, b)
     return ()
-
-
-def _b_if(eng, a, b):
-    e = eng.emptiness(a)
-    if e is TriBool.ALWAYS:
-        return b
-    if e is TriBool.NEVER:
-        return ()
-    return None
-
-
-def _b_nif(eng, a, b):
-    e = eng.emptiness(a)
-    if e is TriBool.ALWAYS:
-        return ()
-    if e is TriBool.NEVER:
-        return b
-    return None
 
 
 def _b_while(eng, a, b):
@@ -258,6 +222,23 @@ def _has(keep_matching: bool):
     return branch
 
 
+def _switch(operand: str, empty: str, atomic: str):
+    """bool/not/if/nif: branch on whether `operand` ("A" or "B") evaluates
+    empty or atomic; each outcome is "()", "(:)" or "B"."""
+    outcomes = {"()": lambda b: (), "(:)": lambda b: (COLON,), "B": lambda b: b}
+    on_empty, on_atomic = outcomes[empty], outcomes[atomic]
+
+    def branch(eng, a, b):
+        e = eng.emptiness(a if operand == "A" else b)
+        if e is TriBool.ALWAYS:
+            return on_empty(b)
+        if e is TriBool.NEVER:
+            return on_atomic(b)
+        return None
+
+    return branch
+
+
 def _is(keep_equal: bool):
     """is/isnt: keep the codas of B equal (or unequal) to some atom of A."""
 
@@ -324,12 +305,12 @@ _BRANCHES = {
     "get": _b_get,
     "get0": _b_get0,
     "atoms": _b_atoms,
-    "bool": _b_bool,
-    "not": _b_not,
+    "bool": _switch("B", "()", "(:)"),
+    "not": _switch("B", "(:)", "()"),
     "=": _b_eq,
     "def": _b_def,
-    "if": _b_if,
-    "nif": _b_nif,
+    "if": _switch("A", "B", "()"),
+    "nif": _switch("A", "()", "B"),
     "while": _b_while,
     "prod": _b_prod,
     "sum": _b_sum,
@@ -370,8 +351,8 @@ def builtin(name: str) -> Definition:
     raise UnknownBuiltin(name)
 
 
-def install_prelude(empty: Optional[Context] = None) -> Context:
-    defs = dict(empty.defs) if empty is not None else {}
+def install_prelude() -> Context:
+    defs = {}
     for name in _FIXED_POINTS:
         d = builtin(name)
         defs[d.trigger] = d

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import HOLDS, REFUTED, ProbeSet, Verdict, default_probes
 from .encoding import word
-from .engine import DEFAULT_BUDGET, Budget, Context, Engine
+from .engine import Budget, Context, Engine
 from .lang import render
 from .prelude import prelude
 from .terms import Coda, Data, data_key

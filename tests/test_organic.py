@@ -1,23 +1,24 @@
+import itertools
+
 import pytest
 
+from coda.engine import Engine
 from coda.lang import parse
 from coda.organic import (
     DEMOS,
+    DemoReport,
     QAtom,
     bounded_n_carrier,
     demo_bool,
-    demo_bool_sequences,
-    demo_gaussian,
-    demo_N2,
-    demo_seq,
-    demo_sets,
     fibonacci,
     gauss_mult,
     inner,
+    int_data,
+    matrix_hom,
     nat_product,
-    organic_N,
+    pair_data,
     q_add,
-    rationals,
+    reduce_int,
     rem,
     rem_value,
     search_spaces,
@@ -40,6 +41,20 @@ def test_report_render_formats():
     assert text.startswith("demo bool")
     tsv = rep.render("tsv")
     assert all(line.split("\t")[1] == "ok" for line in tsv.splitlines())
+
+    # a passing quantified check renders as the plain check (0 failures)
+    plain, quantified = DemoReport("x"), DemoReport("x")
+    plain.check("no n below 5 is 7", 0, 0)
+    assert quantified.check_none("no n below 5 is 7", (n for n in range(5) if n == 7))
+    for fmt in ("text", "tsv"):
+        assert quantified.render(fmt) == plain.render(fmt)
+    assert quantified.render("tsv") == "x\tok\tno n below 5 is 7\t0\t0"
+
+    failing = DemoReport("x")
+    assert not failing.check_none("all n below 5 are even", (n for n in range(5) if n % 2))
+    assert failing.render().splitlines()[1] == (
+        "  FAIL all n below 5 are even (expected 0, got 2 failing, first 1)")
+    assert failing.render("tsv") == "x\tFAIL\tall n below 5 are even\t0\t2 failing, first 1"
 
 
 def test_rem_values():
@@ -74,6 +89,29 @@ def test_nat_product_via_engine():
 def test_gauss_mult():
     assert gauss_mult((1, 1), (1, 1)) == (0, 2)
     assert gauss_mult((0, 1), (0, 1)) == (-1, 0)
+    units = list(itertools.product((-1, 0, 1), repeat=2))
+    for u, x in itertools.product(units, units):
+        z = complex(*u) * complex(*x)
+        assert gauss_mult(u, x) == (int(z.real), int(z.imag)), (u, x)
+
+
+def test_reduce_int_on_unsorted_input():
+    assert reduce_int(parse("b a b a a")) == 1
+    assert reduce_int(parse("b a b b a b")) == -2
+    assert reduce_int(()) == 0
+
+
+def test_arithmetic_runs_in_the_engine(monkeypatch):
+    def refuse(self, d):
+        raise RuntimeError("engine called")
+
+    monkeypatch.setattr(Engine, "eval_data", refuse)
+    with pytest.raises(RuntimeError):
+        gauss_mult((1, 1), (1, 1))
+    with pytest.raises(RuntimeError):
+        reduce_int(int_data(2) + int_data(-1))
+    with pytest.raises(RuntimeError):
+        matrix_hom((1, 1, 1, 0), pair_data(1, 1))
 
 
 def test_fibonacci():

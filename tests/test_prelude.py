@@ -1,6 +1,5 @@
 import pytest
 
-from coda.encoding import word
 from coda.engine import Budget, evaluate
 from coda.lang import parse, render
 from coda.prelude import _BRANCHES, UnknownBuiltin, builtin, prelude
