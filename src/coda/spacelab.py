@@ -2,9 +2,11 @@
 
 A space S induces a monoid on the normal forms (S:X): the carrier.  Once the
 carrier is finite (or truncated), endomorphisms become plain endofunctions of
-the element set and everything in the classification (constants,
-homomorphisms, units, central maps, idempotents, subspaces, the field
-criteria, quotients) is decided by exhaustive checks over the tables.
+the element set.  The classification (constants, homomorphisms, units,
+central maps, idempotents, subspaces, quotients) is decided by exhaustive
+checks over the tables.  The field criteria are decided by a depth-first
+search for a counterexample that propagates the table's equations after
+each assigned image, so it visits far fewer than the n^n endofunctions.
 
 An endomorphism is a tuple of element indices: `f[i]` is the index of the
 image of element i.  On the two-element bool carrier, for instance,
@@ -435,29 +437,99 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     )
 
 
+def _hom_forced(add, f: List[Optional[int]]):
+    """(position, value) pairs that a homomorphism extending the partial
+    map f must have: f[a + b] = f[a] + f[b] wherever both sums are defined."""
+    known = [i for i, v in enumerate(f) if v is not None]
+    for a in known:
+        image_row = add[f[a]]
+        for b in known:
+            s, t = add[a][b], image_row[f[b]]
+            if s is not None and t is not None:
+                yield s, t
+
+
+def _subspace_forced(add, f: List[Optional[int]]):
+    """(position, value) pairs that a subspace extending the partial map f
+    must have: f[f[i]] = f[i], and f[x+y] = f[f[x]+y] = f[x+f[y]] wherever
+    one side of such an equation is known."""
+    for i, v in enumerate(f):
+        if v is None:
+            continue
+        yield v, v
+        for y, (iy, vy) in enumerate(zip(add[i], add[v])):
+            for p, q in ((iy, vy), (add[y][i], add[y][v])):
+                if p is None or q is None:
+                    continue
+                if f[p] is not None:
+                    yield q, f[p]
+                elif f[q] is not None:
+                    yield p, f[q]
+
+
+def _settle(add, f: List[Optional[int]], forced) -> bool:
+    """Assign what `forced(add, f)` implies until nothing changes; False when
+    it implies two values for one position."""
+    changed = True
+    while changed:
+        changed = False
+        for p, v in forced(add, f):
+            if f[p] is None:
+                f[p] = v
+                changed = True
+            elif f[p] != v:
+                return False
+    return True
+
+
+def _witness_exists(c: CarrierTable, forced,
+                    accept: Callable[[Endo], bool]) -> bool:
+    """Is some endofunction accepted?  Depth-first over f[0], f[1], ... in
+    index order and values in ascending order, pruning every partial map
+    whose `forced` consequences contradict each other.  `forced` must only
+    state what every accepted map satisfies, so it prunes and never accepts."""
+    n = c.size
+    stack: List[List[Optional[int]]] = [[None] * n]
+    while stack:
+        f = stack.pop()
+        if not _settle(c.add, f, forced):
+            continue
+        if None not in f:
+            if accept(tuple(f)):
+                return True
+            continue
+        i = f.index(None)
+        for v in reversed(range(n)):
+            g = f[:]
+            g[i] = v
+            stack.append(g)
+    return False
+
+
 def field_check(c: CarrierTable, cap: int = 7 ** 7) -> Tuple[bool, bool]:
     """Two independent field criteria; they should always agree.
 
     First: every proper subspace endofunction is constant.  Second: every
-    non-constant homomorphism is a unit (a bijection).  Both scan the full
-    endofunction set, so the carrier must be small.
+    non-constant homomorphism is a unit (a bijection).  Each is decided by
+    a search for a counterexample that assigns f[0], f[1], ... in turn,
+    propagates the subspace equations or f[a + b] = f[a] + f[b] after each
+    assignment, and lets `is_subspace` or `is_homomorphism` judge every
+    complete map.  Carriers with more than `cap` endofunctions still raise
+    TooManyEndos, so that `classify` and `coda space analyze` report no
+    field verdict past 7 elements, as before.
     """
     n = c.size
     if n ** n > cap:
         raise TooManyEndos(f"{n}^{n} endofunctions exceed cap {cap}")
     ident = tuple(range(n))
-    subspaces_ok = True
-    homs_ok = True
-    for m in itertools.product(range(n), repeat=n):
-        distinct = len(set(m))
-        if distinct <= 1:
-            continue
-        if subspaces_ok and m != ident and is_subspace(m, c):
-            subspaces_ok = False
-        if homs_ok and distinct != n and is_homomorphism(m, c):
-            homs_ok = False
-        if not subspaces_ok and not homs_ok:
-            break
+    subspaces_ok = not _witness_exists(
+        c, _subspace_forced,
+        lambda m: len(set(m)) > 1 and m != ident and is_subspace(m, c),
+    )
+    homs_ok = not _witness_exists(
+        c, _hom_forced,
+        lambda m: 1 < len(set(m)) < n and is_homomorphism(m, c),
+    )
     return subspaces_ok, homs_ok
 
 

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from coda.algebra import ProbeSet
 from coda.encoding import word
@@ -10,6 +12,7 @@ from coda.organic import _bool_probes, bool_seq_truncated, sets_space
 from coda.prelude import prelude
 from coda.spacelab import (
     CarrierOverflow,
+    CarrierTable,
     EndoFlags,
     NotAHomomorphism,
     TooManyEndos,
@@ -164,14 +167,79 @@ def test_extracted_table_matches_fresh_engines():
         assert c.add == tuple(table)
 
 
+def reordered(c, order):
+    """c with its elements listed in `order`, a permutation of its indices."""
+    return carrier_from_function(order, lambda i, j: c.add[i][j], c.neutral)
+
+
+def field_check_by_scan(c):
+    """Reference for field_check: test every endofunction, in product order."""
+    n = c.size
+    ident = tuple(range(n))
+    subspaces_ok = True
+    homs_ok = True
+    for m in itertools.product(range(n), repeat=n):
+        distinct = len(set(m))
+        if distinct <= 1:
+            continue
+        if subspaces_ok and m != ident and is_subspace(m, c):
+            subspaces_ok = False
+        if homs_ok and distinct != n and is_homomorphism(m, c):
+            homs_ok = False
+        if not subspaces_ok and not homs_ok:
+            break
+    return subspaces_ok, homs_ok
+
+
 def test_field_check_verdicts():
-    fields = [bool_carrier(), zn_carrier(2), zn_carrier(3), zn_carrier(5)]
-    non_fields = [zn_carrier(4), zn_carrier(6), saturation_carrier(3)]
+    z7 = zn_carrier(7)
+    l2 = extract_carrier(bool_seq_truncated(2), _bool_probes(), cap=16)
+    assert l2.size == 7 and l2.closed
+    rng = random.Random(7)
+    z7_shuffled, l2_shuffled = (
+        reordered(c, rng.sample(range(7), 7)) for c in (z7, l2)
+    )
+    fields = [bool_carrier(), zn_carrier(2), zn_carrier(3), zn_carrier(5),
+              z7, z7_shuffled]
+    non_fields = [zn_carrier(4), zn_carrier(6), saturation_carrier(3),
+                  saturation_carrier(7), l2, l2_shuffled]
     for c in fields:
         assert field_check(c) == (True, True)
     for c in non_fields:
-        sub, hom = field_check(c)
-        assert sub == hom == False
+        assert field_check(c) == (False, False)
+
+
+@st.composite
+def small_tables(draw):
+    """Arbitrary operation tables on 1 to 5 elements: rarely associative,
+    and open (with None entries) about half the time."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        entry = st.none() | entry
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    add = draw(st.lists(row, min_size=n, max_size=n).map(tuple))
+    return CarrierTable(
+        space=None,
+        elements=tuple((word(str(i)),) for i in range(n)),
+        neutral=0,
+        add=add,
+        closed=all(None not in r for r in add),
+    )
+
+
+@seed(7)
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_field_check_matches_scan(c):
+    assert field_check(c) == field_check_by_scan(c)
+
+
+def test_field_check_matches_scan_in_every_element_order():
+    sat4 = saturation_carrier(4)
+    for order in itertools.permutations(range(4)):
+        c = reordered(sat4, order)
+        assert field_check(c) == field_check_by_scan(c) == (False, False)
 
 
 def test_subspace_example():
