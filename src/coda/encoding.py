@@ -12,6 +12,10 @@ and its bytes on the right.  A language atom carries unparsed source text:
 the word "{}" on the left and the source bytes on the right.
 
 All of these are invariant data once the marker definitions are installed.
+
+Decoding reads each byte atom's value from a table of the 256 byte atoms,
+so a coda decodes exactly when it equals one of them.  Built atoms and
+decoded texts are kept in caches bounded at `_TEXT_CAP` entries.
 """
 
 from __future__ import annotations
@@ -45,7 +49,12 @@ def bits(text: str) -> Data:
     return tuple(byte_atom(b) for b in text.encode("utf-8", "surrogatepass"))
 
 
-@lru_cache(maxsize=None)
+# entries in each cache of built atoms or decoded texts: a word is met again
+# and again, but fresh words keep coming, so the least recently used go
+_TEXT_CAP = 4096
+
+
+@lru_cache(maxsize=_TEXT_CAP)
 def word(text: str) -> Coda:
     return Coda((WORD_MARKER,), bits(text))
 
@@ -53,40 +62,22 @@ def word(text: str) -> Coda:
 WORD_LANG = word(LANG_NAME)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TEXT_CAP)
 def lang_atom(source: str) -> Coda:
     return Coda((WORD_LANG,), bits(source))
 
 
-def _decode_byte(c: Coda) -> Optional[int]:
-    if c.left != (BYTE_MARKER,) or len(c.right) != 8:
-        return None
-    value = 0
-    for b in c.right:
-        if b == BIT0:
-            value = value << 1
-        elif b == BIT1:
-            value = (value << 1) | 1
-        else:
-            return None
-    return value
+# every byte atom's value: a coda is a byte atom exactly when it is a key
+_BYTE_VALUE = {byte_atom(v): v for v in range(256)}
 
 
 def decode_bytes(d: Data) -> Optional[str]:
-    out = bytearray()
-    for c in d:
-        v = _decode_byte(c)
-        if v is None:
-            return None
-        out.append(v)
+    """The UTF-8 text the byte atoms `d` spell, or None if a coda of `d` is
+    not a byte atom or the bytes are not UTF-8."""
     try:
-        return out.decode("utf-8")
-    except UnicodeDecodeError:
+        return bytes(map(_BYTE_VALUE.__getitem__, d)).decode("utf-8")
+    except (KeyError, UnicodeDecodeError):
         return None
-
-
-# atoms whose text stays decoded; a word is met again and again
-_TEXT_CAP = 4096
 
 
 @lru_cache(maxsize=_TEXT_CAP)

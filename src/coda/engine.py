@@ -17,7 +17,7 @@ admit; it is documented rather than canonical.
 There are no run-time errors: evaluation either normalizes or stops at the
 step/node budget, reporting normalized=False.
 
-Normal-form memo.  `eval_coda` remembers, per context, each coda it
+Normal-form memo.  The engine remembers, per context, each coda it
 normalized together with the steps and nodes that evaluation charged.  The
 memo is exact: a hit charges the stored steps and nodes, and is taken only
 when they fit strictly inside the remaining budget, so exhaustion happens
@@ -27,7 +27,9 @@ inside prevents the store).  Results, `normalized` and `steps_used` are the
 same as without it.  Its scope is one engine (so one `evaluate`), or one law
 verdict or carrier extraction, whose engines share it through the `memo`
 argument; it is never kept across calls.  Each context's entries are
-cleared when they reach MEMO_CAP.
+cleared when they reach MEMO_CAP.  Atoms bypass the memo: a coda that is
+(:X) or headed by a fixed point (a bit, byte or word atom) evaluates to
+itself at no charge, so `eval_data` returns it before any lookup or store.
 """
 
 from __future__ import annotations
@@ -160,12 +162,23 @@ class Engine:
     # -- evaluation --------------------------------------------------------
 
     def eval_data(self, d: Data) -> Data:
+        """The normal form of `d`, coda by coda."""
         out: list = []
         for c in d:
-            out.extend(self.eval_coda(c))
+            if c.left:
+                defn = self.context.defs.get(c.left[0])
+                if defn is None or not defn.fixed_point:
+                    out.extend(self.eval_coda(c))
+                    continue
+            # (:X), or an atom maker's coda such as a word: an atom, which
+            # stays out of the memo; exhaustion is noted as for any coda
+            self.spent()
+            out.append(c)
         return tuple(out)
 
     def eval_coda(self, c: Coda) -> Data:
+        """The normal form of `c`: from the memo, or by rewriting and
+        storing the result.  `eval_data` keeps atoms away from it."""
         if self.spent() or not c.left:
             return (c,)  # out of budget, or (:X), a fixed point
         context = self.context
@@ -187,7 +200,7 @@ class Engine:
             defn = self.dispatch(c)
             if defn is None:
                 head = c.left[0]
-                hv = self.eval_coda(head)
+                hv = self.eval_data((head,))
                 if hv != (head,):
                     c = Coda(hv + c.left[1:], c.right)
                     if self.spent() or not c.left:

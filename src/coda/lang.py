@@ -8,8 +8,11 @@ group (a coda when the group contains a top-level colon), or `{...}` which
 builds a language atom carrying its source verbatim.  `(x=y)` is sugar for
 `(= x : y)`.  Unbalanced `(` or `{` are healed by implicit closure at end
 of input; unmatched closers are ordinary word characters.  Parsing and
-template expansion are one left-to-right pass with a stack of open groups;
-nothing here recurses, so nesting depth is bounded by memory alone.
+template expansion are one left-to-right pass with a stack of open groups.
+A template is scanned once per source, into a splice plan that lists the
+codas holding an `A` or `B`; each application fills those in and reuses
+every other part of the expansion as it is.  Nothing here recurses, so
+nesting depth is bounded by memory alone.
 `render` is the package's one printer, and `parse(render(d)) == d` for
 every data `d`: an atom whose text would read back as something else
 prints structurally.
@@ -18,9 +21,11 @@ prints structurally.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import groupby
 from typing import List, Optional, Tuple
 
-from .encoding import lang_atom, lang_source, word, word_text
+from .encoding import _TEXT_CAP, lang_atom, lang_source, word, word_text
 from .terms import Coda, Data
 
 # a token: a bracket, colon or `=`, a whitespace run, or a run of the rest
@@ -120,9 +125,88 @@ def _scan(src: str, a: Optional[Data], b: Optional[Data]) -> Tuple[Data, bool]:
     return _fold(segments, eqs, out), bool(segments) or mentions
 
 
+# stand-ins for `A` and `B` while a template compiles, told apart from the
+# codas of the source by identity alone, since a source can spell any data
+_A, _B = Coda(), Coda()
+
+
+@lru_cache(maxsize=_TEXT_CAP)
+def _compile(source: str) -> Tuple[bool, tuple]:
+    """A language atom's source, scanned once: whether it is a template (see
+    `_scan`), and its splice plan `(slots, nodes, top)`.
+
+    `slots` is the fill's table of data: slots 0 and 1 take A and B, each
+    hole-free run of codas is kept in a slot as it is, and each coda with a
+    hole gets a slot of its own.  `nodes` lists those codas, each after the
+    ones inside it, as `(slot, left, right)`, each side a tuple of slots to
+    concatenate; `top` is the expansion's tuple of slots."""
+    d, template = _scan(source, (_A,), (_B,))
+    if not template and "{" in source:
+        # nothing was spliced in, so only raw braces can parse differently
+        d = _scan(source, None, None)[0]
+    # every coda met, by identity: its slot if it holds a hole, else None
+    slot_of: dict = {id(_A): 0, id(_B): 1}
+    slots: list = [None, None]
+    nodes = []
+
+    def parts(seq: Data) -> Tuple[int, ...]:
+        """`seq` as slots: its hole codas' own, and one per run between."""
+        out: list = []
+        for clean, run in groupby(seq, key=lambda x: slot_of[id(x)] is None):
+            if clean:
+                out.append(len(slots))
+                slots.append(tuple(run))
+            else:
+                out += [slot_of[id(x)] for x in run]
+        return tuple(out)
+
+    todo = list(d)  # codas to classify, each after the codas inside it
+    while todo:
+        c = todo[-1]
+        if id(c) in slot_of:
+            todo.pop()
+            continue
+        inner = c.left + c.right
+        unseen = [x for x in inner if id(x) not in slot_of]
+        if unseen:
+            todo += unseen
+            continue
+        todo.pop()
+        if any(slot_of[id(x)] is not None for x in inner):
+            slot_of[id(c)] = len(slots)
+            slots.append(None)
+            nodes.append((slot_of[id(c)], parts(c.left), parts(c.right)))
+        else:
+            slot_of[id(c)] = None
+    top = parts(d)
+    return template, (tuple(slots), tuple(nodes), top)
+
+
+def _fill(plan: tuple, a: Data, b: Data) -> Data:
+    """A splice plan's expansion for components `a` and `b`: one pass over
+    the codas that hold a hole, children first."""
+    slots, nodes, top = plan
+    built = list(slots)
+    built[0], built[1] = a, b
+    for k, left, right in nodes:
+        built[k] = (Coda(_join(built, left), _join(built, right)),)
+    return _join(built, top)
+
+
+def _join(built: list, parts: Tuple[int, ...]) -> Data:
+    if len(parts) == 1:
+        return built[parts[0]]
+    out: list = []
+    for k in parts:
+        out += built[k]
+    return tuple(out)
+
+
 def eval_lang_atom(source: str, a: Data, b: Data, engine=None) -> Data:
     """Apply a language atom: split at the top-level colon, then whitespace;
-    `A` and `B` splice in the components, words stand for themselves.
+    `A` and `B` splice in the components, words stand for themselves.  The
+    source is compiled once (`_compile`); each application fills in the
+    holes and keeps the rest of the expansion as it is.
 
     A source with neither a top-level colon nor an `A`/`B` reference is a
     borderline case.  When its head word is bound in the engine's context it
@@ -132,14 +216,11 @@ def eval_lang_atom(source: str, a: Data, b: Data, engine=None) -> Data:
     (ap {a}) idempotent.
     """
     a, b = tuple(a), tuple(b)
-    d, template = _scan(source, a, b)
-    if template:
+    template, plan = _compile(source)
+    d = _fill(plan, a, b)
+    if template or engine is None or not d or engine.dispatch(Coda(d, b)) is None:
         return d
-    # nothing was spliced in, so only raw braces can parse differently
-    d = _scan(source, None, None)[0] if "{" in source else d
-    if engine is not None and d and engine.dispatch(Coda(d, b)) is not None:
-        return (Coda(d + a, b),)
-    return d
+    return (Coda(d + a, b),)
 
 
 # ---------------------------------------------------------------------------

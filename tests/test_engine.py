@@ -83,6 +83,25 @@ def test_steps_never_pass_the_budget(rng):
             assert evaluate(d, prelude(), Budget(max_steps=steps)).steps_used <= steps
 
 
+@pytest.mark.parametrize("src, steps, normalized, used", [
+    # the budget runs out on the step before the word `a` comes back
+    ("pass : a", 1, False, 1),
+    ("pass : a", 2, True, 1),
+    ("ap {B B} : a b", 1, False, 1),
+    ("ap {B B} : a b", 2, False, 2),
+    ("ap {B B} : a b", 3, False, 3),
+])
+def test_exhaustion_at_an_atom(src, steps, normalized, used):
+    out = evaluate(parse(src), prelude(), Budget(max_steps=steps))
+    assert (out.normalized, out.steps_used) == (normalized, used)
+
+
+def test_atoms_bypass_the_memo():
+    eng = Engine(prelude())
+    assert render(eng.eval_data(parse("a (:b) (pass : c (d:e))"))) == "a (:b) c (d:e)"
+    assert set(eng._memo) == {parse("pass : c (d:e)")[0], parse("d:e")[0]}
+
+
 def test_no_runtime_errors_on_junk():
     # deeply nested nonsense evaluates without raising
     src = "((((((:a):b):c):d):e):f)"

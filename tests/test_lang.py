@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from coda.encoding import is_lang_atom, lang_atom, lang_source, word, word_text
 from coda.engine import Engine, evaluate
-from coda.lang import eval_lang_atom, parse, render
+from coda.lang import _scan, eval_lang_atom, parse, render
 from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
@@ -174,6 +174,13 @@ def test_deep_input_needs_no_recursion():
     assert d == (word("a"),)
     deep = "{" * 10 ** 4 + "B" + "}" * 10 ** 4
     assert eval_lang_atom(deep, (word("x"),), (word("y"),)) == (word("y"),)
+    # a hole at every level of a template 10^5 deep
+    x, y = word("x"), word("y")
+    d = eval_lang_atom("(A:" * n + "B" + ")" * n, (x,), (y,))
+    for _ in range(n):
+        assert len(d) == 1 and d[0].left == (x,)
+        d = d[0].right
+    assert d == (y,)
     n = 10 ** 4
     assert render(parse("pass:" * n + "a")) == "(pass:" * n + "a" + ")" * n
 
@@ -184,6 +191,34 @@ any_char = st.characters(exclude_categories=()) | st.characters(categories=["Cs"
 # word and source text, with the characters the parser treats specially
 # drawn often
 any_text = st.text(any_char | st.sampled_from("=(){}: \t\r\n\x0c\xa0AB"), max_size=12)
+
+
+def expand_by_scan(src, a, b, engine):
+    """`eval_lang_atom` scanning the source on every application: the
+    oracle for the compiled splice plan."""
+    d, template = _scan(src, a, b)
+    if template:
+        return d
+    d = _scan(src, None, None)[0] if "{" in src else d
+    if d and engine.dispatch(Coda(d, b)) is not None:
+        return (Coda(d + a, b),)
+    return d
+
+
+# components: (:), which a source spells as `:`, words and a coda, and ()
+components = st.lists(st.sampled_from(
+    [COLON, word("p"), word("A"), word("pass"), Coda((word("q"),), (COLON,))]), max_size=3).map(tuple)
+
+
+@seed(20261018)
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(list("AB=(){}: ") + ["  ", "a", "pass", "AB", "=A", "A=B"]),
+                max_size=16).map("".join), components, components)
+def test_splice_plan_matches_the_scan(src, a, b):
+    engine = Engine(prelude())
+    assert eval_lang_atom(src, a, b, engine) == expand_by_scan(src, a, b, engine)
+    # a second application reuses the plan, with other components
+    assert eval_lang_atom(src, b, a, engine) == expand_by_scan(src, b, a, engine)
 
 
 @given(st.text(any_char, max_size=60))
