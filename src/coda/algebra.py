@@ -130,7 +130,7 @@ class Verdict:
         return self.status == REFUTED
 
     def __str__(self):
-        out = f"{self.law or 'law'}: {self.status} ({self.checked} probes)"
+        out = f"{self.law or 'law'}: {self.status} ({self.checked} cases)"
         if self.witness is not None:
             from .lang import render
 

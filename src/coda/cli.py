@@ -149,7 +149,7 @@ def _print_search(results: List[SearchResult], fmt: str) -> None:
         if fmt == "tsv":
             print(f"{r.source}\t{r.verdict.status}\t{r.verdict.checked}")
         else:
-            print(f"{r.source}  [{r.verdict.status}, {r.verdict.checked} probes]")
+            print(f"{r.source}  [{r.verdict.status}, {r.verdict.checked} cases]")
 
 
 def cmd_search(args) -> int:

@@ -15,7 +15,12 @@ its budget).  This is one of the deterministic strategies the rewrite rules
 admit; it is documented rather than canonical.
 
 There are no run-time errors: evaluation either normalizes or stops at the
-step/node budget, reporting normalized=False.
+step/node budget, reporting normalized=False.  The meters move only while
+`eval_coda` runs, and it checks the budget on entry; `eval_data` checks it
+once more after a trailing run of atoms.  So evaluation is reported
+unnormalized when the limit was reached before some later coda or atom,
+not whenever it was reached: under Budget(max_steps=1), `a (null:x)` is
+normalized with steps_used 1, while `(null:x) a` and `a (null:x) b` are not.
 
 Normal-form memo.  The engine remembers, per context, each coda it
 normalized together with the steps and nodes that evaluation charged.  The
@@ -164,16 +169,23 @@ class Engine:
     def eval_data(self, d: Data) -> Data:
         """The normal form of `d`, coda by coda."""
         out: list = []
+        atom = False  # an atom came after the last eval_coda
         for c in d:
             if c.left:
                 defn = self.context.defs.get(c.left[0])
                 if defn is None or not defn.fixed_point:
                     out.extend(self.eval_coda(c))
+                    atom = False
                     continue
             # (:X), or an atom maker's coda such as a word: an atom, which
-            # stays out of the memo; exhaustion is noted as for any coda
-            self.spent()
+            # stays out of the memo
             out.append(c)
+            atom = True
+        if atom:
+            # exhaustion is noted as for any coda; the meters only move in
+            # eval_coda, which checks on entry, so one check per trailing
+            # run of atoms sets `exhausted` where a check per atom would
+            self.spent()
         return tuple(out)
 
     def eval_coda(self, c: Coda) -> Data:
@@ -244,19 +256,28 @@ class Engine:
     def is_atom(self, c: Coda) -> bool:
         """True when a (normalized) coda is an atom: a fixed point of the
         context, or permanently out of its domain."""
-        if not c.left:
-            return True
-        defn = self.dispatch(c)
-        if defn is None:
+        found = self.atom_or_eq(c)
+        if found is True or found is False:
+            return found
+        # a fully peeled mismatch (= a : b) is its own fixed point
+        return self.tri_equal(found.left[1:], found.right) is TriBool.NEVER
+
+    def atom_or_eq(self, c: Coda) -> "bool | Coda":
+        """`is_atom(c)` when it is decided without evaluating anything, else
+        the `=` coda on c's head chain whose residue check decides it (and
+        charges steps).  Spends nothing."""
+        while c.left:
+            defn = self.dispatch(c)
+            if defn is not None:
+                if defn.fixed_point:
+                    return True
+                return c if defn.name == "=" else False
             head = c.left[0]
             # normal head with no definition: inert coda, treated as atomic
-            return self.dispatch(head) is None or is_word_atom(head) or self.is_atom(head)
-        if defn.fixed_point:
-            return True
-        if defn.name == "=":
-            # a fully peeled mismatch (= a : b) is its own fixed point
-            return self.tri_equal(c.left[1:], c.right) is TriBool.NEVER
-        return False
+            if self.dispatch(head) is None or is_word_atom(head):
+                return True
+            c = head
+        return True
 
     def is_invariant(self, c: Coda) -> bool:
         if c.left:

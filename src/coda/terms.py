@@ -68,14 +68,17 @@ def cmp_data(a: Data, b: Data) -> int:
     if len(a) != len(b):
         return -1 if len(a) < len(b) else 1
     for x, y in zip(a, b):
-        c = cmp_coda(x, y)
-        if c:
-            return c
+        # identical codas are equal; others are ordered by their
+        # components, one frame per level of depth
+        if x is not y:
+            c = cmp_data(x.left, y.left) or cmp_data(x.right, y.right)
+            if c:
+                return c
     return 0
 
 
 def cmp_coda(x: Coda, y: Coda) -> int:
-    if x is y or x == y:
+    if x is y:
         return 0
     return cmp_data(x.left, y.left) or cmp_data(x.right, y.right)
 
@@ -172,5 +175,6 @@ def _enumerate(w: int, d: int) -> Iterator[Data]:
 def _codas_upto(w: int, d: int) -> Tuple[Coda, ...]:
     # already in canonical coda order because _enumerate yields data in
     # canonical (length-then-lexicographic) order
+    # the empty coda is COLON itself, so probes share the one (:)
     below = tuple(_enumerate(w, d - 1))
-    return tuple(Coda(l, r) for l in below for r in below)
+    return tuple(Coda(l, r) if l or r else COLON for l in below for r in below)

@@ -9,17 +9,17 @@ SAFE_WORDS = ("pass", "null", "const", "left", "right", "bool", "not",
               "first", "rev", "a", "b", "c")
 
 
-def random_coda(rng: random.Random, depth: int) -> Coda:
+def random_coda(rng: random.Random, depth: int, words=SAFE_WORDS) -> Coda:
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
         return COLON
     if roll < 0.7:
-        return word(rng.choice(SAFE_WORDS))
-    return Coda(random_data(rng, depth - 1), random_data(rng, depth - 1))
+        return word(rng.choice(words))
+    return Coda(random_data(rng, depth - 1, words=words), random_data(rng, depth - 1, words=words))
 
 
-def random_data(rng: random.Random, depth: int = 2, max_width: int = 3):
-    return tuple(random_coda(rng, depth) for _ in range(rng.randrange(max_width + 1)))
+def random_data(rng: random.Random, depth: int = 2, max_width: int = 3, words=SAFE_WORDS):
+    return tuple(random_coda(rng, depth, words) for _ in range(rng.randrange(max_width + 1)))
 
 
 @pytest.fixture

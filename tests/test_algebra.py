@@ -18,6 +18,7 @@ from coda.encoding import word
 from coda.engine import evaluate
 from coda.lang import parse, render
 from coda.prelude import prelude
+from coda.terms import COLON
 
 from conftest import random_data
 
@@ -54,6 +55,18 @@ def test_default_probes_include_alphabet():
     assert parse("a") in ps.probes and parse("b") in ps.probes
     assert () in ps.probes
     assert len(ps.probes) == 91 + 2
+
+
+def test_default_probes_share_colon():
+    # every empty coda in the probes is the one COLON, not a fresh (:)
+    def codas(d):
+        for c in d:
+            yield c
+            yield from codas(c.left)
+            yield from codas(c.right)
+
+    empties = [c for p in default_probes().probes for c in codas(p) if not c.left and not c.right]
+    assert empties and all(c is COLON for c in empties)
 
 
 def test_idempotent_and_associative_hold_for_bool():

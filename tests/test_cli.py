@@ -89,6 +89,8 @@ def test_search(capsys):
                        "--max-len", "1")
     assert code == 0
     assert "pass" in out and "bool" in out
+    # a verdict counts cases: 2 * 3 * 3 associativity forms over 3 probes
+    assert "bool  [holds_on_probes, 18 cases]" in out
 
 
 def test_search_cap(capsys):

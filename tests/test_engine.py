@@ -16,7 +16,11 @@ from coda.lang import parse, render
 from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
-from conftest import random_data
+from conftest import SAFE_WORDS, random_data
+
+# builtins that decide by comparing or ordering, which the budget test
+# adds to the safe words
+DECIDING_WORDS = ("is", "isnt", "=", "sort", "min", "once")
 
 
 def ev(src, ctx=None, budget=Budget()):
@@ -77,10 +81,11 @@ def test_steps_never_pass_the_budget(rng):
     # that decides from an exhausted guard cannot charge one step more
     out = evaluate(parse("if (null:x) : b"), prelude(), Budget(max_steps=1))
     assert (render(out.result), out.normalized, out.steps_used) == ("(if (null:x):b)", False, 1)
-    for _ in range(5000):
-        d = random_data(rng, 3)
-        for steps in range(1, 9):
-            assert evaluate(d, prelude(), Budget(max_steps=steps)).steps_used <= steps
+    for words in (SAFE_WORDS, SAFE_WORDS + DECIDING_WORDS):
+        for _ in range(5000):
+            d = random_data(rng, 3, words=words)
+            for steps in range(1, 9):
+                assert evaluate(d, prelude(), Budget(max_steps=steps)).steps_used <= steps
 
 
 @pytest.mark.parametrize("src, steps, normalized, used", [
@@ -90,6 +95,11 @@ def test_steps_never_pass_the_budget(rng):
     ("ap {B B} : a b", 1, False, 1),
     ("ap {B B} : a b", 2, False, 2),
     ("ap {B B} : a b", 3, False, 3),
+    # `normalized` depends on whether an atom follows the step that hits
+    # the limit: only an atom after it notes the exhaustion
+    ("a (null:x)", 1, True, 1),
+    ("(null:x) a", 1, False, 1),
+    ("a (null:x) b", 1, False, 1),
 ])
 def test_exhaustion_at_an_atom(src, steps, normalized, used):
     out = evaluate(parse(src), prelude(), Budget(max_steps=steps))

@@ -1,8 +1,13 @@
-import pytest
+from dataclasses import replace
 
-from coda.engine import Budget, evaluate
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from coda.encoding import word
+from coda.engine import Budget, Context, TriBool, evaluate
 from coda.lang import parse, render
-from coda.prelude import _BRANCHES, UnknownBuiltin, builtin, prelude
+from coda.prelude import _BRANCHES, UnknownBuiltin, _strict, builtin, prelude
+from coda.terms import Coda
 
 
 def ev(src):
@@ -86,6 +91,53 @@ def test_is_isnt_filters():
     assert ev("is a : a b a c") == "a a"
     assert ev("isnt a : a b a c") == "b c"
     assert ev("is a b : c a b") == "a b"
+
+
+def is_by_pairs(keep_equal):
+    """Reference for is/isnt: compare each member of A with each coda of B."""
+
+    @_strict("AB")
+    def branch(eng, a, b):
+        out = []
+        for c in b:
+            verdicts = [eng.tri_compare((x,), (c,)) for x in a]
+            if any(v is TriBool.ALWAYS for v in verdicts):
+                equal = True
+            elif all(v is TriBool.NEVER for v in verdicts):
+                equal = False
+            else:
+                return None
+            if equal is keep_equal:
+                out.append(c)
+        return tuple(out)
+
+    return branch
+
+
+BY_PAIRS = Context({**prelude().defs, **{
+    word(name): replace(builtin(name), apply=is_by_pairs(keep))
+    for name, keep in (("is", True), ("isnt", False))}})
+
+# words, (:), inert codas, reducible (pass:...) codas, `=` residues (atoms
+# or not, and as heads) and a stuck non-atom
+MEMBERS = [parse(src) for src in (
+    "a", "b", "c", ":", "(zzz:a)", "(a:b)", "(:a)", "(pass:a)", "(pass:)", "(pass:a b)",
+    "(= a : b)", "(= a : a)", "(= (pass:a) : b)", "(= (def : a) : b)", "((= a : b) x : y)",
+    "(def : a)", "(is a : a b)",
+)]
+members = st.lists(st.sampled_from(MEMBERS), max_size=4).map(lambda ds: sum(ds, ()))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(members, members)
+def test_is_isnt_match_the_pairwise_reference(a, b):
+    for name in ("is", "isnt"):
+        d = (Coda((word(name),) + a, b),)
+        for budget in [Budget(max_steps=n) for n in range(1, 13)] + [Budget()]:
+            got, want = (evaluate(d, ctx, budget) for ctx in (prelude(), BY_PAIRS))
+            assert ((render(got.result), got.normalized, got.steps_used)
+                    == (render(want.result), want.normalized, want.steps_used))
 
 
 def test_once_dedupes():
