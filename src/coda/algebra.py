@@ -8,17 +8,20 @@ Product and sum are data-level constructions:
 Both are represented with the prod/sum builtins over structurally wrapped
 operands, so the results are ordinary data.
 
-The law checkers (idempotent, associative, algebraic, distributive) quantify
-over a finite probe set.  A "holds" verdict therefore only ever means
-holds-on-probes; a refutation, on the other hand, carries a concrete witness
-that can be re-checked independently.
+Each law is one `Law` row: a name, an arity (probes per case) and a case
+builder that maps a tuple of probes to the (lhs, rhs) pairs that must agree.
+The rows are idempotent, associative, algebraic, distributive and right- and
+left-distributivity; `check` judges any row on every tuple of probes.  A
+"holds" verdict therefore only ever means holds-on-probes; a refutation, on
+the other hand, carries a concrete witness that can be re-checked
+independently.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .encoding import word
 from .engine import DEFAULT_BUDGET, Budget, Context, Engine, TriBool
@@ -69,16 +72,10 @@ class ProbeSet:
 
     probes: Tuple[Data, ...]
     budget: Budget = DEFAULT_BUDGET
-    max_pairs: int = 20_000
 
     def __post_init__(self):
         if not self.probes:
             raise ValueError("probe set must be non-empty")
-
-    def pairs(self) -> Iterable[Tuple[Data, Data]]:
-        return itertools.islice(
-            itertools.product(self.probes, self.probes), self.max_pairs
-        )
 
 
 def default_probes(
@@ -138,86 +135,89 @@ class Verdict:
         return out
 
 
-def _ctx(ctx: Optional[Context]) -> Context:
-    return ctx if ctx is not None else prelude()
+@dataclass(frozen=True)
+class Law:
+    """A law as a row: `cases(*operands)` returns the function that maps one
+    tuple of `arity` probes to the (lhs, rhs) pairs that must agree."""
+
+    name: str
+    arity: int
+    cases: Callable[..., Callable]
 
 
-def _judge(law: str, cases, probes: ProbeSet, ctx: Context) -> Verdict:
-    """Run (probe-tuple, lhs, rhs) comparisons and fold into a Verdict."""
-    undecided = False
-    checked = 0
+def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
+          ctx: Optional[Context] = None) -> Verdict:
+    """Judge `law` on every tuple of `law.arity` probes, in product order.
+    One engine per comparison and one memo per verdict; the first comparison
+    that never agrees refutes, and exhaustion counts as undecided."""
+    ctx = ctx if ctx is not None else prelude()
+    cases = law.cases(*operands)
+    undecided, checked = False, 0
     memo: dict = {}  # normal forms shared by this verdict's cases
-    for used, lhs, rhs in cases:
-        eng = Engine(ctx, probes.budget, memo)
-        t = eng.tri_equal(lhs, rhs)
-        checked += 1
-        if eng.exhausted or t is TriBool.UNDECIDED:
-            undecided = True
-            continue
-        if t is TriBool.NEVER:
-            return Verdict(REFUTED, law, checked, Witness(tuple(used), lhs, rhs))
-    if undecided:
-        return Verdict(UNDECIDED, law, checked)
-    return Verdict(HOLDS, law, checked)
+    for used in itertools.product(probes.probes, repeat=law.arity):
+        for lhs, rhs in cases(*used):
+            eng = Engine(ctx, probes.budget, memo)
+            t = eng.tri_equal(lhs, rhs)
+            checked += 1
+            if eng.exhausted or t is TriBool.UNDECIDED:
+                undecided = True
+            elif t is TriBool.NEVER:
+                return Verdict(REFUTED, law.name, checked, Witness(used, lhs, rhs))
+    return Verdict(UNDECIDED if undecided else HOLDS, law.name, checked)
 
 
-def _judge_each_probe(law: str, lhs: Data, rhs: Data, probes: ProbeSet,
-                      ctx: Optional[Context]) -> Verdict:
-    """Compare lhs : X with rhs : X for every single probe X."""
-    cases = (((x,), apply_to(lhs, x), apply_to(rhs, x)) for x in probes.probes)
-    return _judge(law, cases, probes, _ctx(ctx))
+def _on_each_probe(lhs: Data, rhs: Data) -> Callable:
+    """lhs : X versus rhs : X for a single probe X."""
+    return lambda x: ((apply_to(lhs, x), apply_to(rhs, x)),)
 
 
-def check_right_distributivity(
-    a: Data, b: Data, c: Data, probes: ProbeSet, ctx: Optional[Context] = None
-) -> Verdict:
+def _associative_cases(d: Data) -> Callable:
+    def cases(x, y):
+        plain = apply_to(d, x + y)
+        return ((plain, apply_to(d, apply_to(d, x) + y)),
+                (plain, apply_to(d, x + apply_to(d, y))))
+    return cases
+
+
+IDEMPOTENT = Law("idempotent", 1, lambda d: _on_each_probe(product(d, d), d))
+ASSOCIATIVE = Law("associative", 2, _associative_cases)
+ALGEBRAIC = Law("algebraic", 2, lambda d: lambda x, y: (
+    (apply_to(d, x + y), apply_to(d, y + x)),))
+DISTRIBUTIVE = Law("distributive", 2, lambda d: lambda x, y: (
+    (apply_to(d, x + y), apply_to(d, x) + apply_to(d, y)),))
+RIGHT_DISTRIBUTIVITY = Law("right-distributivity", 1, lambda a, b, c: _on_each_probe(
+    product(sum_data(a, b), c), sum_data(product(a, c), product(b, c))))
+LEFT_DISTRIBUTIVITY = Law("left-distributivity", 1, lambda a, b, c: _on_each_probe(
+    product(c, sum_data(a, b)), sum_data(product(c, a), product(c, b))))
+
+
+def check_right_distributivity(a: Data, b: Data, c: Data, probes: ProbeSet,
+                               ctx: Optional[Context] = None) -> Verdict:
     """(A+B).C : X  versus  ((A.C)+(B.C)) : X on every probe."""
-    lhs = product(sum_data(a, b), c)
-    rhs = sum_data(product(a, c), product(b, c))
-    return _judge_each_probe("right-distributivity", lhs, rhs, probes, ctx)
+    return check(RIGHT_DISTRIBUTIVITY, (a, b, c), probes, ctx)
 
 
-def check_left_distributivity(
-    a: Data, b: Data, c: Data, probes: ProbeSet, ctx: Optional[Context] = None
-) -> Verdict:
+def check_left_distributivity(a: Data, b: Data, c: Data, probes: ProbeSet,
+                              ctx: Optional[Context] = None) -> Verdict:
     """C.(A+B) : X  versus  ((C.A)+(C.B)) : X; not an identity in general."""
-    lhs = product(c, sum_data(a, b))
-    rhs = sum_data(product(c, a), product(c, b))
-    return _judge_each_probe("left-distributivity", lhs, rhs, probes, ctx)
+    return check(LEFT_DISTRIBUTIVITY, (a, b, c), probes, ctx)
 
 
 def check_idempotent(d: Data, probes: ProbeSet, ctx: Optional[Context] = None) -> Verdict:
     """(A.A) : X versus A : X."""
-    return _judge_each_probe("idempotent", product(d, d), d, probes, ctx)
+    return check(IDEMPOTENT, (d,), probes, ctx)
 
 
 def check_associative(d: Data, probes: ProbeSet, ctx: Optional[Context] = None) -> Verdict:
     """(A : X Y) = (A : (A:X) Y) = (A : X (A:Y)) over probe pairs."""
-    d = tuple(d)
-
-    def cases():
-        for x, y in probes.pairs():
-            plain = apply_to(d, x + y)
-            yield (x, y), plain, apply_to(d, apply_to(d, x) + y)
-            yield (x, y), plain, apply_to(d, x + apply_to(d, y))
-
-    return _judge("associative", cases(), probes, _ctx(ctx))
+    return check(ASSOCIATIVE, (d,), probes, ctx)
 
 
 def check_algebraic(d: Data, probes: ProbeSet, ctx: Optional[Context] = None) -> Verdict:
     """(A : X Y) = (A : Y X) over probe pairs."""
-    d = tuple(d)
-    cases = (
-        ((x, y), apply_to(d, x + y), apply_to(d, y + x)) for x, y in probes.pairs()
-    )
-    return _judge("algebraic", cases, probes, _ctx(ctx))
+    return check(ALGEBRAIC, (d,), probes, ctx)
 
 
 def check_distributive(d: Data, probes: ProbeSet, ctx: Optional[Context] = None) -> Verdict:
     """(A : X Y) = (A:X) (A:Y) over probe pairs."""
-    d = tuple(d)
-    cases = (
-        ((x, y), apply_to(d, x + y), apply_to(d, x) + apply_to(d, y))
-        for x, y in probes.pairs()
-    )
-    return _judge("distributive", cases, probes, _ctx(ctx))
+    return check(DISTRIBUTIVE, (d,), probes, ctx)

@@ -34,9 +34,6 @@ class UnknownBuiltin(Exception):
     pass
 
 
-WORD_EQ = word("=")
-
-
 def _word_count(ev: Data, default: int = 1) -> int:
     """Numeric argument convention: a single decimal word atom is a count."""
     if len(ev) == 1:

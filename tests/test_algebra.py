@@ -3,6 +3,7 @@ import pytest
 from coda.algebra import (
     ProbeSet,
     apply_to,
+    check_algebraic,
     check_associative,
     check_distributive,
     check_idempotent,
@@ -115,3 +116,80 @@ def test_printed_witness_parses_back():
     lhs, rhs = str(v).split("; witness lhs=")[1].split(" rhs=")
     assert parse(lhs) == v.witness.lhs
     assert parse(rhs) == v.witness.rhs
+
+
+# str(verdict) for each law, recorded before the laws became rows of one
+# table: status, case count and printed witness, in the order cases run.
+# `remove a` is refuted by associativity's second comparison first.
+GOLDEN = """\
+pass | idempotent: holds_on_probes (5 cases)
+pass | associative: holds_on_probes (50 cases)
+pass | algebraic: refuted (9 cases); witness lhs=(pass:(:) a) rhs=(pass:a (:))
+pass | distributive: holds_on_probes (25 cases)
+null | idempotent: holds_on_probes (5 cases)
+null | associative: holds_on_probes (50 cases)
+null | algebraic: holds_on_probes (25 cases)
+null | distributive: holds_on_probes (25 cases)
+bool | idempotent: holds_on_probes (5 cases)
+bool | associative: holds_on_probes (50 cases)
+bool | algebraic: holds_on_probes (25 cases)
+bool | distributive: refuted (7 cases); witness lhs=(bool:(:) (:)) rhs=(bool:(:)) (bool:(:))
+not | idempotent: refuted (1 cases); witness lhs=(prod (:not) (:not):) rhs=(not:)
+not | associative: refuted (1 cases); witness lhs=(not:) rhs=(not:(not:))
+not | algebraic: holds_on_probes (25 cases)
+not | distributive: refuted (1 cases); witness lhs=(not:) rhs=(not:) (not:)
+sort | idempotent: holds_on_probes (5 cases)
+sort | associative: holds_on_probes (50 cases)
+sort | algebraic: holds_on_probes (25 cases)
+sort | distributive: refuted (17 cases); witness lhs=(sort:a (:)) rhs=(sort:a) (sort:(:))
+once | idempotent: holds_on_probes (5 cases)
+once | associative: holds_on_probes (50 cases)
+once | algebraic: refuted (9 cases); witness lhs=(once:(:) a) rhs=(once:a (:))
+once | distributive: refuted (7 cases); witness lhs=(once:(:) (:)) rhs=(once:(:)) (once:(:))
+rev | idempotent: holds_on_probes (5 cases)
+rev | associative: holds_on_probes (50 cases)
+rev | algebraic: refuted (9 cases); witness lhs=(rev:(:) a) rhs=(rev:a (:))
+rev | distributive: refuted (9 cases); witness lhs=(rev:(:) a) rhs=(rev:(:)) (rev:a)
+is a b | idempotent: holds_on_probes (5 cases)
+is a b | associative: holds_on_probes (50 cases)
+is a b | algebraic: refuted (20 cases); witness lhs=(is a b:a b) rhs=(is a b:b a)
+is a b | distributive: holds_on_probes (25 cases)
+first 2 | idempotent: holds_on_probes (5 cases)
+first 2 | associative: holds_on_probes (50 cases)
+first 2 | algebraic: refuted (9 cases); witness lhs=(first 2:(:) a) rhs=(first 2:a (:))
+first 2 | distributive: refuted (8 cases); witness lhs=(first 2:(:) (:) (:)) rhs=(first 2:(:)) (first 2:(:) (:))
+min | idempotent: holds_on_probes (5 cases)
+min | associative: holds_on_probes (50 cases)
+min | algebraic: holds_on_probes (25 cases)
+min | distributive: refuted (7 cases); witness lhs=(min:(:) (:)) rhs=(min:(:)) (min:(:))
+remove a | idempotent: holds_on_probes (5 cases)
+remove a | associative: refuted (18 cases); witness lhs=(remove a:(:) a) rhs=(remove a:(:) (remove a:a))
+remove a | algebraic: refuted (9 cases); witness lhs=(remove a:(:) a) rhs=(remove a:a (:))
+remove a | distributive: refuted (9 cases); witness lhs=(remove a:(:) a) rhs=(remove a:(:)) (remove a:a)
+pass, pass, bool | right-distributivity: holds_on_probes (3 cases)
+pass, pass, bool | left-distributivity: refuted (2 cases); witness lhs=(prod (:bool) (:sum (:pass) (:pass)):(:)) rhs=(sum (:prod (:bool) (:pass)) (:prod (:bool) (:pass)):(:))
+bool, not, sort | right-distributivity: holds_on_probes (3 cases)
+bool, not, sort | left-distributivity: holds_on_probes (3 cases)
+rev, once, pass | right-distributivity: holds_on_probes (3 cases)
+rev, once, pass | left-distributivity: holds_on_probes (3 cases)
+"""
+
+
+def test_golden_verdicts():
+    unary = (check_idempotent, check_associative, check_algebraic, check_distributive)
+    ps = small_probes(("a", "b"))
+    got = [f"{src} | {check(parse(src), ps)}"
+           for src in ("pass", "null", "bool", "not", "sort", "once", "rev",
+                       "is a b", "first 2", "min", "remove a")
+           for check in unary]
+    ps3 = ProbeSet((parse(""), parse("(:)"), parse("a")))
+    got += [f"{', '.join(abc)} | {check(*map(parse, abc), ps3)}"
+            for abc in (("pass", "pass", "bool"), ("bool", "not", "sort"), ("rev", "once", "pass"))
+            for check in (check_right_distributivity, check_left_distributivity)]
+    assert got == GOLDEN.splitlines()
+
+
+def test_every_probe_pair_is_judged():
+    ps = ProbeSet(tuple((word(f"w{i}"),) for i in range(150)))
+    v = check_distributive(parse("null"), ps)
+    assert v.holds and v.checked == 150 * 150

@@ -40,6 +40,9 @@ from coda.spacelab import (
     verify_semialgebra,
     zn_carrier,
     zero_endo,
+    _hom_forced,
+    _settle,
+    _subspace_forced,
 )
 from coda.terms import COLON, Coda
 
@@ -233,6 +236,16 @@ def small_tables(draw):
 @given(small_tables())
 def test_field_check_matches_scan(c):
     assert field_check(c) == field_check_by_scan(c)
+
+
+@seed(7)
+@settings(max_examples=100, deadline=None)
+@given(small_tables().filter(lambda c: c.size <= 4))
+def test_settled_complete_map_satisfies_the_law(c):
+    # field_check accepts a complete map on `_settle` alone
+    for f in enumerate_endos(c):
+        assert _settle(c.add, list(f), _subspace_forced) == is_subspace(f, c)
+        assert _settle(c.add, list(f), _hom_forced) == is_homomorphism(f, c)
 
 
 def test_field_check_matches_scan_in_every_element_order():
