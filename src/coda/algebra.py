@@ -63,7 +63,7 @@ def product_chain(*parts: Data) -> Data:
 
 def apply_to(d: Data, x: Data) -> Data:
     """The coda (d : x), unevaluated."""
-    return (Coda(tuple(d), tuple(x)),)
+    return (Coda(d, x),)
 
 
 @dataclass(frozen=True)
@@ -171,20 +171,41 @@ def _on_each_probe(lhs: Data, rhs: Data) -> Callable:
     return lambda x: ((apply_to(lhs, x), apply_to(rhs, x)),)
 
 
+def _applied(d: Data) -> Callable:
+    """x -> (d : x), each probe's coda built once per verdict and shared by
+    every case that uses it."""
+    built: dict = {}
+
+    def at(x):
+        try:
+            return built[x]
+        except KeyError:
+            built[x] = dx = apply_to(d, x)
+            return dx
+
+    return at
+
+
 def _associative_cases(d: Data) -> Callable:
+    at = _applied(d)
+
     def cases(x, y):
         plain = apply_to(d, x + y)
-        return ((plain, apply_to(d, apply_to(d, x) + y)),
-                (plain, apply_to(d, x + apply_to(d, y))))
+        return ((plain, apply_to(d, at(x) + y)),
+                (plain, apply_to(d, x + at(y))))
     return cases
+
+
+def _distributive_cases(d: Data) -> Callable:
+    at = _applied(d)
+    return lambda x, y: ((apply_to(d, x + y), at(x) + at(y)),)
 
 
 IDEMPOTENT = Law("idempotent", 1, lambda d: _on_each_probe(product(d, d), d))
 ASSOCIATIVE = Law("associative", 2, _associative_cases)
 ALGEBRAIC = Law("algebraic", 2, lambda d: lambda x, y: (
     (apply_to(d, x + y), apply_to(d, y + x)),))
-DISTRIBUTIVE = Law("distributive", 2, lambda d: lambda x, y: (
-    (apply_to(d, x + y), apply_to(d, x) + apply_to(d, y)),))
+DISTRIBUTIVE = Law("distributive", 2, _distributive_cases)
 RIGHT_DISTRIBUTIVITY = Law("right-distributivity", 1, lambda a, b, c: _on_each_probe(
     product(sum_data(a, b), c), sum_data(product(a, c), product(b, c))))
 LEFT_DISTRIBUTIVITY = Law("left-distributivity", 1, lambda a, b, c: _on_each_probe(

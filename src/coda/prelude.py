@@ -10,7 +10,6 @@ branches on the normal form of A, B or both says so once, with `_strict`.
 from __future__ import annotations
 
 from functools import wraps
-from operator import itemgetter
 from typing import Optional
 
 from .encoding import (
@@ -50,13 +49,16 @@ def _domain_of(eng: Engine, c: Coda) -> Data:
     return ()
 
 
+def _sort_key(c: Coda):
+    text = word_text(c)
+    return (0, coda_key(c)) if text is None else (1, text)
+
+
 def _word_order(d: Data) -> Data:
-    """`d` sorted: non-words in canonical order, then words by their text.
-    Each element is decoded once."""
-    texts = [(word_text(c), c) for c in d]
-    others = sorted((c for t, c in texts if t is None), key=coda_key)
-    words = sorted(((t, c) for t, c in texts if t is not None), key=itemgetter(0))
-    return tuple(others) + tuple(c for _, c in words)
+    """`d` sorted: non-words in canonical order, then words by their text,
+    in one stable sort.  A non-word's key is its cached flat `coda_key`, so
+    the sort compares in C and does not recurse, however deep the codas."""
+    return tuple(sorted(d, key=_sort_key))
 
 
 def _strict(operands: str):
@@ -287,11 +289,11 @@ def _is(keep_equal: bool):
 
 @_strict("AB")
 def _b_once(eng, a, b):
-    seen = list(a)
+    seen = set(a)
     out: list = []
     for c in b:
         if c not in seen:
-            seen.append(c)
+            seen.add(c)
             out.append(c)
     return tuple(out)
 

@@ -7,6 +7,15 @@ concatenation, structural equality is ``==`` and everything is hashable.
 Also provides the canonical total order used everywhere (carrier listing,
 sorting, quotient representatives), width/depth metrics, and bounded
 enumeration / exact counting of pure data.
+
+The order has two forms.  `cmp_data`/`cmp_coda` compare two terms and stop
+at the first difference, which is usually a length.  `coda_key` is a flat
+tuple of ints, built once per coda and kept on it, for sorting many codas:
+enc(d) is len(d) followed by enc(left) enc(right) of each coda of d, and a
+coda's key is enc(left) + enc(right).  The code is prefix-free, so tuple
+order is `cmp_coda`'s order and equal keys mean equal codas.  The key is
+built by an explicit-stack walk and compared by tuple comparison in C, so
+neither step recurses however deep the coda is.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ _set = object.__setattr__
 class Coda:
     """An ordered pair of data.  Immutable, hashable, value semantics."""
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "_hash", "_key")  # _key: set by coda_key
 
     def __init__(self, left: "Data" = (), right: "Data" = ()):
         left = tuple(left)
@@ -89,7 +98,26 @@ def canonical_order(a: Data, b: Data) -> int:
 
 
 data_key = cmp_to_key(lambda a, b: cmp_data(a, b))
-coda_key = cmp_to_key(cmp_coda)
+
+
+def coda_key(c: Coda) -> Tuple[int, ...]:
+    """The canonical sort key of `c` (see the module docstring), built on
+    first use and kept on `c`."""
+    try:
+        return c._key
+    except AttributeError:
+        pass
+    out: list = []
+    stack = [c.right, c.left]  # data still to encode, the next one last
+    while stack:
+        d = stack.pop()
+        out.append(len(d))
+        for x in reversed(d):
+            stack.append(x.right)
+            stack.append(x.left)
+    key = tuple(out)
+    _set(c, "_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from coda.encoding import word
 from coda.engine import Budget, Context, TriBool, evaluate
 from coda.lang import parse, render
 from coda.prelude import _BRANCHES, UnknownBuiltin, _strict, builtin, prelude
-from coda.terms import Coda
+from coda.terms import COLON, Coda
 
 
 def ev(src):
@@ -143,6 +143,42 @@ def test_is_isnt_match_the_pairwise_reference(a, b):
 def test_once_dedupes():
     assert ev("once : a b a c b") == "a b c"
     assert ev("once a : a b a") == "b"
+
+
+@_strict("AB")
+def once_by_list(eng, a, b):
+    """Reference for once: a first-occurrence scan of a list."""
+    seen = list(a)
+    out = []
+    for c in b:
+        if c not in seen:
+            seen.append(c)
+            out.append(c)
+    return tuple(out)
+
+
+ONCE_BY_LIST = Context({**prelude().defs,
+                        word("once"): replace(builtin("once"), apply=once_by_list)})
+
+# equal but distinct codas: a word built twice, (:) beside a fresh Coda(),
+# a structural coda built twice; and reducible codas that spend steps
+ONCE_MEMBERS = [
+    (word("a"),), (Coda(word("a").left, word("a").right),), (word("b"),),
+    (COLON,), (Coda(),), (Coda((COLON,), ()),), (Coda((Coda(),), ()),),
+    parse("(pass:a)"), parse("(pass:)"), parse("(x:y)"),
+]
+once_members = st.lists(st.sampled_from(ONCE_MEMBERS), max_size=6).map(lambda ds: sum(ds, ()))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(once_members, once_members)
+def test_once_matches_the_list_reference(a, b):
+    d = (Coda((word("once"),) + a, a + b),)  # B repeats the members of A
+    for budget in [Budget(max_steps=n) for n in range(1, 13)] + [Budget()]:
+        got, want = (evaluate(d, ctx, budget) for ctx in (prelude(), ONCE_BY_LIST))
+        assert ((render(got.result), got.normalized, got.steps_used)
+                == (render(want.result), want.normalized, want.steps_used))
 
 
 def test_rev_remove_sort_min():

@@ -1,13 +1,20 @@
+from functools import cmp_to_key
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from coda.encoding import word, word_text
+from coda.prelude import _word_order
 from coda.terms import (
     COLON,
     CapExceeded,
     Coda,
     SizeBound,
     canonical_order,
+    cmp_coda,
     coda_depth,
+    coda_key,
     count_pure_data,
     data_key,
     data_width,
@@ -26,7 +33,7 @@ pure_data = st.recursive(
 
 def test_coda_is_immutable_and_hashable():
     c = Coda((COLON,), ())
-    for attr in ("left", "right", "_hash", "other"):
+    for attr in ("left", "right", "_hash", "_key", "other"):
         with pytest.raises(AttributeError):
             setattr(c, attr, ())
     assert hash(c) == hash(Coda((COLON,), ()))
@@ -55,6 +62,53 @@ def test_canonical_order_sorts_consistently(a, b, c):
     assert sorted(ordered, key=data_key) == ordered
     for x, y in zip(ordered, ordered[1:]):
         assert canonical_order(x, y) <= 0
+
+
+codas = st.builds(Coda, pure_data, pure_data)
+
+
+@given(codas, codas)
+def test_coda_key_agrees_with_cmp_coda(x, y):
+    kx, ky = coda_key(x), coda_key(y)
+    assert (kx > ky) - (kx < ky) == cmp_coda(x, y)
+    assert (kx == ky) == (x == y)
+    assert coda_key(x) is kx  # kept on the coda
+
+
+def word_order_by_two_lists(d):
+    """Reference for `_word_order`: non-words sorted by `cmp_coda`, then
+    words sorted by their text."""
+    texts = [(word_text(c), c) for c in d]
+    others = sorted((c for t, c in texts if t is None), key=cmp_to_key(cmp_coda))
+    words = sorted(((t, c) for t, c in texts if t is not None), key=itemgetter(0))
+    return tuple(others) + tuple(c for _, c in words)
+
+
+mixed = st.lists(st.one_of(
+    codas, st.sampled_from(["a", "b", "ab", "ba", "", "zzz"]).map(word),
+)).map(tuple)
+
+
+@given(mixed)
+def test_word_order_matches_the_two_list_reference(d):
+    assert _word_order(d) == word_order_by_two_lists(d)
+
+
+def nest(c, depth):
+    for _ in range(depth):
+        c = Coda((c,), ())
+    return c
+
+
+def test_deep_codas_sort_without_recursion():
+    # (:(:)) sorts before ((:):), and wrapping both alike keeps the order
+    low, high = Coda((), (COLON,)), Coda((COLON,), ())
+    assert cmp_coda(nest(low, 10), nest(high, 10)) == -1
+    x, y = nest(low, 10**5), nest(high, 10**5)
+    assert coda_key(x) < coda_key(y)
+    assert sorted([y, x], key=coda_key) == [x, y]
+    a = word("a")
+    assert _word_order((a, y, x)) == (x, y, a)
 
 
 def test_count_small_cells():
