@@ -19,6 +19,7 @@ independently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -171,23 +172,8 @@ def _on_each_probe(lhs: Data, rhs: Data) -> Callable:
     return lambda x: ((apply_to(lhs, x), apply_to(rhs, x)),)
 
 
-def _applied(d: Data) -> Callable:
-    """x -> (d : x), each probe's coda built once per verdict and shared by
-    every case that uses it."""
-    built: dict = {}
-
-    def at(x):
-        try:
-            return built[x]
-        except KeyError:
-            built[x] = dx = apply_to(d, x)
-            return dx
-
-    return at
-
-
 def _associative_cases(d: Data) -> Callable:
-    at = _applied(d)
+    at = functools.cache(functools.partial(apply_to, d))  # each (d : x) once per verdict
 
     def cases(x, y):
         plain = apply_to(d, x + y)
@@ -197,7 +183,7 @@ def _associative_cases(d: Data) -> Callable:
 
 
 def _distributive_cases(d: Data) -> Callable:
-    at = _applied(d)
+    at = functools.cache(functools.partial(apply_to, d))
     return lambda x, y: ((apply_to(d, x + y), at(x) + at(y)),)
 
 

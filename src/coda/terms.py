@@ -13,9 +13,14 @@ at the first difference, which is usually a length.  `coda_key` is a flat
 tuple of ints, built once per coda and kept on it, for sorting many codas:
 enc(d) is len(d) followed by enc(left) enc(right) of each coda of d, and a
 coda's key is enc(left) + enc(right).  The code is prefix-free, so tuple
-order is `cmp_coda`'s order and equal keys mean equal codas.  The key is
-built by an explicit-stack walk and compared by tuple comparison in C, so
-neither step recurses however deep the coda is.
+order is `cmp_coda`'s order and equal keys mean equal codas.  A key is cut
+after `KEY_INTS` ints and then ends in one object that compares the two
+codas by `cmp_coda`'s order with an explicit stack; by prefix-freeness two
+keys reach that object only when both are cut and agree on every int.  The
+cut matters because codas share subterms: `{(B:B)}` puts one B on both
+sides, so a chain of them has a tree exponentially larger than itself.
+Keys are built by an explicit-stack walk and compared by tuple comparison
+in C, so nothing recurses however deep the coda is.
 """
 
 from __future__ import annotations
@@ -100,7 +105,38 @@ def canonical_order(a: Data, b: Data) -> int:
 data_key = cmp_to_key(lambda a, b: cmp_data(a, b))
 
 
-def coda_key(c: Coda) -> Tuple[int, ...]:
+KEY_INTS = 1024  # coda_key keeps at most this many ints of the encoding
+
+
+def _parts(d: Data) -> Iterator[Data]:
+    for x in d:
+        yield x.left
+        yield x.right
+
+
+def _cmp_pairs(p: Tuple[Data, Data], q: Tuple[Data, Data]) -> int:
+    """`cmp_coda` on (left, right) pairs, by an explicit stack.  A pair of
+    data met again was compared in full before, and found equal."""
+    stack = [(p[1], q[1]), (p[0], q[0])]  # pairs still to compare, the next one last
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if len(a) != len(b):
+            return -1 if len(a) < len(b) else 1
+        for x, y in zip(reversed(a), reversed(b)):
+            if x is not y:
+                stack.append((x.right, y.right))
+                stack.append((x.left, y.left))
+    return 0
+
+
+_rest_key = cmp_to_key(_cmp_pairs)
+
+
+def coda_key(c: Coda) -> tuple:
     """The canonical sort key of `c` (see the module docstring), built on
     first use and kept on `c`."""
     try:
@@ -108,13 +144,17 @@ def coda_key(c: Coda) -> Tuple[int, ...]:
     except AttributeError:
         pass
     out: list = []
-    stack = [c.right, c.left]  # data still to encode, the next one last
+    stack = [_parts((c,))]  # generators of the data still to encode, innermost last
     while stack:
-        d = stack.pop()
-        out.append(len(d))
-        for x in reversed(d):
-            stack.append(x.right)
-            stack.append(x.left)
+        d = next(stack[-1], None)
+        if d is None:
+            stack.pop()
+        elif len(out) == KEY_INTS:
+            out.append(_rest_key((c.left, c.right)))
+            break
+        else:
+            out.append(len(d))
+            stack.append(_parts(d))
     key = tuple(out)
     _set(c, "_key", key)
     return key

@@ -181,6 +181,15 @@ def test_once_matches_the_list_reference(a, b):
                 == (render(want.result), want.normalized, want.steps_used))
 
 
+@pytest.mark.parametrize("name", ["sort", "min"])
+def test_sort_of_a_shared_coda_is_not_unfolded(name):
+    # each {(B:B)} doubles the tree of its input in one memoised step, and
+    # the steps charged count the tree, so the budget must admit 2^40 + 1
+    src = f"bool : {name} : " + "{(B:B)} : " * 40 + "a"
+    out = evaluate(parse(src), prelude(), Budget(max_steps=2**41, max_nodes=2**41))
+    assert (render(out.result), out.normalized, out.steps_used) == ("(:)", True, 2**40 + 1)
+
+
 def test_rev_remove_sort_min():
     assert ev("rev : a b c") == "c b a"
     assert ev("remove a b : a b c") == "c"

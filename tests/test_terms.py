@@ -1,13 +1,16 @@
 from functools import cmp_to_key
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coda.encoding import word, word_text
+from coda import terms
 from coda.prelude import _word_order
 from coda.terms import (
     COLON,
+    KEY_INTS,
     CapExceeded,
     Coda,
     SizeBound,
@@ -75,6 +78,16 @@ def test_coda_key_agrees_with_cmp_coda(x, y):
     assert coda_key(x) is kx  # kept on the coda
 
 
+@given(codas, codas)
+def test_cut_keys_agree_with_cmp_coda(x, y):
+    # a cut of 3 ints sends most pairs of fresh codas to the compared tail
+    with mock.patch.object(terms, "KEY_INTS", 3):
+        kx, ky = coda_key(x), coda_key(y)
+        assert (kx > ky) - (kx < ky) == cmp_coda(x, y)
+        assert (kx == ky) == (x == y)
+        assert _word_order((y, x)) == word_order_by_two_lists((y, x))
+
+
 def word_order_by_two_lists(d):
     """Reference for `_word_order`: non-words sorted by `cmp_coda`, then
     words sorted by their text."""
@@ -109,6 +122,28 @@ def test_deep_codas_sort_without_recursion():
     assert sorted([y, x], key=coda_key) == [x, y]
     a = word("a")
     assert _word_order((a, y, x)) == (x, y, a)
+
+
+def doubled(base, depth):
+    """The coda (B:B) with B the data of the level below: a tree of 2^depth
+    copies of `base`, in depth + 1 objects."""
+    b = (base,)
+    for _ in range(depth):
+        b = (Coda(b, b),)
+    return b[0]
+
+
+def test_shared_codas_sort_without_unfolding():
+    assert len(coda_key(doubled(word("a"), 20))) == KEY_INTS + 1  # cut, not 2^21 ints
+    x, y = doubled(word("a"), 40), doubled(word("b"), 40)
+    assert sorted([y, x], key=coda_key) == [x, y]
+    assert _word_order((word("a"), y, x)) == (x, y, word("a"))
+    # built apart, so equal without sharing a node: the tail compares each
+    # pair of shared data once, where cmp_coda would visit 2^40 of them
+    twin = doubled(Coda(word("a").left, word("a").right), 40)
+    assert twin is not x and coda_key(twin) == coda_key(x)
+    shallow = doubled(word("a"), 12)
+    assert (coda_key(x) < coda_key(shallow)) == (cmp_coda(x, shallow) < 0)
 
 
 def test_count_small_cells():
