@@ -4,9 +4,12 @@ A space S induces a monoid on the normal forms (S:X): the carrier.  Once the
 carrier is finite (or truncated), endomorphisms become plain endofunctions of
 the element set.  The classification (constants, homomorphisms, units,
 central maps, idempotents, subspaces, quotients) is decided by exhaustive
-checks over the tables.  The field criteria are decided by a depth-first
-search for a counterexample that propagates the table's equations after
-each assigned image, so it visits far fewer than the n^n endofunctions.
+checks over the tables.  The product and sum tables are filled a row at a
+time: the results of f with every listed g are looked up by their
+mixed-radix index, which C-level maps compute down the list's columns.  The
+field criteria are decided by a depth-first search for a counterexample that
+propagates the table's equations after each assigned image, so it visits far
+fewer than the n^n endofunctions.
 
 An endomorphism is a tuple of element indices: `f[i]` is the index of the
 image of element i.  On the two-element bool carrier, for instance,
@@ -20,7 +23,9 @@ or directly from a Python-level addition function when an independent oracle
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -382,6 +387,11 @@ class SemiringReport:
 
 def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     endos = list(endos)
+    n = c.size
+    if not all(isinstance(f, tuple) and len(f) == n for f in endos) or not (
+        set(itertools.chain.from_iterable(endos)) <= set(range(n))
+    ):
+        raise ValueError(f"every endo must be a tuple of {n} indices in range({n})")
     pos = {e: i for i, e in enumerate(endos)}
     if len(pos) != len(endos):
         raise ValueError("endo list must not repeat an endo")
@@ -390,13 +400,32 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     if ident not in pos or zero not in pos:
         raise ValueError("endo list must contain the identity and zero maps")
 
-    product_table = [[pos.get(compose(f, g)) for g in endos] for f in endos]
-    sum_table = [[pos.get(oplus(f, g, c)) for g in endos] for f in endos]
+    # An endo's mixed-radix index weighs position i by n^(n-1-i).  In row f,
+    # the index of f.g is the sum of w_i * f[g[i]] and that of f+g the sum of
+    # w_i * add[f[i]][g[i]]: n small image lists read down the list's
+    # columns.  An undefined sum weighs -n^n, so its index matches no endo.
+    weights = [n ** (n - 1 - i) for i in range(n)]
+    undefined = -(n ** n)
+    at = {sum(map(operator.mul, weights, f)): i for i, f in enumerate(endos)}.get
+    columns = list(zip(*endos))
+
+    def row(images) -> List[Optional[int]]:
+        terms = map(map, [img.__getitem__ for img in images], columns)
+        return list(map(at, functools.reduce(functools.partial(map, operator.add), terms)))
+
+    product_table = []
+    sum_table = []
+    for f in endos:
+        product_table.append(row([[w * v for v in f] for w in weights]))
+        sum_table.append(row([
+            [undefined if s is None else w * s for s in c.add[v]]
+            for w, v in zip(weights, f)
+        ]))
+    js = range(len(endos))
     order_pairs = [
         (i, j)
-        for i, row in enumerate(product_table)
-        for j, fg in enumerate(row)
-        if fg == i
+        for i, fg in enumerate(product_table)
+        for j in itertools.compress(js, map(operator.eq, fg, itertools.repeat(i)))
     ]
 
     is_unit = [inverse_of(f) in pos for f in endos]
@@ -630,10 +659,8 @@ def render_table(
         )
     if fmt == "tsv":
         return "\n".join("\t".join(r) for r in cells)
-    widths = [max(len(r[k]) for r in cells) for k in range(len(cells[0]))]
-    lines = [
-        " | ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in cells
-    ]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    lines = [" | ".join(map(str.ljust, row, widths)) for row in cells]
     lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines)
 

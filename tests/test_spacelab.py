@@ -146,6 +146,15 @@ def test_classify_matches_brute_force():
         classify(l1, enumerate_endos(l1) + [identity_endo(l1)])
 
 
+def test_classify_rejects_malformed_endos():
+    # a mixed-radix index would alias (0, 2) onto (1, 0) on two elements
+    c = bool_carrier()
+    full = enumerate_endos(c)
+    for bad in ((0, 2), (0, -1), (0, 1, 1), (1,), [1, 0]):
+        with pytest.raises(ValueError):
+            classify(c, full + [bad])
+
+
 def test_extracted_table_matches_fresh_engines():
     # the table is read from the sums the closure computed with a shared
     # memo; recompute every entry with its own engine
@@ -248,6 +257,29 @@ def test_settled_complete_map_satisfies_the_law(c):
         assert _settle(c.add, list(f), _hom_forced) == is_homomorphism(f, c)
 
 
+def fill_by_entry(c, endos):
+    """Reference for classify's tables: one compose/oplus per entry."""
+    pos = {e: i for i, e in enumerate(endos)}
+    product = [[pos.get(compose(f, g)) for g in endos] for f in endos]
+    sums = [[pos.get(oplus(f, g, c)) for g in endos] for f in endos]
+    pairs = [(i, j) for i, row in enumerate(product) for j, fg in enumerate(row) if fg == i]
+    return product, sums, pairs
+
+
+@seed(7)
+@settings(max_examples=40, deadline=None)
+@given(small_tables().filter(lambda c: c.size <= 4), st.randoms(use_true_random=False))
+def test_classify_fills_tables_as_by_entry(c, rng):
+    full = enumerate_endos(c)
+    kept = {identity_endo(c), zero_endo(c)}
+    sub = [f for f in rng.sample(full, rng.randint(0, len(full))) if f not in kept]
+    for f in kept:
+        sub.insert(rng.randint(0, len(sub)), f)
+    for endos in (full, sub):
+        rep = classify(c, endos)
+        assert (rep.product_table, rep.sum_table, rep.order_pairs) == fill_by_entry(c, endos)
+
+
 def test_field_check_matches_scan_in_every_element_order():
     sat4 = saturation_carrier(4)
     for order in itertools.permutations(range(4)):
@@ -307,6 +339,46 @@ def test_render_table_and_report():
     full = render_report(rep)
     assert "endomorphisms: 4" in full
     assert "field" in full
+
+
+def render_table_by_cell(report, which="product", names=None, fmt="text", order=None):
+    """Reference for render_table: widths and padding one cell at a time."""
+    table = report.product_table if which == "product" else report.sum_table
+    corner = "f.g" if which == "product" else "f+g"
+    if names is None:
+        names = [report.endo_name(i) for i in range(len(report.endos))]
+    if order is None:
+        order = range(len(report.endos))
+    cells = [[corner] + [names[i] for i in order]]
+    for i in order:
+        cells.append(
+            [names[i]]
+            + [names[table[i][j]] if table[i][j] is not None else "?" for j in order]
+        )
+    if fmt == "tsv":
+        return "\n".join("\t".join(r) for r in cells)
+    widths = [max(len(r[k]) for r in cells) for k in range(len(cells[0]))]
+    lines = [" | ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in cells]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+def test_render_table_matches_by_cell():
+    rng = random.Random(7)
+    open3 = carrier_from_function(range(3), lambda x, y: x + y, 0)
+    for c in (zn_carrier(4), saturation_carrier(4), open3):
+        endos = enumerate_endos(c)
+        rep = classify(c, endos)
+        some = rng.sample(range(len(endos)), 9)
+        # names of unequal widths, the widest one last
+        numbers = [str(i) for i in range(len(endos) - 1)] + ["widest"]
+        for which, names, fmt, order in itertools.product(
+            ("product", "sum"), (None, numbers), ("text", "tsv"), (None, some)
+        ):
+            args = (rep, which, names, fmt, order)
+            same = render_table(*args) == render_table_by_cell(*args)
+            assert same, (which, names is None, fmt, order)  # not a diff of the text
+    assert "?" in render_table(classify(open3, enumerate_endos(open3)), "sum")
 
 
 def test_render_report_tsv_without_field_verdict():
