@@ -7,9 +7,11 @@ central maps, idempotents, subspaces, quotients) is decided by exhaustive
 checks over the tables.  The product and sum tables are filled a row at a
 time: the results of f with every listed g are looked up by their
 mixed-radix index, which C-level maps compute down the list's columns.  The
-field criteria are decided by a depth-first search for a counterexample that
-propagates the table's equations after each assigned image, so it visits far
-fewer than the n^n endofunctions.
+homomorphism and subspace laws are each stated once, as equations over a
+partial map.  Settled on one complete map they decide the law; propagated
+over partial maps in a depth-first search they list the maps that satisfy
+it, visiting far fewer than the n^n endofunctions (`homomorphisms`, and the
+field criteria).
 
 An endomorphism is a tuple of element indices: `f[i]` is the index of the
 image of element i.  On the two-element bool carrier, for instance,
@@ -27,7 +29,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import HOLDS, REFUTED, ProbeSet, Verdict, default_probes
 from .encoding import word
@@ -270,20 +272,90 @@ def is_constant(f: Endo) -> bool:
     return len(set(f)) <= 1
 
 
-def _respects(a: CarrierTable, b: CarrierTable, f: Sequence[int]) -> bool:
-    """f[i + j] == f[i] + f[j], the left sum in a and the right one in b,
-    wherever both are defined."""
-    for i, row in enumerate(a.add):
-        image_row = b.add[f[i]]
-        for j, ij in enumerate(row):
-            fij = image_row[f[j]]
-            if ij is not None and fij is not None and f[ij] != fij:
+# ---------------------------------------------------------------------------
+# Laws on maps: each is stated once, as equations over a partial map f (None
+# for an image not yet assigned), a function of f that yields the (position,
+# value) pairs that every map satisfying the law and extending f must have.
+
+def _hom_equations(a, b):
+    """f[i + j] = f[i] + f[j], the left sum in table a and the right one in
+    b, for every known i and j with both sums defined."""
+    def equations(f):
+        known = [i for i, v in enumerate(f) if v is not None]
+        for i in known:
+            image_row = b[f[i]]
+            for j in known:
+                s, t = a[i][j], image_row[f[j]]
+                if s is not None and t is not None:
+                    yield s, t
+    return equations
+
+
+def _subspace_equations(add):
+    """f[f[i]] = f[i], and f[x+y] = f[f[x]+y] = f[x+f[y]] wherever one side
+    of such an equation is known."""
+    def equations(f):
+        for i, v in enumerate(f):
+            if v is None:
+                continue
+            yield v, v
+            for y, (iy, vy) in enumerate(zip(add[i], add[v])):
+                for p, q in ((iy, vy), (add[y][i], add[y][v])):
+                    if p is None or q is None:
+                        continue
+                    if f[p] is not None:
+                        yield q, f[p]
+                    elif f[q] is not None:
+                        yield p, f[q]
+    return equations
+
+
+def _settle(f: List[Optional[int]], equations) -> bool:
+    """Assign what `equations(f)` implies until nothing changes; False when
+    it implies two values for one position.  The equations must state only
+    what the law implies, so that no map satisfying the law is rejected; on
+    a complete map they must state the whole law, so that settling it
+    decides the law."""
+    changed = True
+    while changed:
+        changed = False
+        for p, v in equations(f):
+            if f[p] is None:
+                f[p] = v
+                changed = True
+            elif f[p] != v:
                 return False
     return True
 
 
+def _solutions(n: int, equations) -> Iterator[Endo]:
+    """Every map on n elements that settles, in lexicographic order:
+    depth-first over f[0], f[1], ... with values in ascending order, pruning
+    every partial map whose equations contradict each other."""
+    stack: List[List[Optional[int]]] = [[None] * n]
+    while stack:
+        f = stack.pop()
+        if not _settle(f, equations):
+            continue
+        if None not in f:
+            yield tuple(f)
+            continue
+        i = f.index(None)
+        for v in reversed(range(n)):
+            g = f[:]
+            g[i] = v
+            stack.append(g)
+
+
+def homomorphisms(c: CarrierTable) -> Iterator[Endo]:
+    """Every endofunction with f[i + j] = f[i] + f[j] wherever both sums
+    are defined, in lexicographic order, found by search, not by testing
+    all n^n maps."""
+    return _solutions(c.size, _hom_equations(c.add, c.add))
+
+
 def is_homomorphism(f: Endo, c: CarrierTable) -> bool:
-    return _respects(c, c, f)
+    return _settle(list(f), _hom_equations(c.add, c.add))
 
 
 def inverse_of(f: Endo) -> Optional[Endo]:
@@ -302,20 +374,7 @@ def is_idempotent(f: Endo) -> bool:
 def is_subspace(f: Endo, c: CarrierTable) -> bool:
     """Idempotent and compatible with the sum in the sense
     f(x+y) = f(f(x)+y) = f(x+f(y)) wherever defined."""
-    if not is_idempotent(f):
-        return False
-    for i in range(c.size):
-        for j in range(c.size):
-            ij = c.add[i][j]
-            fi_j = c.add[f[i]][j]
-            i_fj = c.add[i][f[j]]
-            if ij is None:
-                continue
-            if fi_j is not None and f[ij] != f[fi_j]:
-                return False
-            if i_fj is not None and f[ij] != f[i_fj]:
-                return False
-    return True
+    return _settle(list(f), _subspace_equations(c.add))
 
 
 def is_cancellative(c: CarrierTable) -> bool:
@@ -466,96 +525,23 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     )
 
 
-def _hom_forced(add, f: List[Optional[int]]):
-    """(position, value) pairs that a homomorphism extending the partial
-    map f must have: f[a + b] = f[a] + f[b] wherever both sums are defined."""
-    known = [i for i, v in enumerate(f) if v is not None]
-    for a in known:
-        image_row = add[f[a]]
-        for b in known:
-            s, t = add[a][b], image_row[f[b]]
-            if s is not None and t is not None:
-                yield s, t
-
-
-def _subspace_forced(add, f: List[Optional[int]]):
-    """(position, value) pairs that a subspace extending the partial map f
-    must have: f[f[i]] = f[i], and f[x+y] = f[f[x]+y] = f[x+f[y]] wherever
-    one side of such an equation is known."""
-    for i, v in enumerate(f):
-        if v is None:
-            continue
-        yield v, v
-        for y, (iy, vy) in enumerate(zip(add[i], add[v])):
-            for p, q in ((iy, vy), (add[y][i], add[y][v])):
-                if p is None or q is None:
-                    continue
-                if f[p] is not None:
-                    yield q, f[p]
-                elif f[q] is not None:
-                    yield p, f[q]
-
-
-def _settle(add, f: List[Optional[int]], forced) -> bool:
-    """Assign what `forced(add, f)` implies until nothing changes; False when
-    it implies two values for one position."""
-    changed = True
-    while changed:
-        changed = False
-        for p, v in forced(add, f):
-            if f[p] is None:
-                f[p] = v
-                changed = True
-            elif f[p] != v:
-                return False
-    return True
-
-
-def _witness_exists(c: CarrierTable, forced,
-                    accept: Callable[[Endo], bool]) -> bool:
-    """Is some endofunction accepted?  Depth-first over f[0], f[1], ... in
-    index order and values in ascending order, pruning every partial map
-    whose `forced` consequences contradict each other.  `forced` must state
-    only what the law implies, so that it never prunes a map that satisfies
-    the law; on a complete map it must state the whole law, so that `accept`
-    is asked only about maps that satisfy it."""
-    n = c.size
-    stack: List[List[Optional[int]]] = [[None] * n]
-    while stack:
-        f = stack.pop()
-        if not _settle(c.add, f, forced):
-            continue
-        if None not in f:
-            if accept(tuple(f)):
-                return True
-            continue
-        i = f.index(None)
-        for v in reversed(range(n)):
-            g = f[:]
-            g[i] = v
-            stack.append(g)
-    return False
-
-
 def field_check(c: CarrierTable, cap: int = 7 ** 7) -> Tuple[bool, bool]:
     """Two independent field criteria; they should always agree.
 
     First: every proper subspace endofunction is constant.  Second: every
-    non-constant homomorphism is a unit (a bijection).  Each is decided by
-    a search for a counterexample that assigns f[0], f[1], ... in turn and
-    propagates the subspace equations or f[a + b] = f[a] + f[b] after each
-    assignment.  A complete map that settles satisfies the law, so only its
-    image is left to judge.  Carriers with more than `cap` endofunctions
-    still raise TooManyEndos, so that `classify` and `coda space analyze`
-    report no field verdict past 7 elements, as before.
+    non-constant homomorphism is a unit (a bijection).  Each searches the
+    maps that satisfy its law and stops at the first counterexample.
+    Carriers with more than `cap` endofunctions raise TooManyEndos, so that
+    `classify` and `coda space analyze` report no field verdict past 7
+    elements.
     """
     n = c.size
     if n ** n > cap:
         raise TooManyEndos(f"{n}^{n} endofunctions exceed cap {cap}")
     ident = tuple(range(n))
-    subspaces_ok = not _witness_exists(
-        c, _subspace_forced, lambda m: len(set(m)) > 1 and m != ident)
-    homs_ok = not _witness_exists(c, _hom_forced, lambda m: 1 < len(set(m)) < n)
+    subspaces_ok = not any(len(set(m)) > 1 and m != ident
+                           for m in _solutions(n, _subspace_equations(c.add)))
+    homs_ok = not any(1 < len(set(m)) < n for m in homomorphisms(c))
     return subspaces_ok, homs_ok
 
 
@@ -608,10 +594,6 @@ class IsoResult:
     monoid: bool
 
 
-def _table_respects(c1: CarrierTable, c2: CarrierTable, p: Sequence[int]) -> bool:
-    return p[c1.neutral] == c2.neutral and _respects(c1, c2, p)
-
-
 def iso_check(c1: CarrierTable, c2: CarrierTable, max_size: int = 8) -> Optional[IsoResult]:
     """Exhaustive bijection search between two small carriers.
 
@@ -623,8 +605,9 @@ def iso_check(c1: CarrierTable, c2: CarrierTable, max_size: int = 8) -> Optional
         return None
     if c1.size > max_size:
         raise CarrierOverflow(f"carrier too large for iso search ({c1.size})")
+    equations = _hom_equations(c1.add, c2.add)
     for p in itertools.permutations(range(c1.size)):
-        if _table_respects(c1, c2, p):
+        if p[c1.neutral] == c2.neutral and _settle(list(p), equations):
             return IsoResult(p, monoid=True)
     fallback = list(range(c1.size))
     fallback[c1.neutral], fallback[c2.neutral] = c2.neutral, c1.neutral
@@ -648,15 +631,10 @@ def render_table(
         names = [report.endo_name(i) for i in range(len(report.endos))]
     if order is None:
         order = range(len(report.endos))
+    label = {None: "?", **dict(enumerate(names))}
     cells = [[corner] + [names[i] for i in order]]
     for i in order:
-        cells.append(
-            [names[i]]
-            + [
-                names[table[i][j]] if table[i][j] is not None else "?"
-                for j in order
-            ]
-        )
+        cells.append([names[i]] + [label[table[i][j]] for j in order])
     if fmt == "tsv":
         return "\n".join("\t".join(r) for r in cells)
     widths = [max(map(len, col)) for col in zip(*cells)]

@@ -8,19 +8,20 @@ Also provides the canonical total order used everywhere (carrier listing,
 sorting, quotient representatives), width/depth metrics, and bounded
 enumeration / exact counting of pure data.
 
-The order has two forms.  `cmp_data`/`cmp_coda` compare two terms and stop
-at the first difference, which is usually a length.  `coda_key` is a flat
+The order has two forms.  `cmp_data`/`cmp_coda` compare two terms with an
+explicit stack and stop at the first difference, which is usually a length;
+each pair of shared subterms is compared once.  `coda_key` is a flat
 tuple of ints, built once per coda and kept on it, for sorting many codas:
 enc(d) is len(d) followed by enc(left) enc(right) of each coda of d, and a
 coda's key is enc(left) + enc(right).  The code is prefix-free, so tuple
 order is `cmp_coda`'s order and equal keys mean equal codas.  A key is cut
 after `KEY_INTS` ints and then ends in one object that compares the two
-codas by `cmp_coda`'s order with an explicit stack; by prefix-freeness two
-keys reach that object only when both are cut and agree on every int.  The
-cut matters because codas share subterms: `{(B:B)}` puts one B on both
-sides, so a chain of them has a tree exponentially larger than itself.
-Keys are built by an explicit-stack walk and compared by tuple comparison
-in C, so nothing recurses however deep the coda is.
+codas by `cmp_coda`; by prefix-freeness two keys reach that object only
+when both are cut and agree on every int.  The cut matters because codas
+share subterms: `{(B:B)}` puts one B on both sides, so a chain of them has a
+tree exponentially larger than itself.  Keys are built by an explicit-stack
+walk and compared by tuple comparison in C, so nothing recurses however deep
+the coda is.
 """
 
 from __future__ import annotations
@@ -79,22 +80,28 @@ COLON = Coda()  # the primordial atom (:)
 # (left, right) recursively.
 
 def cmp_data(a: Data, b: Data) -> int:
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    for x, y in zip(a, b):
-        # identical codas are equal; others are ordered by their
-        # components, one frame per level of depth
-        if x is not y:
-            c = cmp_data(x.left, y.left) or cmp_data(x.right, y.right)
-            if c:
-                return c
+    """-1, 0 or 1 as a sorts before, with or after b.  An explicit stack
+    holds the pairs of data still to compare, the next one last.  A pair of
+    data met again was compared in full before and found equal, so shared
+    subterms are compared once, however often the tree repeats them."""
+    stack = [(a, b)]
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if len(a) != len(b):
+            return -1 if len(a) < len(b) else 1
+        pair = id(a), id(b)
+        if a is b or pair in seen:
+            continue
+        seen.add(pair)
+        for x, y in zip(reversed(a), reversed(b)):
+            if x is not y:
+                stack += ((x.right, y.right), (x.left, y.left))
     return 0
 
 
 def cmp_coda(x: Coda, y: Coda) -> int:
-    if x is y:
-        return 0
-    return cmp_data(x.left, y.left) or cmp_data(x.right, y.right)
+    return cmp_data((x,), (y,))
 
 
 def canonical_order(a: Data, b: Data) -> int:
@@ -114,28 +121,6 @@ def _parts(d: Data) -> Iterator[Data]:
         yield x.right
 
 
-def _cmp_pairs(p: Tuple[Data, Data], q: Tuple[Data, Data]) -> int:
-    """`cmp_coda` on (left, right) pairs, by an explicit stack.  A pair of
-    data met again was compared in full before, and found equal."""
-    stack = [(p[1], q[1]), (p[0], q[0])]  # pairs still to compare, the next one last
-    seen = set()
-    while stack:
-        a, b = stack.pop()
-        if a is b or (id(a), id(b)) in seen:
-            continue
-        seen.add((id(a), id(b)))
-        if len(a) != len(b):
-            return -1 if len(a) < len(b) else 1
-        for x, y in zip(reversed(a), reversed(b)):
-            if x is not y:
-                stack.append((x.right, y.right))
-                stack.append((x.left, y.left))
-    return 0
-
-
-_rest_key = cmp_to_key(_cmp_pairs)
-
-
 def coda_key(c: Coda) -> tuple:
     """The canonical sort key of `c` (see the module docstring), built on
     first use and kept on `c`."""
@@ -150,7 +135,7 @@ def coda_key(c: Coda) -> tuple:
         if d is None:
             stack.pop()
         elif len(out) == KEY_INTS:
-            out.append(_rest_key((c.left, c.right)))
+            out.append(cmp_to_key(cmp_coda)(c))
             break
         else:
             out.append(len(d))

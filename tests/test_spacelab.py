@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from coda.spacelab import (
     enumerate_endos,
     extract_carrier,
     field_check,
+    homomorphisms,
     identity_endo,
     inverse_of,
     is_cancellative,
@@ -40,9 +42,6 @@ from coda.spacelab import (
     verify_semialgebra,
     zn_carrier,
     zero_endo,
-    _hom_forced,
-    _settle,
-    _subspace_forced,
 )
 from coda.terms import COLON, Coda
 
@@ -184,6 +183,37 @@ def reordered(c, order):
     return carrier_from_function(order, lambda i, j: c.add[i][j], c.neutral)
 
 
+def respects_by_loop(a, b, f):
+    """Reference for the homomorphism law: f[i + j] == f[i] + f[j], the left
+    sum in carrier a and the right one in b, wherever both are defined."""
+    for i, row in enumerate(a.add):
+        image_row = b.add[f[i]]
+        for j, ij in enumerate(row):
+            fij = image_row[f[j]]
+            if ij is not None and fij is not None and f[ij] != fij:
+                return False
+    return True
+
+
+def is_subspace_by_loop(f, c):
+    """Reference for the subspace law: idempotent, and f(x+y) = f(f(x)+y) =
+    f(x+f(y)) wherever defined."""
+    if not is_idempotent(f):
+        return False
+    for i in range(c.size):
+        for j in range(c.size):
+            ij = c.add[i][j]
+            fi_j = c.add[f[i]][j]
+            i_fj = c.add[i][f[j]]
+            if ij is None:
+                continue
+            if fi_j is not None and f[ij] != f[fi_j]:
+                return False
+            if i_fj is not None and f[ij] != f[i_fj]:
+                return False
+    return True
+
+
 def field_check_by_scan(c):
     """Reference for field_check: test every endofunction, in product order."""
     n = c.size
@@ -194,9 +224,9 @@ def field_check_by_scan(c):
         distinct = len(set(m))
         if distinct <= 1:
             continue
-        if subspaces_ok and m != ident and is_subspace(m, c):
+        if subspaces_ok and m != ident and is_subspace_by_loop(m, c):
             subspaces_ok = False
-        if homs_ok and distinct != n and is_homomorphism(m, c):
+        if homs_ok and distinct != n and respects_by_loop(c, c, m):
             homs_ok = False
         if not subspaces_ok and not homs_ok:
             break
@@ -251,10 +281,12 @@ def test_field_check_matches_scan(c):
 @settings(max_examples=100, deadline=None)
 @given(small_tables().filter(lambda c: c.size <= 4))
 def test_settled_complete_map_satisfies_the_law(c):
-    # field_check accepts a complete map on `_settle` alone
-    for f in enumerate_endos(c):
-        assert _settle(c.add, list(f), _subspace_forced) == is_subspace(f, c)
-        assert _settle(c.add, list(f), _hom_forced) == is_homomorphism(f, c)
+    # one statement of each law decides a single map and lists the maps
+    endos = enumerate_endos(c)
+    for f in endos:
+        assert is_homomorphism(f, c) == respects_by_loop(c, c, f)
+        assert is_subspace(f, c) == is_subspace_by_loop(f, c)
+    assert list(homomorphisms(c)) == [f for f in endos if respects_by_loop(c, c, f)]
 
 
 def fill_by_entry(c, endos):
@@ -323,6 +355,15 @@ def test_iso_check():
     assert iso_check(z2, zn_carrier(3)) is None
     same = iso_check(zn_carrier(3), zn_carrier(3))
     assert same.monoid
+    z4 = zn_carrier(4)
+    z4_shuffled = reordered(z4, [2, 0, 3, 1])
+    for c1, c2 in ((z4, z4_shuffled), (z4_shuffled, z4)):
+        res = iso_check(c1, c2)
+        p = res.bijection
+        assert res.monoid and p[c1.neutral] == c2.neutral
+        assert respects_by_loop(c1, c2, p)
+    z2z2 = carrier_from_function(range(4), operator.xor, 0)
+    assert not iso_check(z4, z2z2).monoid  # same size, not isomorphic
     with pytest.raises(CarrierOverflow):
         iso_check(zn_carrier(9), zn_carrier(9))
 

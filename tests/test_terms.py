@@ -16,6 +16,7 @@ from coda.terms import (
     SizeBound,
     canonical_order,
     cmp_coda,
+    cmp_data,
     coda_depth,
     coda_key,
     count_pure_data,
@@ -51,8 +52,23 @@ def test_measure():
     assert data_width(()) == 0
 
 
+def cmp_by_recursion(a, b):
+    """Reference for the canonical order, by its recursive definition:
+    shorter data first, then codas pointwise, each by its left data and then
+    its right one.  It unfolds shared subterms and recurses once per level."""
+    if len(a) != len(b):
+        return -1 if len(a) < len(b) else 1
+    for x, y in zip(a, b):
+        if x is not y:
+            c = cmp_by_recursion(x.left, y.left) or cmp_by_recursion(x.right, y.right)
+            if c:
+                return c
+    return 0
+
+
 @given(pure_data, pure_data)
 def test_canonical_order_is_antisymmetric(a, b):
+    assert cmp_data(a, b) == cmp_by_recursion(a, b)
     ab = canonical_order(a, b)
     ba = canonical_order(b, a)
     assert ab == -ba
@@ -70,20 +86,34 @@ def test_canonical_order_sorts_consistently(a, b, c):
 codas = st.builds(Coda, pure_data, pure_data)
 
 
-@given(codas, codas)
-def test_coda_key_agrees_with_cmp_coda(x, y):
+@st.composite
+def shared_pairs(draw):
+    """Two codas built from one pool of data, so that one object recurs in
+    many places, and equal data recur as distinct objects."""
+    pool = [(), (COLON,)]
+    for _ in range(draw(st.integers(0, 4))):
+        part = st.sampled_from(pool)
+        pool.append(tuple(draw(st.lists(st.builds(Coda, part, part), min_size=1, max_size=3))))
+    part = st.sampled_from(pool)
+    return draw(st.builds(Coda, part, part)), draw(st.builds(Coda, part, part))
+
+
+@given(st.tuples(codas, codas) | shared_pairs())
+def test_coda_key_agrees_with_cmp_coda(pair):
+    x, y = pair
     kx, ky = coda_key(x), coda_key(y)
-    assert (kx > ky) - (kx < ky) == cmp_coda(x, y)
+    assert (kx > ky) - (kx < ky) == cmp_coda(x, y) == cmp_by_recursion((x,), (y,))
     assert (kx == ky) == (x == y)
     assert coda_key(x) is kx  # kept on the coda
 
 
-@given(codas, codas)
-def test_cut_keys_agree_with_cmp_coda(x, y):
+@given(st.tuples(codas, codas) | shared_pairs())
+def test_cut_keys_agree_with_cmp_coda(pair):
     # a cut of 3 ints sends most pairs of fresh codas to the compared tail
+    x, y = pair
     with mock.patch.object(terms, "KEY_INTS", 3):
         kx, ky = coda_key(x), coda_key(y)
-        assert (kx > ky) - (kx < ky) == cmp_coda(x, y)
+        assert (kx > ky) - (kx < ky) == cmp_by_recursion((x,), (y,))
         assert (kx == ky) == (x == y)
         assert _word_order((y, x)) == word_order_by_two_lists((y, x))
 
@@ -92,7 +122,8 @@ def word_order_by_two_lists(d):
     """Reference for `_word_order`: non-words sorted by `cmp_coda`, then
     words sorted by their text."""
     texts = [(word_text(c), c) for c in d]
-    others = sorted((c for t, c in texts if t is None), key=cmp_to_key(cmp_coda))
+    others = sorted((c for t, c in texts if t is None),
+                    key=cmp_to_key(lambda x, y: cmp_by_recursion((x,), (y,))))
     words = sorted(((t, c) for t, c in texts if t is not None), key=itemgetter(0))
     return tuple(others) + tuple(c for _, c in words)
 
@@ -118,6 +149,10 @@ def test_deep_codas_sort_without_recursion():
     low, high = Coda((), (COLON,)), Coda((COLON,), ())
     assert cmp_coda(nest(low, 10), nest(high, 10)) == -1
     x, y = nest(low, 10**5), nest(high, 10**5)
+    twin = nest(Coda((), (COLON,)), 10**5)  # equal to x, built apart
+    # compared into ints first, so that a failure prints no 10^5-deep coda
+    order = cmp_coda(x, y), cmp_data((y,), (x,)), cmp_coda(twin, x)
+    assert order == (-1, 1, 0)
     assert coda_key(x) < coda_key(y)
     assert sorted([y, x], key=coda_key) == [x, y]
     a = word("a")
@@ -138,12 +173,15 @@ def test_shared_codas_sort_without_unfolding():
     x, y = doubled(word("a"), 40), doubled(word("b"), 40)
     assert sorted([y, x], key=coda_key) == [x, y]
     assert _word_order((word("a"), y, x)) == (x, y, word("a"))
-    # built apart, so equal without sharing a node: the tail compares each
-    # pair of shared data once, where cmp_coda would visit 2^40 of them
+    # built apart, so equal without sharing a node: each pair of shared data
+    # is compared once, where unfolding the trees would visit 2^40 of them
     twin = doubled(Coda(word("a").left, word("a").right), 40)
     assert twin is not x and coda_key(twin) == coda_key(x)
     shallow = doubled(word("a"), 12)
-    assert (coda_key(x) < coda_key(shallow)) == (cmp_coda(x, shallow) < 0)
+    kx, ks = coda_key(x), coda_key(shallow)
+    # compared into ints first, so that a failure prints no 2^40 tree
+    order = cmp_coda(twin, x), cmp_coda(x, y), cmp_coda(x, shallow)
+    assert order == (0, -1, (kx > ks) - (kx < ks))
 
 
 def test_count_small_cells():
