@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .encoding import word
 from .engine import DEFAULT_BUDGET, Budget, Context, Engine, TriBool
+from .lang import render
 from .prelude import prelude
 from .terms import Coda, Data, SizeBound, enumerate_pure_data
 
@@ -130,8 +131,6 @@ class Verdict:
     def __str__(self):
         out = f"{self.law or 'law'}: {self.status} ({self.checked} cases)"
         if self.witness is not None:
-            from .lang import render
-
             out += f"; witness lhs={render(self.witness.lhs)} rhs={render(self.witness.rhs)}"
         return out
 

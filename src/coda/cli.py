@@ -4,7 +4,8 @@ analysis, and the demo runner.
 Every subcommand is a thin adapter over the library; the primary output is
 exactly what the corresponding API call renders.  Exit codes: 0 success,
 1 demo assertion failure, 2 cap or overflow refusal or a malformed
-CODA_BUDGET.
+CODA_BUDGET.  Cap defaults are the library's; every refusal is a
+`terms.CapExceeded`, reported in one place, `main`.
 """
 
 from __future__ import annotations
@@ -17,17 +18,17 @@ from typing import List, Optional
 from .algebra import ProbeSet, default_probes
 from .engine import Budget, Context, add_definition, evaluate
 from .lang import parse, render
-from .organic import DEMOS, SearchResult, search_spaces
+from .organic import DEFAULT_SEARCH_CAP, DEMOS, SearchResult, search_spaces
 from .prelude import prelude
 from .spacelab import (
-    CarrierOverflow,
-    TooManyEndos,
+    DEFAULT_CARRIER_CAP,
+    DEFAULT_ENDO_CAP,
     classify,
     enumerate_endos,
     extract_carrier,
     render_report,
 )
-from .terms import CapExceeded, SizeBound, count_pure_data, enumerate_pure_data
+from .terms import DEFAULT_ENUM_CAP, CapExceeded, SizeBound, count_pure_data, enumerate_pure_data
 
 BUDGET_ENV = "CODA_BUDGET"
 
@@ -132,11 +133,7 @@ def cmd_count(args) -> int:
     else:
         print(n)
     if args.enumerate:
-        try:
-            seen = sum(1 for _ in enumerate_pure_data(bound, cap=args.cap))
-        except CapExceeded as exc:
-            print(f"CapExceeded: {exc}", file=sys.stderr)
-            return 2
+        seen = sum(1 for _ in enumerate_pure_data(bound, cap=args.cap))
         if seen != n:
             print(f"enumeration mismatch: {seen} != {n}", file=sys.stderr)
             return 1
@@ -154,11 +151,7 @@ def _print_search(results: List[SearchResult], fmt: str) -> None:
 
 def cmd_search(args) -> int:
     ctx = _load_preludes(args.prelude)
-    try:
-        results = search_spaces(args.words, args.max_len, ctx=ctx, cap=args.cap)
-    except CapExceeded as exc:
-        print(f"CapExceeded: {exc}", file=sys.stderr)
-        return 2
+    results = search_spaces(args.words, args.max_len, ctx=ctx, cap=args.cap)
     _print_search(results, args.format)
     return 0
 
@@ -167,27 +160,16 @@ def cmd_space(args) -> int:
     ctx = _load_preludes(args.prelude)
     space = parse(args.expr)
     probes = ProbeSet(default_probes().probes, budget=_budget(args))
-    try:
-        carrier = extract_carrier(space, probes, cap=args.cap, ctx=ctx,
-                                  on_overflow="raise")
-        endos = enumerate_endos(carrier, cap=args.endo_cap)
-    except CarrierOverflow as exc:
-        print(f"CarrierOverflow: {exc}", file=sys.stderr)
-        return 2
-    except TooManyEndos as exc:
-        print(f"TooManyEndos: {exc}", file=sys.stderr)
-        return 2
+    carrier = extract_carrier(space, probes, cap=args.cap, ctx=ctx,
+                              on_overflow="raise")
+    endos = enumerate_endos(carrier, cap=args.endo_cap)
     report = classify(carrier, endos)
     print(render_report(report, fmt=args.format))
     return 0
 
 
 def cmd_demo(args) -> int:
-    try:
-        report = DEMOS[args.name]()
-    except (CapExceeded, CarrierOverflow, TooManyEndos) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    report = DEMOS[args.name]()
     print(report.render(args.format))
     return 0 if report.passed else 1
 
@@ -228,22 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--enumerate", action="store_true",
                    help="cross-check the count by enumeration")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     _add_common(p, "format")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("search", help="screen token sequences for associativity")
     p.add_argument("--words", nargs="*", default=[])
     p.add_argument("--max-len", type=int, default=2)
-    p.add_argument("--cap", type=int, default=5_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
     _add_common(p, "format", "prelude")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("space", help="carrier and endomorphism analysis")
     p.add_argument("action", choices=("analyze",))
     p.add_argument("expr")
-    p.add_argument("--cap", type=int, default=64, help="carrier size cap")
-    p.add_argument("--endo-cap", type=int, default=5 ** 5)
+    p.add_argument("--cap", type=int, default=DEFAULT_CARRIER_CAP,
+                   help="cap on the elements sums add (neutral and probes are kept)")
+    p.add_argument("--endo-cap", type=int, default=DEFAULT_ENDO_CAP)
     _add_common(p, "format", "budget", "prelude")
     p.set_defaults(fn=cmd_space)
 
@@ -257,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CapExceeded as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from .encoding import LANG_NAME, is_lang_atom, is_word_atom, lang_source, word, word_text
+from .lang import eval_lang_atom
 from .terms import Coda, Data
 
 BranchFn = Callable[["Engine", Data, Data], Optional[Data]]
@@ -104,9 +105,6 @@ class Context:
 
     def __init__(self, defs: Optional[Dict[Coda, Definition]] = None):
         self.defs: Dict[Coda, Definition] = dict(defs or {})
-
-    def lookup(self, trigger: Coda) -> Optional[Definition]:
-        return self.defs.get(trigger)
 
     def has_name(self, name: str) -> bool:
         return word(name) in self.defs
@@ -342,8 +340,6 @@ def _lang_definition(atom: Coda) -> Definition:
     src = lang_source(atom) or ""
 
     def apply(engine: Engine, a: Data, b: Data) -> Data:
-        from .lang import eval_lang_atom  # circular at import time
-
         return eval_lang_atom(src, a, b, engine)
 
     return Definition(name=LANG_NAME, trigger=atom, apply=apply)

@@ -130,6 +130,9 @@ class DemoReport:
 # ---------------------------------------------------------------------------
 # Space search
 
+DEFAULT_SEARCH_CAP = 5_000  # candidate token sequences
+
+
 @dataclass
 class SearchResult:
     candidate: Data
@@ -143,9 +146,8 @@ class SearchResult:
 def search_spaces(
     words: Sequence[str],
     max_len: int,
-    probes: Optional[ProbeSet] = None,
     ctx: Optional[Context] = None,
-    cap: int = 5_000,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> List[SearchResult]:
     """Screen every token sequence up to max_len for associativity.
 
@@ -161,9 +163,8 @@ def search_spaces(
     total = sum(len(pool) ** k for k in range(max_len + 1))
     if total > cap:
         raise CapExceeded(f"{total} candidates exceed cap {cap}")
-    if probes is None:
-        free = [w for w in words if not ctx.has_name(w)]
-        probes = small_probes(tuple(free), Budget(max_steps=2_000, max_nodes=50_000))
+    free = [w for w in words if not ctx.has_name(w)]
+    probes = small_probes(tuple(free), Budget(max_steps=2_000, max_nodes=50_000))
     results: List[SearchResult] = []
     for k in range(max_len + 1):
         for combo in itertools.product(pool, repeat=k):
@@ -261,7 +262,7 @@ def organic_N() -> DemoReport:
 
     mapping = {k: mult_endo(k, carrier) for k in range(5)}
     verdict = verify_semialgebra(
-        carrier, mapping, central=True, units=[identity_endo(carrier)]
+        carrier, mapping, units=[identity_endo(carrier)]
     )
     r.check("constants embed as multiplication homomorphisms",
             "holds_on_probes", verdict.status)
@@ -589,7 +590,7 @@ def inner(space: Data, marker: str, f: Data) -> Data:
 FIB_BUDGET = Budget(max_steps=2_000_000, max_nodes=500_000_000)
 
 
-def fibonacci(k: int, budget: Budget = FIB_BUDGET) -> List[int]:
+def fibonacci(k: int) -> List[int]:
     """Iterate the sum-of-last-two endomorphism of the number-sequence
     space, collecting the stored values."""
     if k < 0 or k > 30:
@@ -602,7 +603,7 @@ def fibonacci(k: int, budget: Budget = FIB_BUDGET) -> List[int]:
     step = product(inner(nseq, "n", parse(N_SOURCE)), (word("last"), word("2")))
     state = tuple(parse("(n:a) (n:a)"))
     while len(vals) < k:
-        nxt = ev_apply(step, state, ctx, budget)
+        nxt = ev_apply(step, state, ctx, FIB_BUDGET)
         if len(nxt) != 1:
             raise ValueError("iteration lost its shape")
         vals.append(len(nxt[0].right))

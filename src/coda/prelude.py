@@ -33,18 +33,18 @@ class UnknownBuiltin(Exception):
     pass
 
 
-def _word_count(ev: Data, default: int = 1) -> int:
-    """Numeric argument convention: a single decimal word atom is a count."""
+def _word_count(ev: Data) -> int:
+    """A single decimal word atom is a count; any other argument counts 1."""
     if len(ev) == 1:
         text = word_text(ev[0])
         if text and text.isdigit():
             return int(text)
-    return default
+    return 1
 
 
 def _domain_of(eng: Engine, c: Coda) -> Data:
     """Trigger atom of a defined coda; () for structural atoms."""
-    if c.left and eng.context.lookup(c.left[0]) is not None:
+    if c.left and c.left[0] in eng.context.defs:
         return (c.left[0],)
     return ()
 

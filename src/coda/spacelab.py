@@ -20,7 +20,9 @@ image of element i.  On the two-element bool carrier, for instance,
 
 Carriers come from two directions: extraction through the rewriting engine,
 or directly from a Python-level addition function when an independent oracle
-(mod-n arithmetic, saturation, and so on) is wanted.
+(mod-n arithmetic, saturation, and so on) is wanted.  `closed` is derived
+from the table: no sum is None.  Each cap is set by a constant here; work past
+one raises a subclass of `terms.CapExceeded`.
 """
 
 from __future__ import annotations
@@ -36,16 +38,19 @@ from .encoding import word
 from .engine import Budget, Context, Engine
 from .lang import render
 from .prelude import prelude
-from .terms import Coda, Data, data_key
+from .terms import CapExceeded, Coda, Data, data_key
 
+DEFAULT_CARRIER_CAP = 64
 DEFAULT_ENDO_CAP = 5 ** 5
+FIELD_CHECK_CAP = 7 ** 7  # endofunctions; past it no field verdict
+ISO_MAX_SIZE = 8  # elements; iso_check scans up to 8! bijections
 
 
-class CarrierOverflow(Exception):
+class CarrierOverflow(CapExceeded):
     """More distinct carrier elements than the cap allows."""
 
 
-class TooManyEndos(Exception):
+class TooManyEndos(CapExceeded):
     """The full endofunction set would exceed the enumeration cap."""
 
 
@@ -61,16 +66,18 @@ class CarrierTable:
     left the extracted set (only possible for open, truncated carriers).
     """
 
-    space: Optional[Data]
     elements: Tuple[Data, ...]
     neutral: int
     add: Tuple[Tuple[Optional[int], ...], ...]
-    closed: bool
     labels: Optional[Tuple[str, ...]] = None
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @property
+    def closed(self) -> bool:
+        return all(None not in row for row in self.add)
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -97,14 +104,16 @@ def _normalize(space: Data, x: Data, ctx: Context, budget: Budget,
 def extract_carrier(
     space: Data,
     probes: Optional[ProbeSet] = None,
-    cap: int = 64,
+    cap: int = DEFAULT_CARRIER_CAP,
     ctx: Optional[Context] = None,
     on_overflow: str = "open",
 ) -> CarrierTable:
     """Distinct normal forms of (space : probe), closed under the sum.
 
-    With on_overflow="open" the closure stops at `cap` elements and the
-    table keeps None entries; "raise" turns the cap into CarrierOverflow.
+    The normal forms of the neutral and the probes are always kept; `cap`
+    bounds only the elements that sums add.  A sum past the cap, or one that
+    exhausts the probes' budget, is None in the table; on_overflow="raise"
+    turns the cap into CarrierOverflow.
     """
     ctx = ctx if ctx is not None else prelude()
     probes = probes if probes is not None else default_probes()
@@ -124,7 +133,6 @@ def extract_carrier(
 
     # every element enters one frontier and is summed there, both ways, with
     # every element seen before it, so `sums` ends up holding every pair
-    closed = True
     sums: Dict[Tuple[Data, Data], Optional[Data]] = {}
     frontier = list(seen)
     while frontier:
@@ -133,16 +141,12 @@ def extract_carrier(
             for y in list(seen):
                 for a, b in ((x, y), (y, x)):
                     s = sums[a, b] = _normalize(space, a + b, ctx, budget, memo)
-                    if s is None:
-                        closed = False
-                        continue
-                    if s not in seen:
+                    if s is not None and s not in seen:
                         if len(seen) >= cap:
                             if on_overflow == "raise":
                                 raise CarrierOverflow(
                                     f"more than {cap} carrier elements"
                                 )
-                            closed = False
                             continue
                         seen[s] = None
                         new.append(s)
@@ -153,15 +157,7 @@ def extract_carrier(
     table = tuple(
         tuple(index.get(sums[x, y]) for y in elements) for x in elements
     )
-    if any(v is None for row in table for v in row):
-        closed = False
-    return CarrierTable(
-        space=space,
-        elements=elements,
-        neutral=index[neutral_elem],
-        add=table,
-        closed=closed,
-    )
+    return CarrierTable(elements=elements, neutral=index[neutral_elem], add=table)
 
 
 def carrier_from_function(
@@ -170,34 +166,20 @@ def carrier_from_function(
     neutral,
     to_data: Optional[Callable] = None,
     labels: Optional[Sequence[str]] = None,
-    space: Optional[Data] = None,
 ) -> CarrierTable:
     """Oracle carrier: elements and addition supplied as plain Python.
 
     `add` may return a value outside `values` (or None) to leave an entry
-    undefined, which marks the carrier as open.
+    undefined, which makes the carrier open.
     """
     values = list(values)
     if to_data is None:
         to_data = lambda v: (word(str(v)),)
     index = {v: i for i, v in enumerate(values)}
-    closed = True
-    table: List[Tuple[Optional[int], ...]] = []
-    for x in values:
-        row: List[Optional[int]] = []
-        for y in values:
-            s = add(x, y)
-            idx = index.get(s)
-            if idx is None:
-                closed = False
-            row.append(idx)
-        table.append(tuple(row))
     return CarrierTable(
-        space=space,
         elements=tuple(tuple(to_data(v)) for v in values),
         neutral=index[neutral],
-        add=tuple(table),
-        closed=closed,
+        add=tuple(tuple(index.get(add(x, y)) for y in values) for x in values),
         labels=tuple(labels) if labels is not None else tuple(str(v) for v in values),
     )
 
@@ -525,19 +507,19 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     )
 
 
-def field_check(c: CarrierTable, cap: int = 7 ** 7) -> Tuple[bool, bool]:
+def field_check(c: CarrierTable) -> Tuple[bool, bool]:
     """Two independent field criteria; they should always agree.
 
     First: every proper subspace endofunction is constant.  Second: every
     non-constant homomorphism is a unit (a bijection).  Each searches the
     maps that satisfy its law and stops at the first counterexample.
-    Carriers with more than `cap` endofunctions raise TooManyEndos, so that
-    `classify` and `coda space analyze` report no field verdict past 7
-    elements.
+    Carriers with more than FIELD_CHECK_CAP endofunctions raise
+    TooManyEndos, so that `classify` and `coda space analyze` report no
+    field verdict past 7 elements.
     """
     n = c.size
-    if n ** n > cap:
-        raise TooManyEndos(f"{n}^{n} endofunctions exceed cap {cap}")
+    if n ** n > FIELD_CHECK_CAP:
+        raise TooManyEndos(f"{n}^{n} endofunctions exceed cap {FIELD_CHECK_CAP}")
     ident = tuple(range(n))
     subspaces_ok = not any(len(set(m)) > 1 and m != ident
                            for m in _solutions(n, _subspace_equations(c.add)))
@@ -563,11 +545,11 @@ def quotient_of_hom(h: Endo, c: CarrierTable) -> Endo:
 def verify_semialgebra(
     c: CarrierTable,
     mapping: Dict[int, Endo],
-    central: bool = False,
     units: Optional[Sequence[Endo]] = None,
 ) -> Verdict:
     """Check a constants-to-homomorphisms assignment: total on the listed
-    constants, injective, every image a homomorphism (and central if asked)."""
+    constants, injective, every image a homomorphism, and, when `units` are
+    given, every image central (commuting with each unit)."""
     checked = 0
     images = list(mapping.values())
     if len(set(images)) != len(images):
@@ -576,9 +558,8 @@ def verify_semialgebra(
         checked += 1
         if not is_homomorphism(h, c):
             return Verdict(REFUTED, "semialgebra-homomorphism", checked)
-        if central and units is not None:
-            if any(compose(h, u) != compose(u, h) for u in units):
-                return Verdict(REFUTED, "semialgebra-central", checked)
+        if units is not None and any(compose(h, u) != compose(u, h) for u in units):
+            return Verdict(REFUTED, "semialgebra-central", checked)
     return Verdict(HOLDS, "semialgebra", checked)
 
 
@@ -594,16 +575,16 @@ class IsoResult:
     monoid: bool
 
 
-def iso_check(c1: CarrierTable, c2: CarrierTable, max_size: int = 8) -> Optional[IsoResult]:
+def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[IsoResult]:
     """Exhaustive bijection search between two small carriers.
 
     Prefers a sum-preserving (monoid) bijection.  When none exists but the
     sizes agree, any bijection pairs the carriers element for element; that
-    weaker correspondence is returned with monoid=False.
-    """
+    weaker correspondence is returned with monoid=False.  Past ISO_MAX_SIZE
+    elements it raises CarrierOverflow."""
     if c1.size != c2.size:
         return None
-    if c1.size > max_size:
+    if c1.size > ISO_MAX_SIZE:
         raise CarrierOverflow(f"carrier too large for iso search ({c1.size})")
     equations = _hom_equations(c1.add, c2.add)
     for p in itertools.permutations(range(c1.size)):
@@ -622,19 +603,16 @@ def render_table(
     which: str = "product",
     names: Optional[Sequence[str]] = None,
     fmt: str = "text",
-    order: Optional[Sequence[int]] = None,
 ) -> str:
     """One operation table, header row and column, aligned text or TSV."""
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
         names = [report.endo_name(i) for i in range(len(report.endos))]
-    if order is None:
-        order = range(len(report.endos))
     label = {None: "?", **dict(enumerate(names))}
-    cells = [[corner] + [names[i] for i in order]]
-    for i in order:
-        cells.append([names[i]] + [label[table[i][j]] for j in order])
+    cells = [[corner, *names]]
+    for name, row in zip(names, table):
+        cells.append([name, *map(label.__getitem__, row)])
     if fmt == "tsv":
         return "\n".join("\t".join(r) for r in cells)
     widths = [max(map(len, col)) for col in zip(*cells)]
@@ -643,12 +621,9 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_report(
-    report: SemiringReport, names: Optional[Sequence[str]] = None, fmt: str = "text"
-) -> str:
+def render_report(report: SemiringReport, fmt: str = "text") -> str:
     c = report.carrier
-    if names is None:
-        names = [report.endo_name(i) for i in range(len(report.endos))]
+    names = [report.endo_name(i) for i in range(len(report.endos))]
     if fmt == "tsv":
         rows = [
             ["elements", *(c.label(i) for i in range(c.size))],

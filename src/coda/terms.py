@@ -176,7 +176,7 @@ def measure(d: Data) -> SizeBound:
 # Counting and bounded enumeration
 
 class CapExceeded(Exception):
-    """Predicted enumeration size exceeds the configured cap."""
+    """Work refused because its predicted size exceeds a cap."""
 
 
 def count_pure_data(bound: SizeBound) -> int:

@@ -3,6 +3,8 @@ import io
 import pytest
 
 from coda.cli import main
+from coda.organic import DEMOS
+from coda.spacelab import enumerate_endos, zn_carrier
 
 
 def run(capsys, *argv):
@@ -75,7 +77,7 @@ def test_count_enumerate_cross_check(capsys):
 def test_count_enumerate_cap(capsys):
     code, _, err = run(capsys, "count", "--width", "3", "--depth", "3",
                        "--enumerate", "--cap", "10")
-    assert code == 2 and "CapExceeded" in err
+    assert code == 2 and err.startswith("CapExceeded: ")
 
 
 def test_count_tsv(capsys):
@@ -96,7 +98,7 @@ def test_search(capsys):
 def test_search_cap(capsys):
     code, _, err = run(capsys, "search", "--words", "a", "b", "c",
                        "--max-len", "5", "--cap", "10")
-    assert code == 2 and "CapExceeded" in err
+    assert code == 2 and err.startswith("CapExceeded: ")
 
 
 def test_space_analyze(capsys):
@@ -108,7 +110,22 @@ def test_space_analyze(capsys):
 
 def test_space_analyze_overflow(capsys):
     code, _, err = run(capsys, "space", "analyze", "pass", "--cap", "3")
-    assert code == 2 and "CarrierOverflow" in err
+    assert code == 2 and err.startswith("CarrierOverflow: ")
+
+
+def _capped_demo():
+    return enumerate_endos(zn_carrier(8))  # 8^8 endofunctions
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("space", "analyze", "first", "--endo-cap", "2"), "TooManyEndos: "),
+    (("demo", "bool"), "TooManyEndos: "),
+], ids=["endo-cap", "demo"])
+def test_cap_refusal(capsys, monkeypatch, argv, prefix):
+    # every refusal is reported by main, as its class name and message
+    monkeypatch.setitem(DEMOS, "bool", _capped_demo)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(prefix)
 
 
 def test_demo(capsys):
