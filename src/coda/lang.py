@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import groupby
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .encoding import _TEXT_CAP, lang_atom, lang_source, word, word_text
 from .terms import Coda, Data
@@ -244,9 +244,11 @@ def render(d: Data) -> str:
     """Source text that parses back to `d`.  A word prints as its text and a
     language atom as `{src}` where that text reads back as the atom in its
     place; every other coda prints structurally, as `(left:right)`."""
-    if not d:
-        return "()"
-    out: List[str] = []
+    return "".join(_pieces(d)) if d else "()"
+
+
+def _pieces(d: Data) -> Iterator[str]:
+    """`render(d)` of a non-empty `d`, left to right, for callers that stop early."""
     # sequences to finish: codas, next index, text after, and whether their
     # first item printed as a word starting with `=`, so that every later
     # `=` in the sequence is a word character
@@ -266,15 +268,15 @@ def render(d: Data) -> str:
             else:
                 text = lang_source(c)
                 text = "{" + text + "}" if text is not None and _balanced(text) else None
-            if not i:
+            if i:
+                yield " "
+            else:
                 eq = text is not None and text[0] == "="
-            out.append(" " if i else "")
             i += 1
             if text is not None:
-                out.append(text)
+                yield text
             else:
-                out.append("(")
+                yield "("
                 todo += [(seq, i, after, eq), (c.right, 0, ")", False)]
                 seq, i, after, eq = c.left, 0, ":", False
-        out.append(after)
-    return "".join(out)
+        yield after

@@ -2,11 +2,15 @@
 
 A coda is a pair of data; data is a finite sequence of codas.  Data is
 represented as a plain tuple of Coda values so that concatenation is tuple
-concatenation, structural equality is ``==`` and everything is hashable.
+concatenation and everything is hashable.  Equality is structural, and
+`_hash` is too, so codas of different hash are unequal.  Past the hashes,
+`Coda.__eq__` is done when the codas below are the same objects; otherwise
+it walks the pairs of data below on an explicit stack, as `cmp_data` does,
+to the end or to the first difference: equal hashes prove nothing.
 
 Also provides the canonical total order used everywhere (carrier listing,
-sorting, quotient representatives), width/depth metrics, and bounded
-enumeration / exact counting of pure data.
+sorting, quotient representatives), and bounded enumeration / exact counting
+of pure data.
 
 The order has two forms.  `cmp_data`/`cmp_coda` compare two terms with an
 explicit stack and stop at the first difference, which is usually a length;
@@ -27,7 +31,8 @@ the coda is.
 from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache
-from itertools import product
+from itertools import islice, product
+from operator import is_
 from typing import Iterator, NamedTuple, Tuple
 
 
@@ -57,22 +62,24 @@ class Coda:
             return True
         if not isinstance(other, Coda):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
+        if self._hash != other._hash:
+            return False
+        a, b, c, d = self.left, other.left, self.right, other.right
+        if len(a) == len(b) and len(c) == len(d) and all(map(is_, a + c, b + d)):
+            return True  # the same codas below: the common case, decided in C
+        return _equal_data([(a, b), (c, d)])
 
     def __repr__(self):
-        from .lang import render  # lang imports terms
-
-        return f"<coda {render((self,))}>"
+        from .lang import _pieces  # lang imports terms
+        # no piece but the last is empty, so this is all or over REPR_CHARS
+        text = "".join(islice(_pieces((self,)), REPR_CHARS + 1))
+        return f"<coda {text[:REPR_CHARS]}...>" if len(text) > REPR_CHARS else f"<coda {text}>"
 
 
 Data = Tuple[Coda, ...]
 
-EMPTY: Data = ()
 COLON = Coda()  # the primordial atom (:)
+REPR_CHARS = 1000  # repr cuts the rendered text after this many characters
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +107,30 @@ def cmp_data(a: Data, b: Data) -> int:
     return 0
 
 
+def _equal_data(stack: list) -> bool:
+    """Whether each pair of data on `stack` is equal (see the module docstring)."""
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if len(a) != len(b):
+            return False
+        pair = id(a), id(b)
+        if a is b or pair in seen:
+            continue
+        seen.add(pair)
+        for x, y in zip(a, b):
+            if x is not y:
+                if x._hash != y._hash:
+                    return False
+                stack += ((x.left, y.left), (x.right, y.right))
+    return True
+
+
 def cmp_coda(x: Coda, y: Coda) -> int:
     return cmp_data((x,), (y,))
 
 
-def canonical_order(a: Data, b: Data) -> int:
-    """Total order on data; returns -1, 0 or 1."""
-    return cmp_data(tuple(a), tuple(b))
-
-
-data_key = cmp_to_key(lambda a, b: cmp_data(a, b))
+data_key = cmp_to_key(lambda a, b: cmp_data(a, b))  # late-bound, as traced runs patch cmp_data
 
 
 KEY_INTS = 1024  # coda_key keeps at most this many ints of the encoding
@@ -146,34 +167,12 @@ def coda_key(c: Coda) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Width / depth
+# Counting and bounded enumeration
 
 class SizeBound(NamedTuple):
     width: int
     depth: int
 
-
-def coda_depth(c: Coda) -> int:
-    return 1 + max(data_depth(c.left), data_depth(c.right))
-
-
-def data_depth(d: Data) -> int:
-    return max((coda_depth(c) for c in d), default=0)
-
-
-def data_width(d: Data) -> int:
-    w = len(d)
-    for c in d:
-        w = max(w, data_width(c.left), data_width(c.right))
-    return w
-
-
-def measure(d: Data) -> SizeBound:
-    return SizeBound(data_width(d), data_depth(d))
-
-
-# ---------------------------------------------------------------------------
-# Counting and bounded enumeration
 
 class CapExceeded(Exception):
     """Work refused because its predicted size exceeds a cap."""
@@ -215,7 +214,7 @@ def enumerate_pure_data(bound: SizeBound, cap: int = DEFAULT_ENUM_CAP) -> Iterat
 
 
 def _enumerate(w: int, d: int) -> Iterator[Data]:
-    yield EMPTY
+    yield ()
     if d <= 0:
         return
     codas = _codas_upto(w, d)

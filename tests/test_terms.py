@@ -1,3 +1,4 @@
+import time
 from functools import cmp_to_key
 from operator import itemgetter
 from unittest import mock
@@ -7,23 +8,21 @@ from hypothesis import given, strategies as st
 
 from coda.encoding import word, word_text
 from coda import terms
-from coda.prelude import _word_order
+from coda.engine import evaluate
+from coda.prelude import _word_order, prelude
 from coda.terms import (
     COLON,
     KEY_INTS,
+    REPR_CHARS,
     CapExceeded,
     Coda,
     SizeBound,
-    canonical_order,
     cmp_coda,
     cmp_data,
-    coda_depth,
     coda_key,
     count_pure_data,
     data_key,
-    data_width,
     enumerate_pure_data,
-    measure,
 )
 
 pure_data = st.recursive(
@@ -45,13 +44,6 @@ def test_coda_is_immutable_and_hashable():
     assert c != COLON
 
 
-def test_measure():
-    d = (Coda((COLON, COLON), ()),)
-    assert measure(d) == SizeBound(2, 2)
-    assert coda_depth(COLON) == 1
-    assert data_width(()) == 0
-
-
 def cmp_by_recursion(a, b):
     """Reference for the canonical order, by its recursive definition:
     shorter data first, then codas pointwise, each by its left data and then
@@ -68,10 +60,8 @@ def cmp_by_recursion(a, b):
 
 @given(pure_data, pure_data)
 def test_canonical_order_is_antisymmetric(a, b):
-    assert cmp_data(a, b) == cmp_by_recursion(a, b)
-    ab = canonical_order(a, b)
-    ba = canonical_order(b, a)
-    assert ab == -ba
+    ab = cmp_data(a, b)
+    assert ab == cmp_by_recursion(a, b) == -cmp_data(b, a)
     assert (ab == 0) == (a == b)
 
 
@@ -80,7 +70,7 @@ def test_canonical_order_sorts_consistently(a, b, c):
     ordered = sorted([a, b, c], key=data_key)
     assert sorted(ordered, key=data_key) == ordered
     for x, y in zip(ordered, ordered[1:]):
-        assert canonical_order(x, y) <= 0
+        assert cmp_data(x, y) <= 0
 
 
 codas = st.builds(Coda, pure_data, pure_data)
@@ -184,6 +174,77 @@ def test_shared_codas_sort_without_unfolding():
     assert order == (0, -1, (kx > ks) - (kx < ks))
 
 
+def forge_hash(c, h):
+    object.__setattr__(c, "_hash", h)
+
+
+def fastest(call, times=3):
+    """The least of a few timings of `call()`, so that one pause of the
+    machine or the garbage collector does not fail a bound."""
+    spans = []
+    for _ in range(times):
+        start = time.perf_counter()
+        call()
+        spans.append(time.perf_counter() - start)
+    return min(spans)
+
+
+def test_deep_codas_are_equal_without_recursion():
+    x = nest(Coda((), (COLON,)), 10**5)
+    twin = nest(Coda((), (COLON,)), 10**5)
+    # differs only at the bottom, and every level's hash is forged to equal
+    # x's, so that only a walk to the bottom can tell the two apart
+    other = nest(Coda((COLON,), ()), 10**5)
+    a, b = x, other
+    while a.left:
+        forge_hash(b, a._hash)
+        a, b = a.left[0], b.left[0]
+    forge_hash(b, a._hash)
+    # compared into bools first, so that a failure prints no 10^5-deep coda
+    verdicts = x == twin, x == other, other == x
+    assert verdicts == (True, False, False)
+
+
+def test_equal_hashes_do_not_make_codas_equal():
+    a, b = word("a"), word("b")
+    # the last three have the same codas below, split or counted differently
+    for x, y in [(Coda((COLON,), ()), Coda((), (COLON,))),
+                 (Coda((a,), (a,)), Coda((a,), (b,))),
+                 (Coda((a,), (a, a)), Coda((a, a), (a,))),
+                 (Coda((a,), (a,)), Coda((a, a), (a,))),
+                 (Coda((a,), (a,)), Coda((a,), (a, a)))]:
+        forge_hash(y, x._hash)
+        assert x != y and y != x
+        # built over the forged pair, the parents' hashes agree as well
+        px, py = Coda((x, a), (COLON,)), Coda((y, a), (COLON,))
+        assert px._hash == py._hash
+        assert px != py and py != px
+        assert (px,) != (py,)
+
+
+def test_shared_codas_are_equal_without_unfolding():
+    x = doubled(word("a"), 40)
+    twin = doubled(Coda(word("a").left, word("a").right), 40)
+    verdicts = x == twin, x == doubled(word("b"), 40)
+    assert verdicts == (True, False)
+    assert fastest(lambda: x == twin) < 0.01
+    for program, want in [((word("once"),), (twin,)),
+                          ((word("is"), x), (twin, x)),
+                          ((word("isnt"), x), ())]:
+        out = evaluate((Coda(program, (twin, x)),), prelude())
+        assert out.normalized and out.result == want
+
+
+def test_repr_is_bounded():
+    assert repr(COLON) == "<coda (:)>"
+    assert repr(word("a")) == "<coda a>"
+    for c in (doubled(word("a"), 40), nest(COLON, 10**5)):
+        assert fastest(lambda: repr(c)) < 0.1
+        text = repr(c)
+        assert len(text) == len("<coda ...>") + REPR_CHARS
+        assert text.endswith("...>")
+
+
 def test_count_small_cells():
     assert count_pure_data(SizeBound(0, 0)) == 1
     assert count_pure_data(SizeBound(1, 1)) == 2
@@ -199,8 +260,16 @@ def test_enumeration_matches_count(bound):
     keys = [data_key(d) for d in items]
     assert keys == sorted(keys)
     for d in items:
-        w, dep = measure(d)
+        w, dep = size_by_recursion(d)
         assert w <= bound.width and dep <= bound.depth
+    assert size_by_recursion((Coda((COLON, COLON), ()),)) == (2, 2)
+
+
+def size_by_recursion(d):
+    """The width (longest sequence) and depth (nesting of codas) of `d`."""
+    sizes = [size_by_recursion(side) for c in d for side in (c.left, c.right)]
+    return (max([len(d)] + [w for w, _ in sizes]),
+            max(dep for _, dep in sizes) + 1 if d else 0)
 
 
 def test_enumeration_cap():
