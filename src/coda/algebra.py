@@ -148,15 +148,14 @@ class Law:
 def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
           ctx: Optional[Context] = None) -> Verdict:
     """Judge `law` on every tuple of `law.arity` probes, in product order.
-    One engine per comparison and one memo per verdict; the first comparison
-    that never agrees refutes, and exhaustion counts as undecided."""
-    ctx = ctx if ctx is not None else prelude()
+    One engine per verdict, with a budget window per comparison; the first
+    comparison that never agrees refutes, and exhaustion counts as undecided."""
     cases = law.cases(*operands)
     undecided, checked = False, 0
-    memo: dict = {}  # normal forms shared by this verdict's cases
+    eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
     for used in itertools.product(probes.probes, repeat=law.arity):
         for lhs, rhs in cases(*used):
-            eng = Engine(ctx, probes.budget, memo)
+            eng.begin()
             t = eng.tri_equal(lhs, rhs)
             checked += 1
             if eng.exhausted or t is TriBool.UNDECIDED:

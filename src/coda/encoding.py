@@ -15,13 +15,15 @@ All of these are invariant data once the marker definitions are installed.
 
 Decoding reads each byte atom's value from a table of the 256 byte atoms,
 so a coda decodes exactly when it equals one of them.  Built atoms and
-decoded texts are kept in caches bounded at `_TEXT_CAP` entries.
+decoded texts are kept in caches bounded at `_TEXT_CAP` entries, except
+the words made with `kept_word` (the prelude's triggers), which `word`
+returns as the same atom for good.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional
 
 from .terms import COLON, Coda, Data
 
@@ -54,12 +56,23 @@ def bits(text: str) -> Data:
 _TEXT_CAP = 4096
 
 
+# words that stay canonical: a definition's trigger is matched by identity
+# first, so the LRU must not replace it with an equal copy
+_KEPT: Dict[str, Coda] = {}
+
+
 @lru_cache(maxsize=_TEXT_CAP)
 def word(text: str) -> Coda:
-    return Coda((WORD_MARKER,), bits(text))
+    kept = _KEPT.get(text)
+    return kept if kept is not None else Coda((WORD_MARKER,), bits(text))
 
 
-WORD_LANG = word(LANG_NAME)
+def kept_word(text: str) -> Coda:
+    """`word(text)`, and the atom `word` returns for `text` from now on."""
+    return _KEPT.setdefault(text, word(text))
+
+
+WORD_LANG = kept_word(LANG_NAME)
 
 
 @lru_cache(maxsize=_TEXT_CAP)
@@ -90,15 +103,22 @@ def is_word_atom(c: Coda) -> bool:
     return word_text(c) is not None
 
 
+def _marked(c: Coda, marker: Coda) -> bool:
+    """Whether `c.left` is `(marker,)`, by identity and then by hash before
+    `==`, so most codas are told apart without a call to `Coda.__eq__`."""
+    if len(c.left) != 1:
+        return False
+    m = c.left[0]
+    return m is marker or m._hash == marker._hash and m == marker
+
+
 def word_text(c: Coda) -> Optional[str]:
     """The text of a word atom, or None if `c` is not one."""
-    if c.left != (WORD_MARKER,):
-        return None
-    return _text(c)
+    return _text(c) if _marked(c, WORD_MARKER) else None
 
 
 def is_lang_atom(c: Coda) -> bool:
-    return len(c.left) == 1 and c.left[0] == WORD_LANG
+    return _marked(c, WORD_LANG)
 
 
 def lang_source(c: Coda) -> Optional[str]:

@@ -4,9 +4,9 @@ A context is a partial function from codas to data.  Named definitions
 trigger on a word atom heading the left data of a coda: in (name A : B) the
 definition receives A (the rest of the left data) and B (the right data).
 Marker definitions are fixed points: their codas are atoms.  A language
-atom heading a coda is a definition too, built by `dispatch` from the
-atom's own source (decoded once per atom, then cached): it always applies,
-and `eval_coda`, `step` and the decision helpers treat it as any other.
+atom heading a coda is a definition too, built from the atom's own source
+(decoded once per atom, then cached): it always applies, and `eval_coda`,
+`step` and the decision helpers treat it as any other.
 
 Evaluation strategy: repeated outermost rewriting, left to right.  A coda's
 head is evaluated just far enough to resolve dispatch; branch guards may
@@ -22,19 +22,26 @@ unnormalized when the limit was reached before some later coda or atom,
 not whenever it was reached: under Budget(max_steps=1), `a (null:x)` is
 normalized with steps_used 1, while `(null:x) a` and `a (null:x) b` are not.
 
+Normalising is not idempotent in cost: a builtin's result is walked again
+in full, also where it holds operands already normalised, and a stuck `=`
+or `ar` coda in it re-runs its guard and charges for it again.
+
 Normal-form memo.  The engine remembers, per context, each coda it
 normalized together with the steps and nodes that evaluation charged.  The
 memo is exact: a hit charges the stored steps and nodes, and is taken only
-when they fit strictly inside the remaining budget, so exhaustion happens
-where recomputing would have put it; an entry is stored only when its
-evaluation ended unexhausted in the context it started in (a `def` firing
-inside prevents the store).  Results, `normalized` and `steps_used` are the
-same as without it.  Its scope is one engine (so one `evaluate`), or one law
-verdict or carrier extraction, whose engines share it through the `memo`
-argument; it is never kept across calls.  Each context's entries are
-cleared when they reach MEMO_CAP.  Atoms bypass the memo: a coda that is
-(:X) or headed by a fixed point (a bit, byte or word atom) evaluates to
-itself at no charge, so `eval_data` returns it before any lookup or store.
+when they fit strictly inside the window's remaining budget, so exhaustion
+happens where recomputing would have put it; an entry is stored only when
+its evaluation ended unexhausted in the context it started in (a `def`
+firing inside prevents the store).  Results, `normalized` and `steps_used`
+are the same as without it.  Its scope is one engine, across the windows
+`begin()` opens for a law verdict's cases or a carrier extraction's normal
+forms, each back in the engine's own context and entries; it is never kept
+across calls.  An entry is filed under the coda's `_hash` and holds the
+coda, which a hit must be or equal (else it is a miss), so no lookup calls
+`Coda.__hash__`.  Each context's entries are cleared when they reach
+MEMO_CAP.  Atoms bypass the memo: a coda that is (:X) or headed by a fixed
+point (a bit, byte or word atom) evaluates to itself at no charge, so
+`eval_data` returns it before any lookup or store.
 """
 
 from __future__ import annotations
@@ -71,8 +78,9 @@ class TriBool(enum.Enum):
     UNDECIDED = "undecided"
 
 
-# a memoised normal form: the result and the steps and nodes it charged
-MemoEntry = Tuple[Data, int, int]
+# a memoised normal form, filed under the coda's hash: the coda, its normal
+# form and the steps and nodes its evaluation charged
+MemoEntry = Tuple[Coda, Data, int, int]
 
 
 @dataclass
@@ -88,14 +96,17 @@ class Definition:
 
     `apply` implements the branch list natively: it returns the rewritten
     data, or None when no branch is in domain (the coda stays put).
-    Fixed-point definitions are atom makers: their codas are atoms and are
-    never rewritten or evaluated inside.
+    `strict` names the operands ("A", "B" or "AB", A first) that
+    `Engine._rewrite` normalises before `apply` sees them.  Fixed-point
+    definitions are atom makers: their codas are atoms and are never
+    rewritten or evaluated inside.
     """
 
     name: str
     trigger: Coda
     apply: Optional[BranchFn] = None
     fixed_point: bool = False
+    strict: str = ""
 
 
 class Context:
@@ -119,28 +130,33 @@ class Context:
 
 
 class Engine:
-    """One evaluation: a context, a budget and the step/node meters.
+    """A context, a budget and the step/node meters, for one evaluation or
+    for a run of them (the cases of a law verdict, the normalisations of a
+    carrier extraction): `begin()` opens a fresh budget window for each.
+    The meters count on across windows; the limits are the meters at the
+    window's start plus the budget."""
 
-    `memo` is a dict to share normal forms with other engines (one law
-    verdict, one carrier extraction): pass the same empty dict to each.
-    The engine files its entries under the context they were computed in.
-    Without it the engine keeps a private memo.
-    """
-
-    def __init__(self, context: Context, budget: Budget = DEFAULT_BUDGET,
-                 memo: Optional[Dict[Context, Dict[Coda, MemoEntry]]] = None):
-        self.context = context
+    def __init__(self, context: Context, budget: Budget = DEFAULT_BUDGET):
         self.budget = budget
         self.steps = 0
         self.nodes = 0
+        self._own_context = context
+        self._own_memo: Dict[int, MemoEntry] = {}
+        self.begin()
+
+    def begin(self) -> None:
+        """Open a fresh budget window, in the engine's own context and memo:
+        what a `def` bound in the last window is gone."""
+        self.max_steps = self.steps + self.budget.max_steps
+        self.max_nodes = self.nodes + self.budget.max_nodes
         self.exhausted = False
-        self._memo_context = context
-        self._memo = (memo if memo is not None else {}).setdefault(context, {})
+        self.context = self._memo_context = self._own_context
+        self._memo = self._own_memo
 
     # -- budget ------------------------------------------------------------
 
     def spent(self) -> bool:
-        if self.steps >= self.budget.max_steps or self.nodes >= self.budget.max_nodes:
+        if self.steps >= self.max_steps or self.nodes >= self.max_nodes:
             self.exhausted = True
         return self.exhausted
 
@@ -168,46 +184,51 @@ class Engine:
         """The normal form of `d`, coda by coda."""
         out: list = []
         atom = False  # an atom came after the last eval_coda
+        defs = self.context.defs
         for c in d:
             if c.left:
-                defn = self.context.defs.get(c.left[0])
+                defn = defs.get(c.left[0])
                 if defn is None or not defn.fixed_point:
-                    out.extend(self.eval_coda(c))
+                    out.extend(self.eval_coda(c, defn))
+                    defs = self.context.defs  # a def may have replaced the context
                     atom = False
                     continue
             # (:X), or an atom maker's coda such as a word: an atom, which
             # stays out of the memo
             out.append(c)
             atom = True
-        if atom:
-            # exhaustion is noted as for any coda; the meters only move in
-            # eval_coda, which checks on entry, so one check per trailing
-            # run of atoms sets `exhausted` where a check per atom would
-            self.spent()
+        # exhaustion is noted as for any coda; the meters only move in
+        # eval_coda, which checks on entry, so one check per trailing run of
+        # atoms sets `exhausted` where a check per atom would
+        if atom and (self.steps >= self.max_steps or self.nodes >= self.max_nodes):
+            self.exhausted = True
         return tuple(out)
 
-    def eval_coda(self, c: Coda) -> Data:
-        """The normal form of `c`: from the memo, or by rewriting and
-        storing the result.  `eval_data` keeps atoms away from it."""
-        if self.spent() or not c.left:
-            return (c,)  # out of budget, or (:X), a fixed point
+    def eval_coda(self, c: Coda, defn: Optional[Definition]) -> Data:
+        """The normal form of `c`, a coda with a head, whose head's entry in
+        the context is `defn`: from the memo, or by rewriting and storing
+        the result.  `eval_data` keeps atoms away from it."""
+        if self.steps >= self.max_steps or self.nodes >= self.max_nodes:
+            self.exhausted = True
+            return (c,)
         context = self.context
         if context is not self._memo_context:
             # a def replaced the context: earlier entries no longer apply
             self._memo_context = context
             self._memo = {}
         memo = self._memo
-        hit = memo.get(c)
+        hit = memo.get(c._hash)
         if hit is not None:
-            result, steps, nodes = hit
-            if (self.steps + steps < self.budget.max_steps
-                    and self.nodes + nodes < self.budget.max_nodes):
+            key, result, steps, nodes = hit
+            if ((key is c or key == c) and self.steps + steps < self.max_steps
+                    and self.nodes + nodes < self.max_nodes):
                 self.steps += steps
                 self.nodes += nodes
                 return result
         key, steps, nodes = c, self.steps, self.nodes
         while True:
-            defn = self.dispatch(c)
+            if defn is None and is_lang_atom(c.left[0]):
+                defn = _lang_definition(c.left[0])
             if defn is None:
                 head = c.left[0]
                 hv = self.eval_data((head,))
@@ -216,6 +237,7 @@ class Engine:
                     if self.spent() or not c.left:
                         result = (c,)
                         break
+                    defn = self.context.defs.get(c.left[0])
                     continue
                 # head is normal and out of domain: the coda is inert;
                 # normalize its components (congruence steps only)
@@ -231,23 +253,33 @@ class Engine:
             if res is None:
                 result = (c,)  # stuck as-is
                 break
-            self.charge(res)
+            self.steps += 1
+            self.nodes += len(res)
             result = self.eval_data(res)
             break
         if not self.exhausted and self.context is context:
             if len(memo) >= MEMO_CAP:
                 memo.clear()
-            memo[key] = (result, self.steps - steps, self.nodes - nodes)
+            memo[key._hash] = (key, result, self.steps - steps, self.nodes - nodes)
         return result
 
     def _rewrite(self, c: Coda, defn: Definition) -> Optional[Data]:
         """`c` rewritten by its definition `defn`, or None when the coda
         stays put: `defn` is a fixed point, no branch is in domain, or the
-        branch's guards spent the budget (so steps never pass the limit)."""
+        operands' normalisation or the branch's guards spent the budget (so
+        steps never pass the limit)."""
         if defn.fixed_point:
             return None
-        res = defn.apply(self, c.left[1:], c.right)
-        return None if res is None or self.spent() else res
+        a, b = c.left[1:], c.right
+        if "A" in defn.strict:
+            a = self.eval_data(a)
+        if "B" in defn.strict:
+            b = self.eval_data(b)
+        res = defn.apply(self, a, b)
+        if res is None or self.steps < self.max_steps and self.nodes < self.max_nodes:
+            return res
+        self.exhausted = True
+        return None
 
     # -- decision helpers --------------------------------------------------
 
@@ -378,7 +410,7 @@ def classify_atom(c: Coda, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> str
     defn = eng.dispatch(c)
     if defn is None:
         head = c.left[0]
-        hv = eng.eval_coda(head)
+        hv = eng.eval_data((head,))
         if hv != (head,):
             return classify_atom(Coda(hv + c.left[1:], c.right), ctx, budget)
         if eng.exhausted:

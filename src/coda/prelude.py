@@ -4,19 +4,19 @@ Each builtin implements its rewrite branches natively; the branch function
 receives the engine (for guard evaluation against the shared budget), the
 left-data tail A and the right data B of the coda (name A : B).  Returning
 None means no branch is in domain and the coda stays put.  A builtin that
-branches on the normal form of A, B or both says so once, with `_strict`.
+branches on the normal form of A, B or both says so once, in `_BRANCHES`;
+`Engine._rewrite` normalises those operands before the branch sees them.
 """
 
 from __future__ import annotations
 
-from functools import wraps
 from typing import Optional
 
 from .encoding import (
     BIT_MARKER,
     BYTE_MARKER,
     WORD_MARKER,
-    word,
+    kept_word,
     word_text,
 )
 from .engine import (
@@ -61,26 +61,6 @@ def _word_order(d: Data) -> Data:
     return tuple(sorted(d, key=_sort_key))
 
 
-def _strict(operands: str):
-    """Branch decorator: normalise the operands named in `operands` ("A",
-    "B" or "AB", A first) before the branch sees them.  When that spends the
-    budget, `Engine._rewrite` leaves the coda put."""
-    strict_a, strict_b = "A" in operands, "B" in operands
-
-    def wrap(branch):
-        @wraps(branch)
-        def apply(eng, a, b):
-            if strict_a:
-                a = eng.eval_data(a)
-            if strict_b:
-                b = eng.eval_data(b)
-            return branch(eng, a, b)
-
-        return apply
-
-    return wrap
-
-
 # ---------------------------------------------------------------------------
 # Branch functions
 
@@ -96,14 +76,12 @@ def _b_right(eng, a, b):
     return b
 
 
-@_strict("AB")
 def _b_put(eng, a, b):
     # normalized before wrapping: marker codas are fixed points, so whatever
     # ends up inside would otherwise stay frozen unevaluated
     return (Coda(a, b),)
 
 
-@_strict("AB")
 def _b_get(eng, a, b):
     out: list = []
     for c in b:
@@ -112,14 +90,12 @@ def _b_get(eng, a, b):
     return tuple(out)
 
 
-@_strict("AB")
 def _b_get0(eng, a, b):
     if b and b[0].left == a:
         return b[0].right
     return ()
 
 
-@_strict("B")
 def _b_atoms(eng, a, b):
     if not all(eng.is_atom(c) for c in b):
         return None
@@ -159,7 +135,6 @@ def _b_while(eng, a, b):
     return None
 
 
-@_strict("A")
 def _b_prod(eng, a, b):
     cur = b
     for c in reversed(a):
@@ -167,12 +142,10 @@ def _b_prod(eng, a, b):
     return cur
 
 
-@_strict("A")
 def _b_sum(eng, a, b):
     return tuple(Coda(c.right, b) for c in a)
 
 
-@_strict("B")
 def _b_domain(eng, a, b):
     out: list = []
     for c in b:
@@ -180,19 +153,16 @@ def _b_domain(eng, a, b):
     return tuple(out)
 
 
-@_strict("B")
 def _b_ap(eng, a, b):
     return tuple(Coda(a, (c,)) for c in b)
 
 
-@_strict("A")
 def _b_aq(eng, a, b):
     if len(a) < 2 or not b:
         return ()
     return tuple(Coda((a[0], x), b) for x in a[1:])
 
 
-@_strict("AB")
 def _b_ar(eng, a, b):
     if not a:
         return None
@@ -200,12 +170,10 @@ def _b_ar(eng, a, b):
     return tuple(Coda((op, x), (y,)) for x in rest for y in b)
 
 
-@_strict("AB")
 def _b_first(eng, a, b):
     return b[: _word_count(a)]
 
 
-@_strict("AB")
 def _b_last(eng, a, b):
     n = _word_count(a)
     return b[-n:] if n else ()
@@ -214,7 +182,6 @@ def _b_last(eng, a, b):
 def _has(keep_matching: bool):
     """has/hasnt: keep the codas of B whose trigger is (or is not) A."""
 
-    @_strict("AB")
     def branch(eng, a, b):
         return tuple(c for c in b if (_domain_of(eng, c) == a) is keep_matching)
 
@@ -264,7 +231,6 @@ def _is(keep_equal: bool):
                 out.append(c)
         return tuple(out)
 
-    @_strict("AB")
     def branch(eng, a, b):
         if not b:
             return ()
@@ -272,9 +238,10 @@ def _is(keep_equal: bool):
         if not all(k is True or k is False for k in kinds):
             return by_pairs(eng, a, b)
         atomic_a = all(kinds)
+        members = set(a)
         out: list = []
         for c in b:
-            if c in a:
+            if c in members:
                 equal = True
             elif not a or (atomic_a and eng.atom_or_eq(c) is True):
                 equal = False
@@ -287,7 +254,6 @@ def _is(keep_equal: bool):
     return branch
 
 
-@_strict("AB")
 def _b_once(eng, a, b):
     seen = set(a)
     out: list = []
@@ -298,64 +264,62 @@ def _b_once(eng, a, b):
     return tuple(out)
 
 
-@_strict("B")
 def _b_rev(eng, a, b):
     return tuple(reversed(b))
 
 
-@_strict("AB")
 def _b_remove(eng, a, b):
     if a and b[: len(a)] == a:
         return b[len(a) :]
     return b
 
 
-@_strict("B")
 def _b_sort(eng, a, b):
     return _word_order(b)
 
 
-@_strict("AB")
 def _b_min(eng, a, b):
     if a:
         return min(a, b, key=data_key)
     return _word_order(b)[:1]
 
 
+# each builtin's branch function, and the operands ("A", "B" or "AB") it
+# needs normalised
 _BRANCHES = {
-    "pass": _b_right,
-    "null": _b_null,
-    "left": _b_left,
-    "right": _b_right,
-    "const": _b_left,
-    "put": _b_put,
-    "get": _b_get,
-    "get0": _b_get0,
-    "atoms": _b_atoms,
-    "bool": _switch("B", "()", "(:)"),
-    "not": _switch("B", "(:)", "()"),
-    "=": _b_eq,
-    "def": _b_def,
-    "if": _switch("A", "B", "()"),
-    "nif": _switch("A", "()", "B"),
-    "while": _b_while,
-    "prod": _b_prod,
-    "sum": _b_sum,
-    "domain": _b_domain,
-    "ap": _b_ap,
-    "aq": _b_aq,
-    "ar": _b_ar,
-    "first": _b_first,
-    "last": _b_last,
-    "has": _has(True),
-    "hasnt": _has(False),
-    "is": _is(True),
-    "isnt": _is(False),
-    "once": _b_once,
-    "rev": _b_rev,
-    "remove": _b_remove,
-    "sort": _b_sort,
-    "min": _b_min,
+    "pass": (_b_right, ""),
+    "null": (_b_null, ""),
+    "left": (_b_left, ""),
+    "right": (_b_right, ""),
+    "const": (_b_left, ""),
+    "put": (_b_put, "AB"),
+    "get": (_b_get, "AB"),
+    "get0": (_b_get0, "AB"),
+    "atoms": (_b_atoms, "B"),
+    "bool": (_switch("B", "()", "(:)"), ""),
+    "not": (_switch("B", "(:)", "()"), ""),
+    "=": (_b_eq, ""),
+    "def": (_b_def, ""),
+    "if": (_switch("A", "B", "()"), ""),
+    "nif": (_switch("A", "()", "B"), ""),
+    "while": (_b_while, ""),
+    "prod": (_b_prod, "A"),
+    "sum": (_b_sum, "A"),
+    "domain": (_b_domain, "B"),
+    "ap": (_b_ap, "B"),
+    "aq": (_b_aq, "A"),
+    "ar": (_b_ar, "AB"),
+    "first": (_b_first, "AB"),
+    "last": (_b_last, "AB"),
+    "has": (_has(True), "AB"),
+    "hasnt": (_has(False), "AB"),
+    "is": (_is(True), "AB"),
+    "isnt": (_is(False), "AB"),
+    "once": (_b_once, "AB"),
+    "rev": (_b_rev, "B"),
+    "remove": (_b_remove, "AB"),
+    "sort": (_b_sort, "B"),
+    "min": (_b_min, "AB"),
 }
 
 # atom makers: their codas are fixed points
@@ -363,16 +327,17 @@ _FIXED_POINTS = {
     "bit-marker": BIT_MARKER,
     "byte-marker": BYTE_MARKER,
     "word-marker": WORD_MARKER,
-    "{}": word("{}"),
-    "q": word("q"),
-    "n": word("n"),
-    "b": word("b"),
+    "{}": kept_word("{}"),
+    "q": kept_word("q"),
+    "n": kept_word("n"),
+    "b": kept_word("b"),
 }
 
 
 def builtin(name: str) -> Definition:
     if name in _BRANCHES:
-        return Definition(name=name, trigger=word(name), apply=_BRANCHES[name])
+        apply, strict = _BRANCHES[name]
+        return Definition(name=name, trigger=kept_word(name), apply=apply, strict=strict)
     if name in _FIXED_POINTS:
         return Definition(name=name, trigger=_FIXED_POINTS[name], fixed_point=True)
     raise UnknownBuiltin(name)

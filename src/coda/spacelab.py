@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import HOLDS, REFUTED, ProbeSet, Verdict, default_probes
 from .encoding import word
-from .engine import Budget, Context, Engine
+from .engine import Context, Engine
 from .lang import render
 from .prelude import prelude
 from .terms import CapExceeded, Coda, Data, data_key
@@ -92,13 +92,12 @@ class CarrierTable:
         return None
 
 
-def _normalize(space: Data, x: Data, ctx: Context, budget: Budget,
-               memo: dict) -> Optional[Data]:
-    eng = Engine(ctx, budget, memo)
-    out = eng.eval_data((Coda(tuple(space), tuple(x)),))
-    if eng.exhausted:
-        return None
-    return out
+def _normalize(eng: Engine, space: Data, x: Data) -> Optional[Data]:
+    """The normal form of (space : x) in a fresh budget window of `eng`, or
+    None if it exhausts the budget."""
+    eng.begin()
+    out = eng.eval_data((Coda(space, x),))
+    return None if eng.exhausted else out
 
 
 def extract_carrier(
@@ -115,49 +114,47 @@ def extract_carrier(
     exhausts the probes' budget, is None in the table; on_overflow="raise"
     turns the cap into CarrierOverflow.
     """
-    ctx = ctx if ctx is not None else prelude()
     probes = probes if probes is not None else default_probes()
-    budget = probes.budget
     space = tuple(space)
+    eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
 
-    memo: dict = {}  # normal forms shared by this extraction's engines
-    seen: Dict[Data, None] = {}
-    neutral_elem = _normalize(space, (), ctx, budget, memo)
+    neutral_elem = _normalize(eng, space, ())
     if neutral_elem is None:
         raise CarrierOverflow("budget exhausted while normalizing the neutral")
-    seen[neutral_elem] = None
+    found: List[Data] = [neutral_elem]  # the elements, numbered as found
+    number: Dict[Data, int] = {neutral_elem: 0}
     for p in probes.probes:
-        e = _normalize(space, p, ctx, budget, memo)
-        if e is not None:
-            seen[e] = None
+        e = _normalize(eng, space, p)
+        if e is not None and e not in number:
+            number[e] = len(found)
+            found.append(e)
 
     # every element enters one frontier and is summed there, both ways, with
-    # every element seen before it, so `sums` ends up holding every pair
-    sums: Dict[Tuple[Data, Data], Optional[Data]] = {}
-    frontier = list(seen)
+    # every element found before it, so `sums` ends up holding every pair:
+    # the number of the sum, or None
+    sums: Dict[Tuple[int, int], Optional[int]] = {}
+    frontier = range(len(found))
     while frontier:
-        new: List[Data] = []
+        start = len(found)
         for x in frontier:
-            for y in list(seen):
+            for y in range(len(found)):
                 for a, b in ((x, y), (y, x)):
-                    s = sums[a, b] = _normalize(space, a + b, ctx, budget, memo)
-                    if s is not None and s not in seen:
-                        if len(seen) >= cap:
+                    s = _normalize(eng, space, found[a] + found[b])
+                    k = None if s is None else number.get(s)
+                    if s is not None and k is None:
+                        if len(found) >= cap:
                             if on_overflow == "raise":
-                                raise CarrierOverflow(
-                                    f"more than {cap} carrier elements"
-                                )
-                            continue
-                        seen[s] = None
-                        new.append(s)
-        frontier = new
+                                raise CarrierOverflow(f"more than {cap} carrier elements")
+                        else:
+                            k = number[s] = len(found)
+                            found.append(s)
+                    sums[a, b] = k
+        frontier = range(start, len(found))
 
-    elements = tuple(sorted(seen, key=data_key))
-    index = {e: i for i, e in enumerate(elements)}
-    table = tuple(
-        tuple(index.get(sums[x, y]) for y in elements) for x in elements
-    )
-    return CarrierTable(elements=elements, neutral=index[neutral_elem], add=table)
+    order = sorted(range(len(found)), key=lambda i: data_key(found[i]))
+    rank = {i: r for r, i in enumerate(order)}
+    table = tuple(tuple(rank.get(sums[x, y]) for y in order) for x in order)
+    return CarrierTable(elements=tuple(found[i] for i in order), neutral=rank[0], add=table)
 
 
 def carrier_from_function(

@@ -1,8 +1,23 @@
+import itertools
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from coda.algebra import (
+    ALGEBRAIC,
+    ASSOCIATIVE,
+    DISTRIBUTIVE,
+    HOLDS,
+    IDEMPOTENT,
+    LEFT_DISTRIBUTIVITY,
+    REFUTED,
+    RIGHT_DISTRIBUTIVITY,
+    UNDECIDED,
     ProbeSet,
+    Verdict,
+    Witness,
     apply_to,
+    check,
     check_algebraic,
     check_associative,
     check_distributive,
@@ -16,12 +31,12 @@ from coda.algebra import (
     sum_data,
 )
 from coda.encoding import word
-from coda.engine import evaluate
+from coda.engine import Budget, Engine, TriBool, evaluate
 from coda.lang import parse, render
 from coda.prelude import prelude
 from coda.terms import COLON
 
-from conftest import random_data
+from conftest import SAFE_WORDS, random_data
 
 
 def ev(d):
@@ -193,3 +208,61 @@ def test_every_probe_pair_is_judged():
     ps = ProbeSet(tuple((word(f"w{i}"),) for i in range(150)))
     v = check_distributive(parse("null"), ps)
     assert v.holds and v.checked == 150 * 150
+
+
+def check_by_fresh_engines(law, operands, probes, ctx):
+    """`check` with a fresh engine for each comparison: the reference for
+    the budget windows of one engine."""
+    cases = law.cases(*operands)
+    undecided, checked = False, 0
+    for used in itertools.product(probes.probes, repeat=law.arity):
+        for lhs, rhs in cases(*used):
+            eng = Engine(ctx, probes.budget)
+            t = eng.tri_equal(lhs, rhs)
+            checked += 1
+            if eng.exhausted or t is TriBool.UNDECIDED:
+                undecided = True
+            elif t is TriBool.NEVER:
+                return Verdict(REFUTED, law.name, checked, Witness(used, lhs, rhs))
+    return Verdict(UNDECIDED if undecided else HOLDS, law.name, checked)
+
+
+# probes that bind a word, then use it: a def that leaked from one case
+# into the next would leave the next case's def stuck and its use rewritten
+DEFINING = [parse(src) for src in ("(def f : a) (f : b)", "(f : b) (def f : rev)", "def f : a b")]
+LAW_WORDS = SAFE_WORDS + ("def", "f", "sort", "once", "is")
+BUDGETS = [Budget(max_steps=n) for n in range(1, 13)] + [Budget()]
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([IDEMPOTENT, ASSOCIATIVE, ALGEBRAIC, DISTRIBUTIVE,
+                        RIGHT_DISTRIBUTIVITY, LEFT_DISTRIBUTIVITY]),
+       st.lists(st.sampled_from(DEFINING), max_size=2),
+       st.sampled_from(BUDGETS))
+def test_one_engine_per_verdict_matches_fresh_engines(rng, law, defining, budget):
+    operands = [random_data(rng, 2, words=LAW_WORDS) for _ in range(3 if "distributivity" in law.name else 1)]
+    probes = ProbeSet(tuple(random_data(rng, 2, words=LAW_WORDS) for _ in range(rng.randrange(1, 4)))
+                      + tuple(defining), budget)
+    got = check(law, operands, probes, prelude())
+    want = check_by_fresh_engines(law, operands, probes, prelude())
+    assert (got.status, got.checked, got.witness) == (want.status, want.checked, want.witness)
+    # a verdict hides most of a case; its normal forms and charges do not
+    assert case_outcomes(law, operands, probes, False) == case_outcomes(law, operands, probes, True)
+
+
+def case_outcomes(law, operands, probes, fresh):
+    """Each case's normal forms, verdict, exhaustion and charges, judged in
+    a fresh engine or in a fresh window of one engine."""
+    eng = Engine(prelude(), probes.budget)
+    out = []
+    for used in itertools.product(probes.probes, repeat=law.arity):
+        for lhs, rhs in law.cases(*operands)(*used):
+            if fresh:
+                eng = Engine(prelude(), probes.budget)
+            eng.begin()
+            steps, nodes = eng.steps, eng.nodes
+            a, b = eng.eval_data(lhs), eng.eval_data(rhs)
+            out.append((a, b, eng.tri_compare(a, b), eng.exhausted, eng.steps - steps, eng.nodes - nodes))
+    return out

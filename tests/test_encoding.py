@@ -1,8 +1,9 @@
 from coda.encoding import (
     _TEXT_CAP, BIT0, BIT1, BYTE_MARKER, WORD_MARKER, bits, byte_atom, decode_bytes,
-    lang_atom, word,
+    lang_atom, word, word_text,
 )
 from coda.lang import parse
+from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
 
@@ -63,3 +64,15 @@ def test_atom_caches_are_bounded():
     assert lang_atom.cache_info().currsize <= _TEXT_CAP
     # an atom dropped from the cache is rebuilt equal
     assert parse("w0") == (word("w0"),) == (Coda((WORD_MARKER,), bits("w0")),)
+
+
+def test_prelude_triggers_outlive_the_word_cache():
+    # a definition's trigger is matched by identity first, so a word the
+    # LRU dropped must come back as the prelude's own atom, not a copy
+    triggers = {word_text(t): t for t in prelude().defs if word_text(t) is not None}
+    for i in range(_TEXT_CAP + 1):
+        word(f"evict{i}")
+    assert word.cache_info().currsize == _TEXT_CAP
+    assert parse("sort : a")[0].left[0] is triggers["sort"]
+    for text, trigger in triggers.items():
+        assert word(text) is trigger, text

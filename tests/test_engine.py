@@ -106,10 +106,24 @@ def test_exhaustion_at_an_atom(src, steps, normalized, used):
     assert (out.normalized, out.steps_used) == (normalized, used)
 
 
+@pytest.mark.parametrize("src, result", [
+    ("first 2 : (= nif X:(last (:):(:)) (:(:) nif))", "(= nif X:(last (:):(:)) (:(:) nif))"),
+    ("sort : (= nif X:(last (:):(:)) (:(:) nif)) a", "(= nif X:(last (:):(:)) (:(:) nif)) a"),
+    ("rev : (ar:nif ((left (:):((:) (:) (:):(:) (:) (:)) (:)):word-marker last bit-marker))",
+     "(ar:nif ((left (:):((:) (:) (:):(:) (:) (:)) (:)):word-marker last bit-marker))"),
+])
+def test_walking_a_normal_form_again_charges(src, result):
+    # the builtin's operand is normal after its first step, but the stuck
+    # `=` or `ar` coda in the result re-runs its guard when the result is
+    # walked: 3 steps, where skipping that walk would charge 2
+    out = evaluate(parse(src), prelude())
+    assert (render(out.result), out.normalized, out.steps_used) == (result, True, 3)
+
+
 def test_atoms_bypass_the_memo():
     eng = Engine(prelude())
     assert render(eng.eval_data(parse("a (:b) (pass : c (d:e))"))) == "a (:b) c (d:e)"
-    assert set(eng._memo) == {parse("pass : c (d:e)")[0], parse("d:e")[0]}
+    assert {key for key, *_ in eng._memo.values()} == {parse("pass : c (d:e)")[0], parse("d:e")[0]}
 
 
 def test_no_runtime_errors_on_junk():
@@ -193,9 +207,9 @@ SEARCH_SPACES = ("bool", "sort", "once", "pass", "is a b", "first 2",
 
 @pytest.mark.parametrize("src", SEARCH_SPACES)
 def test_shared_memo_is_exact(src):
-    # the associativity forms of one verdict, evaluated in turn by engines
-    # sharing one memo, under budgets that run out before, at and after
-    # the point a memo hit would reach
+    # the associativity forms of one verdict, evaluated in turn in the
+    # budget windows of one engine, under budgets that run out before, at
+    # and after the point a memo hit would reach
     space = parse(src)
     probes = small_probes(("a", "b")).probes
     forms = []
@@ -207,43 +221,55 @@ def test_shared_memo_is_exact(src):
     ctx = prelude()
     for steps in range(1, 61):
         budget = Budget(max_steps=steps)
-        memo: dict = {}
+        shared = Engine(ctx, budget)
         for form in forms:
             expect = _run(_Unmemoised(ctx, budget), form)
-            assert _run(Engine(ctx, budget, memo), form) == expect
+            assert _windowed(shared, form) == expect
             assert _run(Engine(ctx, budget), form) == expect
 
 
+def _windowed(eng, form):
+    """`_run` in a fresh window of `eng`, with the meters read from the
+    window's start."""
+    eng.begin()
+    steps, nodes = eng.steps, eng.nodes
+    result, exhausted, _, _ = _run(eng, form)
+    return result, exhausted, eng.steps - steps, eng.nodes - nodes
+
+
 def test_memo_hit_respects_the_remaining_budget():
+    # the memo is filled under a budget with room to spare, then read in
+    # windows of budgets that run out before, at and after its entries' cost
     form = parse("sort : (rev : b a) (rev : c)")
     ctx = prelude()
     cost = evaluate(form, ctx).steps_used
-    memo: dict = {}
-    Engine(ctx, Budget(max_steps=cost + 1), memo).eval_data(form)
+    shared = Engine(ctx, Budget(max_steps=cost + 1))
+    shared.eval_data(form)
     for steps in (cost - 1, cost, cost + 1):
         for d in (form, parse("pass : x") + form):
-            budget = Budget(max_steps=steps)
+            budget = shared.budget = Budget(max_steps=steps)
             expect = _run(_Unmemoised(ctx, budget), d)
-            assert _run(Engine(ctx, budget, memo), d) == expect
+            assert _windowed(shared, d) == expect
     eng = Engine(ctx)
     eng.eval_data(form)
-    budget = Budget(max_nodes=eng.nodes)
-    assert _run(Engine(ctx, budget, memo), form) == _run(_Unmemoised(ctx, budget), form)
+    budget = shared.budget = Budget(max_nodes=eng.nodes)
+    assert _windowed(shared, form) == _run(_Unmemoised(ctx, budget), form)
 
 
 def test_def_inside_an_evaluation_bypasses_the_memo():
     # the inert (f:x) normalized before the def must not answer after it
     assert ev("(f : x) (def f : g) (f : x)") == "(f:x) (g:x)"
-    memo: dict = {}
     ctx = prelude()
-    Engine(ctx, Budget(), memo).eval_data(parse("f : x"))
-    eng = Engine(ctx, Budget(), memo)
+    eng = Engine(ctx)
+    eng.eval_data(parse("f : x"))
+    eng.begin()
     assert render(eng.eval_data(parse("(def f : g) (f : x)"))) == "(g:x)"
     # an evaluation in which a def fires is not stored: a hit would skip
     # the def, and the engine would go on in the old context
     defines = "pass : (def h : g) (h : x)"
-    Engine(ctx, Budget(), memo).eval_data(parse(defines))
-    eng = Engine(ctx, Budget(), memo)
+    eng.begin()
+    eng.eval_data(parse(defines))
+    eng.begin()
     assert render(eng.eval_data(parse(f"({defines}) (h : y)"))) == "(g:x) (g:y)"
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 from coda.encoding import word
 from coda.engine import Budget, Context, TriBool, evaluate
 from coda.lang import parse, render
-from coda.prelude import _BRANCHES, UnknownBuiltin, _strict, builtin, prelude
+from coda.prelude import _BRANCHES, UnknownBuiltin, builtin, prelude
 from coda.terms import COLON, Coda
 
 
@@ -94,9 +94,9 @@ def test_is_isnt_filters():
 
 
 def is_by_pairs(keep_equal):
-    """Reference for is/isnt: compare each member of A with each coda of B."""
+    """Reference for is/isnt: compare each member of A with each coda of B.
+    `replace` keeps the builtin's `strict`, so A and B arrive normalised."""
 
-    @_strict("AB")
     def branch(eng, a, b):
         out = []
         for c in b:
@@ -145,7 +145,6 @@ def test_once_dedupes():
     assert ev("once a : a b a") == "b"
 
 
-@_strict("AB")
 def once_by_list(eng, a, b):
     """Reference for once: a first-occurrence scan of a list."""
     seen = list(a)

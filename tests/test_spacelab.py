@@ -43,7 +43,9 @@ from coda.spacelab import (
     zn_carrier,
     zero_endo,
 )
-from coda.terms import COLON, CapExceeded, Coda
+from coda.terms import COLON, CapExceeded, Coda, data_key
+
+from conftest import SAFE_WORDS, random_data
 
 
 def bool_carrier():
@@ -207,6 +209,87 @@ def test_extracted_table_matches_fresh_engines():
                 row.append(c.index_of(s))
             table.append(tuple(row))
         assert c.add == tuple(table)
+
+
+def extract_by_fresh_engines(space, probes, cap, on_overflow):
+    """`extract_carrier` with a fresh engine for each normal form, keyed by
+    the data themselves: the reference for the windows of one engine."""
+    budget, space = probes.budget, tuple(space)
+
+    def normalize(x):
+        eng = Engine(prelude(), budget)
+        out = eng.eval_data((Coda(space, tuple(x)),))
+        return None if eng.exhausted else out
+
+    seen = {}
+    neutral_elem = normalize(())
+    if neutral_elem is None:
+        raise CarrierOverflow("budget exhausted while normalizing the neutral")
+    seen[neutral_elem] = None
+    for p in probes.probes:
+        e = normalize(p)
+        if e is not None:
+            seen[e] = None
+    sums = {}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(seen):
+                for a, b in ((x, y), (y, x)):
+                    s = sums[a, b] = normalize(a + b)
+                    if s is not None and s not in seen:
+                        if len(seen) >= cap:
+                            if on_overflow == "raise":
+                                raise CarrierOverflow(f"more than {cap} carrier elements")
+                            continue
+                        seen[s] = None
+                        new.append(s)
+        frontier = new
+    elements = tuple(sorted(seen, key=data_key))
+    index = {e: i for i, e in enumerate(elements)}
+    table = tuple(tuple(index.get(sums[x, y]) for y in elements) for x in elements)
+    return CarrierTable(elements=elements, neutral=index[neutral_elem], add=table)
+
+
+def _extraction(space, probes, cap, on_overflow):
+    try:
+        return extract_carrier(space, probes, cap=cap, on_overflow=on_overflow)
+    except CarrierOverflow as exc:
+        return str(exc)
+
+
+def _reference_extraction(space, probes, cap, on_overflow):
+    try:
+        return extract_by_fresh_engines(space, probes, cap, on_overflow)
+    except CarrierOverflow as exc:
+        return str(exc)
+
+
+SPACE_WORDS = SAFE_WORDS + ("def", "f", "sort", "once", "is", "last")
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 8), st.sampled_from(["open", "raise"]),
+       st.sampled_from([Budget(max_steps=n) for n in range(1, 13)] + [Budget()]))
+def test_extraction_on_one_engine_matches_fresh_engines(rng, cap, on_overflow, budget):
+    space = random_data(rng, 2, words=SPACE_WORDS)
+    probes = ProbeSet(tuple(random_data(rng, 2, words=SPACE_WORDS)
+                            for _ in range(rng.randrange(1, 5))) + (parse("(def f : a) (f : b)"),), budget)
+    assert (_extraction(space, probes, cap, on_overflow)
+            == _reference_extraction(space, probes, cap, on_overflow))
+
+
+@pytest.mark.parametrize("src", ["pass", "sort", "once", "not", "rev"])
+def test_extraction_past_the_first_frontier_matches_fresh_engines(src):
+    # sums of the probes' sums are found in later frontiers, from pairs the
+    # first one does not repeat; `not` lists its neutral second
+    probes = ProbeSet(((), (word("a"),), (word("b"),)))
+    for cap in (3, 5, 8, 20):
+        for on_overflow in ("open", "raise"):
+            assert (_extraction(parse(src), probes, cap, on_overflow)
+                    == _reference_extraction(parse(src), probes, cap, on_overflow))
 
 
 def reordered(c, order):
