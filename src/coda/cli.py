@@ -37,6 +37,14 @@ def _steps_budget(steps: int) -> Budget:
     return Budget(max_steps=steps, max_nodes=max(10 * steps, 1))
 
 
+def _natural(text: str) -> int:
+    """argparse type: a non-negative integer, else a usage error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _budget(args) -> Budget:
     steps = args.budget
     if steps is None:
@@ -206,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_repl)
 
     p = sub.add_parser("count", help="count pure data within a size bound")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--width", type=_natural, required=True)
+    p.add_argument("--depth", type=_natural, required=True)
     p.add_argument("--enumerate", action="store_true",
                    help="cross-check the count by enumeration")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)

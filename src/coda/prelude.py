@@ -34,11 +34,15 @@ class UnknownBuiltin(Exception):
 
 
 def _word_count(ev: Data) -> int:
-    """A single decimal word atom is a count; any other argument counts 1."""
+    """A single decimal word atom is a count; any other argument counts 1.
+    A count of more than 18 digits exceeds every sequence length, so it
+    saturates there."""
     if len(ev) == 1:
         text = word_text(ev[0])
-        if text and text.isdigit():
-            return int(text)
+        if text and text.isdecimal():
+            if len(text) > 18:  # strip leading zeros, of any script
+                text = "".join(map(str, map(int, text))).lstrip("0") or "0"
+            return int(text) if len(text) <= 18 else 10 ** 18
     return 1
 
 

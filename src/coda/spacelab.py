@@ -130,8 +130,9 @@ def extract_carrier(
             found.append(e)
 
     # every element enters one frontier and is summed there, both ways, with
-    # every element found before it, so `sums` ends up holding every pair:
-    # the number of the sum, or None
+    # every element found before its turn, skipping the pairs an earlier turn
+    # summed; so each ordered pair is normalised once, and `sums` ends up
+    # holding every pair: the number of the sum, or None
     sums: Dict[Tuple[int, int], Optional[int]] = {}
     frontier = range(len(found))
     while frontier:
@@ -139,6 +140,8 @@ def extract_carrier(
         for x in frontier:
             for y in range(len(found)):
                 for a, b in ((x, y), (y, x)):
+                    if (a, b) in sums:
+                        continue
                     s = _normalize(eng, space, found[a] + found[b])
                     k = None if s is None else number.get(s)
                     if s is not None and k is None:
@@ -401,7 +404,6 @@ class SemiringReport:
     zero: int
     product_table: List[List[Optional[int]]]
     sum_table: List[List[Optional[int]]]
-    order_pairs: List[Tuple[int, int]]
     neutral_space: bool
     algebraic: bool
     semilattice: bool
@@ -459,12 +461,6 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
             [undefined if s is None else w * s for s in c.add[v]]
             for w, v in zip(weights, f)
         ]))
-    js = range(len(endos))
-    order_pairs = [
-        (i, j)
-        for i, fg in enumerate(product_table)
-        for j in itertools.compress(js, map(operator.eq, fg, itertools.repeat(i)))
-    ]
 
     is_unit = [inverse_of(f) in pos for f in endos]
     units = [f for f, unit in zip(endos, is_unit) if unit]
@@ -496,7 +492,6 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
         zero=pos[zero],
         product_table=product_table,
         sum_table=sum_table,
-        order_pairs=order_pairs,
         neutral_space=is_cancellative(c),
         algebraic=algebraic,
         semilattice=semilattice,
@@ -563,22 +558,12 @@ def verify_semialgebra(
 # ---------------------------------------------------------------------------
 # Isomorphism
 
-@dataclass(frozen=True)
-class IsoResult:
-    """A bijection of carriers; `monoid` reports whether it also transports
-    the sum table (neutral to neutral, entry by entry)."""
-
-    bijection: Tuple[int, ...]
-    monoid: bool
-
-
-def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[IsoResult]:
-    """Exhaustive bijection search between two small carriers.
-
-    Prefers a sum-preserving (monoid) bijection.  When none exists but the
-    sizes agree, any bijection pairs the carriers element for element; that
-    weaker correspondence is returned with monoid=False.  Past ISO_MAX_SIZE
-    elements it raises CarrierOverflow."""
+def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[Tuple[int, ...]]:
+    """A monoid isomorphism from c1 to c2, as a bijection p of element
+    indices, or None when there is none: p sends the neutral to the neutral
+    and i + j to p[i] + p[j] wherever both sums are defined.  Every
+    permutation is scanned; past ISO_MAX_SIZE elements it raises
+    CarrierOverflow."""
     if c1.size != c2.size:
         return None
     if c1.size > ISO_MAX_SIZE:
@@ -586,10 +571,8 @@ def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[IsoResult]:
     equations = _hom_equations(c1.add, c2.add)
     for p in itertools.permutations(range(c1.size)):
         if p[c1.neutral] == c2.neutral and _settle(list(p), equations):
-            return IsoResult(p, monoid=True)
-    fallback = list(range(c1.size))
-    fallback[c1.neutral], fallback[c2.neutral] = c2.neutral, c1.neutral
-    return IsoResult(tuple(fallback), monoid=False)
+            return p
+    return None
 
 
 # ---------------------------------------------------------------------------

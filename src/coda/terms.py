@@ -186,6 +186,8 @@ def count_pure_data(bound: SizeBound) -> int:
     of depth <= d-1.
     """
     w, d = bound
+    if w < 0 or d < 0:
+        raise ValueError(f"width and depth must not be negative: {bound}")
     return _count(w, d)
 
 

@@ -86,6 +86,15 @@ def test_count_tsv(capsys):
     assert code == 0 and out == "1\t1\t2\n"
 
 
+@pytest.mark.parametrize("width, depth", [("-1", "1"), ("1", "-1")])
+def test_count_negative_bound_is_a_usage_error(capsys, width, depth):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--width", width, "--depth", depth, "--enumerate"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must not be negative: -1" in out.err
+
+
 def test_search(capsys):
     code, out, _ = run(capsys, "search", "--words", "pass", "bool",
                        "--max-len", "1")

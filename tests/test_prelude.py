@@ -87,6 +87,16 @@ def test_first_last_counts():
     assert ev("last 9 : a b") == "a b"
 
 
+def test_a_count_is_a_decimal_word_of_any_length():
+    # no input raises: a digit that is not decimal counts 1, a decimal word
+    # of any script counts its value, and a count past every length saturates
+    assert ev("first ² : a b c") == "a"
+    assert ev("last ① : a b") == "b"
+    assert ev("first ٣ : a b c d") == "a b c"
+    assert ev(f"last {'9' * 5000} : a b") == "a b"
+    assert ev(f"first {'0' * 30}2 : a b c") == "a b"
+
+
 def test_is_isnt_filters():
     assert ev("is a : a b a c") == "a a"
     assert ev("isnt a : a b a c") == "b c"

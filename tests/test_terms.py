@@ -272,6 +272,14 @@ def size_by_recursion(d):
             max(dep for _, dep in sizes) + 1 if d else 0)
 
 
+@pytest.mark.parametrize("bound", [(-1, 1), (1, -1)])
+def test_negative_bounds_are_refused(bound):
+    with pytest.raises(ValueError):
+        count_pure_data(SizeBound(*bound))
+    with pytest.raises(ValueError):
+        list(enumerate_pure_data(SizeBound(*bound)))
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_pure_data(SizeBound(3, 3), cap=10))
