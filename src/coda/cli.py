@@ -3,9 +3,10 @@ analysis, and the demo runner.
 
 Every subcommand is a thin adapter over the library; the primary output is
 exactly what the corresponding API call renders.  Exit codes: 0 success,
-1 demo assertion failure, 2 cap or overflow refusal or a malformed
-CODA_BUDGET.  Cap defaults are the library's; every refusal is a
-`terms.CapExceeded`, reported in one place, `main`.
+1 demo assertion failure or an output pipe closed by its reader, 2 cap or
+overflow refusal or a malformed CODA_BUDGET.  Cap defaults are the
+library's; every refusal is a `terms.CapExceeded`, reported in one place,
+`main`.
 """
 
 from __future__ import annotations
@@ -249,10 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except CapExceeded as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so that
+        # the flush at exit neither fails nor prints "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -36,20 +36,19 @@ from operator import is_
 from typing import Iterator, NamedTuple, Tuple
 
 
-_set = object.__setattr__
-
-
 class Coda:
     """An ordered pair of data.  Immutable, hashable, value semantics."""
 
     __slots__ = ("left", "right", "_hash", "_key")  # _key: set by coda_key
 
     def __init__(self, left: "Data" = (), right: "Data" = ()):
-        left = tuple(left)
-        right = tuple(right)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((left, right)))
+        if type(left) is not tuple:
+            left = tuple(left)
+        if type(right) is not tuple:
+            right = tuple(right)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left, right)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Coda is immutable")
@@ -75,6 +74,11 @@ class Coda:
         text = "".join(islice(_pieces((self,)), REPR_CHARS + 1))
         return f"<coda {text[:REPR_CHARS]}...>" if len(text) > REPR_CHARS else f"<coda {text}>"
 
+
+# The slots' own setters, which bypass `Coda.__setattr__`: cheaper than
+# `object.__setattr__`, which looks the name up on each call.
+_set_left, _set_right = Coda.left.__set__, Coda.right.__set__
+_set_hash, _set_key = Coda._hash.__set__, Coda._key.__set__
 
 Data = Tuple[Coda, ...]
 
@@ -162,7 +166,7 @@ def coda_key(c: Coda) -> tuple:
             out.append(len(d))
             stack.append(_parts(d))
     key = tuple(out)
-    _set(c, "_key", key)
+    _set_key(c, key)
     return key
 
 

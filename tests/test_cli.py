@@ -1,7 +1,12 @@
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import coda
 from coda.cli import main
 from coda.organic import DEMOS
 from coda.spacelab import enumerate_endos, zn_carrier
@@ -39,6 +44,23 @@ def test_eval_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("null : x"))
     code, out, _ = run(capsys, "eval", "-")
     assert code == 0 and out == "()\n"
+
+
+def test_closed_pipe_is_quiet():
+    # over 64 KiB of output, more than a pipe holds, so the CLI is still
+    # writing when the reader closes its end
+    src = "pass : " + " ".join(f"w{i}" for i in range(15000))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coda.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "coda.cli", "eval", "-"], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdin.write(src.encode())
+    proc.stdin.close()
+    assert proc.stdout.read(50) == src[7:57].encode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_eval_budget_note(capsys):

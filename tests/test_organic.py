@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from coda import organic
 from coda.engine import Engine
 from coda.lang import parse
 from coda.organic import (
@@ -18,6 +19,7 @@ from coda.organic import (
     nat_product,
     pair_data,
     q_add,
+    rationals,
     reduce_int,
     rem,
     rem_value,
@@ -79,6 +81,22 @@ def test_qatom():
         QAtom.make(1, 0)
     s = q_add(QAtom.make(1, 2), QAtom.make(1, 3))
     assert (s.numerator, s.denominator) == (5, 6)
+
+
+SUM_CHECK = "sum equals rational addition for num,den <= 12"
+
+
+@pytest.mark.parametrize("bad_sum", [QAtom(5, 3), QAtom(18, 12)], ids=["wrong", "unreduced"])
+def test_sum_check_catches_one_bad_pair(monkeypatch, bad_sum):
+    # 7/12 + 11/12 = 3/2, and only the pair (7, 12, 11, 12) meets these atoms;
+    # 18/12 is 3/2 as a Fraction, so only the lowest-terms clause catches it
+    real = organic.q_add
+    seven, eleven = QAtom(7, 12), QAtom(11, 12)
+    monkeypatch.setattr(organic, "q_add",
+                        lambda x, y: bad_sum if (x, y) == (seven, eleven) else real(x, y))
+    [check] = [a for a in rationals().assertions if a.description == SUM_CHECK]
+    assert not check.passed
+    assert check.actual == "1 failing, first (7, 12, 11, 12)"
 
 
 def test_nat_product_via_engine():

@@ -44,6 +44,19 @@ def test_coda_is_immutable_and_hashable():
     assert c != COLON
 
 
+def test_coda_holds_plain_tuples():
+    class Row(tuple):
+        pass
+
+    a, b = Coda((COLON,), ()), COLON
+    want = Coda((a, b), (b,))
+    for left, right in [([a, b], [b]), (iter((a, b)), (x for x in (b,))),
+                        (Row((a, b)), Row((b,)))]:
+        c = Coda(left, right)
+        assert c == want and hash(c) == hash(want)
+        assert type(c.left) is tuple and type(c.right) is tuple
+
+
 def cmp_by_recursion(a, b):
     """Reference for the canonical order, by its recursive definition:
     shorter data first, then codas pointwise, each by its left data and then
