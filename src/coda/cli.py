@@ -4,9 +4,9 @@ analysis, and the demo runner.
 Every subcommand is a thin adapter over the library; the primary output is
 exactly what the corresponding API call renders.  Exit codes: 0 success,
 1 demo assertion failure or an output pipe closed by its reader, 2 cap or
-overflow refusal or a malformed CODA_BUDGET.  Cap defaults are the
-library's; every refusal is a `terms.CapExceeded`, reported in one place,
-`main`.
+overflow refusal, or a malformed option, CODA_BUDGET or definition file.
+Cap defaults are the library's; every refusal is a `terms.CapExceeded`,
+reported in one place, `main`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def _budget(args) -> Budget:
     if steps is None:
         raw = os.environ.get(BUDGET_ENV)
         try:
-            steps = int(raw) if raw else None
-        except ValueError:
-            print(f"coda: {BUDGET_ENV} must be an integer, not {raw!r}", file=sys.stderr)
+            steps = _natural(raw) if raw else None
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"coda: {BUDGET_ENV} must be a non-negative integer, not {raw!r}", file=sys.stderr)
             raise SystemExit(2)
     if steps is None:
         return Budget()
@@ -63,11 +63,14 @@ def _budget(args) -> Budget:
 def _load_preludes(paths: List[str]) -> Context:
     ctx = prelude()
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"coda: {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+            raise SystemExit(2)
+        for line in map(str.strip, lines):
+            if line and not line.startswith("#"):
                 ctx = _define(ctx, line) or ctx
     return ctx
 
@@ -186,7 +189,7 @@ def cmd_demo(args) -> int:
 _COMMON = {
     "format": dict(choices=("text", "tsv"), default="text",
                    help="output format (default text)"),
-    "budget": dict(type=int, default=None,
+    "budget": dict(type=_natural, default=None,
                    help=f"step budget (default {BUDGET_ENV} or 100000)"),
     "prelude": dict(action="append", default=[], metavar="FILE",
                     help="definition file loaded before the command; repeatable"),
@@ -219,23 +222,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_natural, required=True)
     p.add_argument("--enumerate", action="store_true",
                    help="cross-check the count by enumeration")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=_natural, default=DEFAULT_ENUM_CAP)
     _add_common(p, "format")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("search", help="screen token sequences for associativity")
     p.add_argument("--words", nargs="*", default=[])
-    p.add_argument("--max-len", type=int, default=2)
-    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
+    p.add_argument("--max-len", type=_natural, default=2)
+    p.add_argument("--cap", type=_natural, default=DEFAULT_SEARCH_CAP)
     _add_common(p, "format", "prelude")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("space", help="carrier and endomorphism analysis")
     p.add_argument("action", choices=("analyze",))
     p.add_argument("expr")
-    p.add_argument("--cap", type=int, default=DEFAULT_CARRIER_CAP,
+    p.add_argument("--cap", type=_natural, default=DEFAULT_CARRIER_CAP,
                    help="cap on the elements sums add (neutral and probes are kept)")
-    p.add_argument("--endo-cap", type=int, default=DEFAULT_ENDO_CAP)
+    p.add_argument("--endo-cap", type=_natural, default=DEFAULT_ENDO_CAP)
     _add_common(p, "format", "budget", "prelude")
     p.set_defaults(fn=cmd_space)
 

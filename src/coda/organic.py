@@ -45,11 +45,11 @@ from .spacelab import (
     classify,
     enumerate_endos,
     extract_carrier,
-    homomorphisms,
     identity_endo,
     is_commutative,
     is_idempotent,
     is_subspace,
+    isomorphisms,
     verify_semialgebra,
 )
 from .terms import COLON, CapExceeded, Coda, Data, data_key
@@ -686,7 +686,7 @@ def demo_sets() -> DemoReport:
                  (i for i in range(8) if carrier.add[i][i] != i))
     r.check_true("the sum is commutative", is_commutative(carrier))
 
-    units = [m for m in homomorphisms(carrier) if len(set(m)) == 8]
+    units = list(isomorphisms(carrier, carrier))
     r.check("the bijective homomorphisms form S3", 6, len(units))
 
     r.check_none("constant order under the sum equals subset inclusion (28 pairs)", (

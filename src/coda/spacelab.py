@@ -10,8 +10,8 @@ mixed-radix index, which C-level maps compute down the list's columns.  The
 homomorphism and subspace laws are each stated once, as equations over a
 partial map.  Settled on one complete map they decide the law; propagated
 over partial maps in a depth-first search they list the maps that satisfy
-it, visiting far fewer than the n^n endofunctions (`homomorphisms`, and the
-field criteria).
+it, visiting far fewer than the n^n endofunctions, under one work bound
+(`homomorphisms`, the field criteria and `iso_check`).
 
 An endomorphism is a tuple of element indices: `f[i]` is the index of the
 image of element i.  On the two-element bool carrier, for instance,
@@ -42,8 +42,7 @@ from .terms import CapExceeded, Coda, Data, data_key
 
 DEFAULT_CARRIER_CAP = 64
 DEFAULT_ENDO_CAP = 5 ** 5
-FIELD_CHECK_CAP = 7 ** 7  # endofunctions; past it no field verdict
-ISO_MAX_SIZE = 8  # elements; iso_check scans up to 8! bijections
+SEARCH_WORK_CAP = 2 ** 25  # per map search: equation pairs read, plus n per map visited
 
 
 class CarrierOverflow(CapExceeded):
@@ -51,7 +50,7 @@ class CarrierOverflow(CapExceeded):
 
 
 class TooManyEndos(CapExceeded):
-    """The full endofunction set would exceed the enumeration cap."""
+    """Too many endofunctions to list, or a map search past its work bound."""
 
 
 class NotAHomomorphism(Exception):
@@ -86,10 +85,7 @@ class CarrierTable:
 
     def index_of(self, d: Data) -> Optional[int]:
         d = tuple(d)
-        for i, e in enumerate(self.elements):
-            if e == d:
-                return i
-        return None
+        return next((i for i, e in enumerate(self.elements) if e == d), None)
 
 
 def _normalize(eng: Engine, space: Data, x: Data) -> Optional[Data]:
@@ -261,15 +257,14 @@ def is_constant(f: Endo) -> bool:
 
 def _hom_equations(a, b):
     """f[i + j] = f[i] + f[j], the left sum in table a and the right one in
-    b, for every known i and j with both sums defined."""
+    b, for every known i and j; a pair with an undefined sum states nothing
+    but is still read, so that the search counts its work."""
     def equations(f):
         known = [i for i, v in enumerate(f) if v is not None]
         for i in known:
             image_row = b[f[i]]
             for j in known:
-                s, t = a[i][j], image_row[f[j]]
-                if s is not None and t is not None:
-                    yield s, t
+                yield a[i][j], image_row[f[j]]
     return equations
 
 
@@ -292,52 +287,64 @@ def _subspace_equations(add):
     return equations
 
 
-def _settle(f: List[Optional[int]], equations) -> bool:
-    """Assign what `equations(f)` implies until nothing changes; False when
-    it implies two values for one position.  The equations must state only
-    what the law implies, so that no map satisfying the law is rejected; on
-    a complete map they must state the whole law, so that settling it
-    decides the law."""
+def _settle(f: List[Optional[int]], equations) -> Tuple[bool, int]:
+    """Assign what `equations(f)` implies until nothing changes, skipping
+    pairs with None; not settled when it implies two values for one
+    position.  Returns whether f settled and how many pairs it read.  The
+    equations must state only what the law implies, so that no map
+    satisfying the law is rejected; on a complete map they must state the
+    whole law, so that settling it decides the law."""
+    read = 0
     changed = True
     while changed:
         changed = False
-        for p, v in equations(f):
+        for read, (p, v) in enumerate(equations(f), read + 1):
+            if p is None or v is None:
+                continue
             if f[p] is None:
                 f[p] = v
                 changed = True
             elif f[p] != v:
-                return False
-    return True
+                return False, read
+    return True, read
 
 
-def _solutions(n: int, equations) -> Iterator[Endo]:
-    """Every map on n elements that settles, in lexicographic order:
-    depth-first over f[0], f[1], ... with values in ascending order, pruning
-    every partial map whose equations contradict each other."""
-    stack: List[List[Optional[int]]] = [[None] * n]
+def _solutions(f: List[Optional[int]], equations, injective: bool) -> Iterator[Endo]:
+    """Every map that extends the partial map f and settles, in
+    lexicographic order: depth-first over the unassigned positions, values
+    ascending, pruning every partial map whose equations contradict each
+    other or, when `injective`, that repeats an image.  The work is the
+    pairs `_settle` reads plus n per map visited; past SEARCH_WORK_CAP it
+    raises TooManyEndos."""
+    n, work = len(f), 0
+    stack = [f]
     while stack:
         f = stack.pop()
-        if not _settle(f, equations):
+        settled, read = _settle(f, equations)
+        work += read + n
+        if work > SEARCH_WORK_CAP:
+            raise TooManyEndos(f"map search past {SEARCH_WORK_CAP} units of work")
+        images = [v for v in f if v is not None] if injective else ()
+        if not settled or len(set(images)) < len(images):
             continue
         if None not in f:
             yield tuple(f)
             continue
         i = f.index(None)
         for v in reversed(range(n)):
-            g = f[:]
-            g[i] = v
-            stack.append(g)
+            if v not in images:
+                stack.append(f[:i] + [v] + f[i + 1:])
 
 
 def homomorphisms(c: CarrierTable) -> Iterator[Endo]:
     """Every endofunction with f[i + j] = f[i] + f[j] wherever both sums
     are defined, in lexicographic order, found by search, not by testing
     all n^n maps."""
-    return _solutions(c.size, _hom_equations(c.add, c.add))
+    return _solutions([None] * c.size, _hom_equations(c.add, c.add), False)
 
 
 def is_homomorphism(f: Endo, c: CarrierTable) -> bool:
-    return _settle(list(f), _hom_equations(c.add, c.add))
+    return _settle(list(f), _hom_equations(c.add, c.add))[0]
 
 
 def inverse_of(f: Endo) -> Optional[Endo]:
@@ -356,30 +363,23 @@ def is_idempotent(f: Endo) -> bool:
 def is_subspace(f: Endo, c: CarrierTable) -> bool:
     """Idempotent and compatible with the sum in the sense
     f(x+y) = f(f(x)+y) = f(x+f(y)) wherever defined."""
-    return _settle(list(f), _subspace_equations(c.add))
+    return _settle(list(f), _subspace_equations(c.add))[0]
 
 
 def is_cancellative(c: CarrierTable) -> bool:
-    """Left and right cancellation of the carrier sum."""
-    n = c.size
-    for i in range(n):
-        row = [c.add[i][j] for j in range(n)]
-        col = [c.add[j][i] for j in range(n)]
-        for seq in (row, col):
-            defined = [v for v in seq if v is not None]
-            if len(defined) != len(set(defined)):
-                return False
+    """Left and right cancellation of the carrier sum: no row or column
+    repeats a defined sum."""
+    for seq in itertools.chain(c.add, zip(*c.add)):
+        defined = [v for v in seq if v is not None]
+        if len(defined) != len(set(defined)):
+            return False
     return True
 
 
 def is_commutative(c: CarrierTable) -> bool:
-    n = c.size
-    for i in range(n):
-        for j in range(n):
-            a, b = c.add[i][j], c.add[j][i]
-            if a is not None and b is not None and a != b:
-                return False
-    return True
+    """i + j = j + i wherever both sums are defined."""
+    return all(a == b or a is None or b is None
+               for row, col in zip(c.add, zip(*c.add)) for a, b in zip(row, col))
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +504,14 @@ def field_check(c: CarrierTable) -> Tuple[bool, bool]:
 
     First: every proper subspace endofunction is constant.  Second: every
     non-constant homomorphism is a unit (a bijection).  Each searches the
-    maps that satisfy its law and stops at the first counterexample.
-    Carriers with more than FIELD_CHECK_CAP endofunctions raise
-    TooManyEndos, so that `classify` and `coda space analyze` report no
-    field verdict past 7 elements.
+    maps that satisfy its law and stops at the first counterexample.  A
+    search past SEARCH_WORK_CAP raises TooManyEndos, and then `classify`
+    and `coda space analyze` report no field verdict.
     """
     n = c.size
-    if n ** n > FIELD_CHECK_CAP:
-        raise TooManyEndos(f"{n}^{n} endofunctions exceed cap {FIELD_CHECK_CAP}")
     ident = tuple(range(n))
     subspaces_ok = not any(len(set(m)) > 1 and m != ident
-                           for m in _solutions(n, _subspace_equations(c.add)))
+                           for m in _solutions([None] * n, _subspace_equations(c.add), False))
     homs_ok = not any(1 < len(set(m)) < n for m in homomorphisms(c))
     return subspaces_ok, homs_ok
 
@@ -558,21 +555,21 @@ def verify_semialgebra(
 # ---------------------------------------------------------------------------
 # Isomorphism
 
-def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[Tuple[int, ...]]:
-    """A monoid isomorphism from c1 to c2, as a bijection p of element
-    indices, or None when there is none: p sends the neutral to the neutral
-    and i + j to p[i] + p[j] wherever both sums are defined.  Every
-    permutation is scanned; past ISO_MAX_SIZE elements it raises
-    CarrierOverflow."""
-    if c1.size != c2.size:
-        return None
-    if c1.size > ISO_MAX_SIZE:
-        raise CarrierOverflow(f"carrier too large for iso search ({c1.size})")
-    equations = _hom_equations(c1.add, c2.add)
-    for p in itertools.permutations(range(c1.size)):
-        if p[c1.neutral] == c2.neutral and _settle(list(p), equations):
-            return p
-    return None
+def isomorphisms(c1: CarrierTable, c2: CarrierTable) -> Iterator[Endo]:
+    """Every monoid isomorphism from c1 to c2 in lexicographic order, as a
+    bijection p of element indices: p sends the neutral to the neutral and
+    i + j to p[i] + p[j] wherever both sums are defined.  Found by search,
+    with the neutral's image fixed and no image repeated."""
+    if c1.size == c2.size:
+        p = [None] * c1.size
+        p[c1.neutral] = c2.neutral
+        yield from _solutions(p, _hom_equations(c1.add, c2.add), True)
+
+
+def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[Endo]:
+    """The first monoid isomorphism from c1 to c2, or None when there is
+    none.  A search past SEARCH_WORK_CAP raises TooManyEndos."""
+    return next(isomorphisms(c1, c2), None)
 
 
 # ---------------------------------------------------------------------------

@@ -183,3 +183,41 @@ def test_prelude_file(capsys, tmp_path):
     f.write_text("# session helpers\ndef dup : ap {B B}\n")
     code, out, _ = run(capsys, "eval", "dup : x y", "--prelude", str(f))
     assert code == 0 and out == "x x y y\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "a", "--budget", "-3"),
+    ("search", "--max-len", "-1"),
+    ("search", "--cap", "-1"),
+    ("count", "--width", "1", "--depth", "1", "--cap", "-1"),
+    ("space", "analyze", "bool", "--cap", "-1"),
+    ("space", "analyze", "bool", "--endo-cap", "-1"),
+], ids=["eval-budget", "search-max-len", "search-cap", "count-cap", "space-cap", "endo-cap"])
+def test_negative_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must not be negative: -" in out.err and "Traceback" not in out.err
+
+
+def test_budget_env_negative(capsys, monkeypatch):
+    monkeypatch.setenv("CODA_BUDGET", "-3")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "pass : a"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "coda: CODA_BUDGET must be a non-negative integer, not '-3'\n"
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfedef x : a\n"], ids=["missing", "not-utf-8"])
+def test_unreadable_prelude_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "defs.coda"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "a", "--prelude", str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"coda: {path}: ") and out.err.count("\n") == 1

@@ -35,6 +35,7 @@ from coda.spacelab import (
     is_idempotent,
     is_subspace,
     iso_check,
+    isomorphisms,
     oplus,
     quotient_of_hom,
     render_report,
@@ -374,6 +375,26 @@ def test_field_check_verdicts():
         assert field_check(c) == (False, False)
 
 
+def test_field_check_past_seven_elements():
+    for p in (11, 13, 17, 19, 23):
+        assert field_check(zn_carrier(p)) == (True, True)
+    for c in (zn_carrier(8), zn_carrier(9), zn_carrier(12), saturation_carrier(8),
+              saturation_carrier(16)):
+        assert field_check(c) == (False, False)
+
+
+def test_map_searches_past_the_work_bound_are_refused(monkeypatch):
+    z11 = zn_carrier(11)
+    assert field_check(z11) == (True, True)
+    monkeypatch.setattr(spacelab, "SEARCH_WORK_CAP", 100)
+    searches = (lambda: field_check(z11), lambda: list(homomorphisms(z11)),
+                lambda: iso_check(z11, reordered(z11, [0, *range(10, 0, -1)])))
+    for search in searches:
+        with pytest.raises(TooManyEndos):
+            search()
+    assert classify(z11, [identity_endo(z11), zero_endo(z11)]).field is None
+
+
 @st.composite
 def small_tables(draw):
     """Arbitrary operation tables on 1 to 5 elements: rarely associative,
@@ -480,8 +501,40 @@ def test_iso_check():
         assert respects_by_loop(c1, c2, p)
     z2z2 = carrier_from_function(range(4), operator.xor, 0)
     assert iso_check(z4, z2z2) is None  # same size, not isomorphic
-    with pytest.raises(CarrierOverflow):
-        iso_check(zn_carrier(9), zn_carrier(9))
+    z9 = zn_carrier(9)
+    assert iso_check(z9, z9) == tuple(range(9))
+    z9_shuffled = reordered(z9, [4, 7, 0, 2, 8, 1, 6, 3, 5])
+    p = iso_check(z9, z9_shuffled)
+    assert sorted(p) == list(range(9)) and respects_by_loop(z9, z9_shuffled, p)
+
+
+def isos_by_scan(c1, c2):
+    """Reference for isomorphisms: every bijection, in lexicographic order,
+    that sends the neutral to the neutral and respects the sum."""
+    if c1.size != c2.size:
+        return []
+    return [p for p in itertools.permutations(range(c1.size))
+            if p[c1.neutral] == c2.neutral and respects_by_loop(c1, c2, p)]
+
+
+def test_iso_check_matches_scan():
+    l1 = extract_carrier(bool_seq_truncated(1), _bool_probes(), cap=8)
+    l2 = extract_carrier(bool_seq_truncated(2), _bool_probes(), cap=16)
+    catalogue = [zn_carrier(n) for n in range(2, 9)] + [
+        saturation_carrier(q) for q in range(2, 9)] + [
+        carrier_from_function(range(4), operator.xor, 0),
+        carrier_from_function(range(8), operator.xor, 0),
+        bool_carrier(), l1, l2,
+    ]
+    rng = random.Random(20)
+    catalogue += [reordered(c, rng.sample(range(c.size), c.size)) for c in catalogue]
+    for c1, c2 in itertools.product(catalogue, repeat=2):
+        if c1.size == c2.size:
+            isos = isos_by_scan(c1, c2)
+            assert iso_check(c1, c2) == (isos[0] if isos else None)
+            assert list(isomorphisms(c1, c2)) == isos
+        else:
+            assert iso_check(c1, c2) is None
 
 
 def test_render_table_and_report():
@@ -533,7 +586,8 @@ def test_render_table_matches_by_cell():
     assert "?" in render_table(classify(open3, enumerate_endos(open3)), "sum")
 
 
-def test_render_report_tsv_without_field_verdict():
+def test_render_report_tsv_without_field_verdict(monkeypatch):
+    monkeypatch.setattr(spacelab, "SEARCH_WORK_CAP", 10)
     c = zn_carrier(8)
     rep = classify(c, [identity_endo(c), zero_endo(c)])
     assert rep.field is None
