@@ -14,16 +14,19 @@ the word "{}" on the left and the source bytes on the right.
 All of these are invariant data once the marker definitions are installed.
 
 Decoding reads each byte atom's value from a table of the 256 byte atoms,
-so a coda decodes exactly when it equals one of them.  Built atoms and
-decoded texts are kept in caches bounded at `_TEXT_CAP` entries, except
-the words made with `kept_word` (the prelude's triggers), which `word`
-returns as the same atom for good.
+so a coda decodes exactly when it equals one of them.  An atom that `word`
+or `lang_atom` builds carries the text it was built from, so reading its
+text decodes nothing; any other coda, equal to such an atom or not, decodes
+each time it is read.  `word` and `lang_atom` keep the atoms they built in
+caches bounded at `_TEXT_CAP` entries, except the words made with
+`kept_word` (the prelude's triggers), which `word` returns as the same atom
+for good.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .terms import COLON, Coda, Data
 
@@ -36,11 +39,16 @@ BIT1 = Coda((BIT_MARKER,), (COLON,))
 
 LANG_NAME = "{}"
 
+# the 256 byte atoms, by value
+_BYTES = tuple(Coda((BYTE_MARKER,), tuple(BIT1 if v >> i & 1 else BIT0
+                                          for i in range(7, -1, -1)))
+               for v in range(256))
+# every byte atom's value: a coda is a byte atom exactly when it is a key
+_BYTE_VALUE = {c: v for v, c in enumerate(_BYTES)}
 
-@lru_cache(maxsize=None)
+
 def byte_atom(value: int) -> Coda:
-    bits = tuple(BIT1 if (value >> i) & 1 else BIT0 for i in range(7, -1, -1))
-    return Coda((BYTE_MARKER,), bits)
+    return _BYTES[value]
 
 
 def bits(text: str) -> Data:
@@ -48,11 +56,27 @@ def bits(text: str) -> Data:
     surrogate, which is how Python hands over a command-line byte that is
     not UTF-8, encodes as three bytes that strict decoding refuses, so the
     atom holding it renders structurally."""
-    return tuple(byte_atom(b) for b in text.encode("utf-8", "surrogatepass"))
+    return tuple(map(_BYTES.__getitem__, text.encode("utf-8", "surrogatepass")))
 
 
-# entries in each cache of built atoms or decoded texts: a word is met again
-# and again, but fresh words keep coming, so the least recently used go
+# a slot that only the atoms built here fill in: see `_text`
+_set_text = Coda._text.__set__
+
+
+def _spelled(marker: Coda, text: str) -> Coda:
+    """The atom `marker` over the bytes of `text`, carrying what
+    `decode_bytes` makes of them."""
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: see `bits`
+        raw, text = text.encode("utf-8", "surrogatepass"), None
+    c = Coda((marker,), tuple(map(_BYTES.__getitem__, raw)))
+    _set_text(c, text)
+    return c
+
+
+# entries in each cache keyed by text: a word is met again and again, but
+# fresh words keep coming, so the least recently used go
 _TEXT_CAP = 4096
 
 
@@ -64,7 +88,7 @@ _KEPT: Dict[str, Coda] = {}
 @lru_cache(maxsize=_TEXT_CAP)
 def word(text: str) -> Coda:
     kept = _KEPT.get(text)
-    return kept if kept is not None else Coda((WORD_MARKER,), bits(text))
+    return kept if kept is not None else _spelled(WORD_MARKER, text)
 
 
 def kept_word(text: str) -> Coda:
@@ -77,11 +101,7 @@ WORD_LANG = kept_word(LANG_NAME)
 
 @lru_cache(maxsize=_TEXT_CAP)
 def lang_atom(source: str) -> Coda:
-    return Coda((WORD_LANG,), bits(source))
-
-
-# every byte atom's value: a coda is a byte atom exactly when it is a key
-_BYTE_VALUE = {byte_atom(v): v for v in range(256)}
+    return _spelled(WORD_LANG, source)
 
 
 def decode_bytes(d: Data) -> Optional[str]:
@@ -93,10 +113,13 @@ def decode_bytes(d: Data) -> Optional[str]:
         return None
 
 
-@lru_cache(maxsize=_TEXT_CAP)
 def _text(c: Coda) -> Optional[str]:
-    """The text the bytes of a word or language atom spell, decoded once."""
-    return decode_bytes(c.right)
+    """The text the bytes of a word or language atom spell: carried by an
+    atom `word` or `lang_atom` built, decoded for any other coda."""
+    try:
+        return c._text
+    except AttributeError:
+        return decode_bytes(c.right)
 
 
 def is_word_atom(c: Coda) -> bool:
@@ -125,3 +148,13 @@ def lang_source(c: Coda) -> Optional[str]:
     if not is_lang_atom(c):
         return None
     return _text(c)
+
+
+def atom_text(c: Coda) -> Tuple[Optional[str], bool]:
+    """`(word_text(c), False)` for a word atom, `(lang_source(c), True)`
+    for a language atom, and `(None, False)` for any other coda."""
+    if _marked(c, WORD_MARKER):
+        return _text(c), False
+    if _marked(c, WORD_LANG):
+        return _text(c), True
+    return None, False

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterator, List, Optional, Tuple
 
-from .encoding import _TEXT_CAP, lang_atom, lang_source, word, word_text
+from .encoding import _TEXT_CAP, atom_text, lang_atom, word
 from .terms import Coda, Data
 
 # a token: a bracket, colon or `=`, a whitespace run, or a run of the rest
@@ -257,17 +257,16 @@ def _pieces(d: Data) -> Iterator[str]:
         seq, i, after, eq = todo.pop()
         while i < len(seq):
             c = seq[i]
-            text = word_text(c)
-            if text is not None:
+            text, lang = atom_text(c)
+            if text is not None and lang:
+                text = "{" + text + "}" if _balanced(text) else None
+            elif text is not None:
                 # `_scan` drops a word's leading whitespace, ends it at a
                 # bracket, colon or whitespace run, and splits it at `=`
                 eq_ok = eq if i else text[:1] == "="
                 if (not text or text != text.lstrip() or _BREAK.search(text)
                         or "=" in text and not eq_ok):
                     text = None
-            else:
-                text = lang_source(c)
-                text = "{" + text + "}" if text is not None and _balanced(text) else None
             if i:
                 yield " "
             else:

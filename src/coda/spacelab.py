@@ -270,7 +270,9 @@ def _hom_equations(a, b):
 
 def _subspace_equations(add):
     """f[f[i]] = f[i], and f[x+y] = f[f[x]+y] = f[x+f[y]] wherever one side
-    of such an equation is known."""
+    of such an equation is known.  A candidate with an undefined sum or with
+    neither side known states nothing but is still read, as in
+    `_hom_equations`."""
     def equations(f):
         for i, v in enumerate(f):
             if v is None:
@@ -279,10 +281,10 @@ def _subspace_equations(add):
             for y, (iy, vy) in enumerate(zip(add[i], add[v])):
                 for p, q in ((iy, vy), (add[y][i], add[y][v])):
                     if p is None or q is None:
-                        continue
-                    if f[p] is not None:
+                        yield None, None
+                    elif f[p] is not None:
                         yield q, f[p]
-                    elif f[q] is not None:
+                    else:
                         yield p, f[q]
     return equations
 

@@ -39,7 +39,8 @@ from typing import Iterator, NamedTuple, Tuple
 class Coda:
     """An ordered pair of data.  Immutable, hashable, value semantics."""
 
-    __slots__ = ("left", "right", "_hash", "_key")  # _key: set by coda_key
+    # _key: set by coda_key; _text: set by encoding on the atoms it builds
+    __slots__ = ("left", "right", "_hash", "_key", "_text")
 
     def __init__(self, left: "Data" = (), right: "Data" = ()):
         if type(left) is not tuple:

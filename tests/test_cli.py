@@ -51,15 +51,15 @@ def test_closed_pipe_is_quiet():
     # writing when the reader closes its end
     src = "pass : " + " ".join(f"w{i}" for i in range(15000))
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coda.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "coda.cli", "eval", "-"], env=env,
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    proc.stdin.write(src.encode())
-    proc.stdin.close()
-    assert proc.stdout.read(50) == src[7:57].encode()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 1
+    with subprocess.Popen([sys.executable, "-m", "coda.cli", "eval", "-"], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdin.write(src.encode())
+        proc.stdin.close()
+        assert proc.stdout.read(50) == src[7:57].encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 

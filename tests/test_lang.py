@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from coda.encoding import is_lang_atom, lang_atom, lang_source, word, word_text
+from coda.encoding import (
+    WORD_LANG, WORD_MARKER, atom_text, bits, decode_bytes, is_lang_atom, is_word_atom,
+    lang_atom, lang_source, word, word_text,
+)
 from coda.engine import Engine, evaluate
 from coda.lang import _scan, eval_lang_atom, parse, render
 from coda.prelude import prelude
@@ -235,6 +238,39 @@ def test_parser_is_total(src):
 ))
 def test_structural_render_roundtrip(d):
     assert parse(render(d)) == d
+
+
+def carried_text_matches_the_decoder(t):
+    """The atoms `word(t)` and `lang_atom(t)` carry their text; equal codas
+    built otherwise decode theirs.  Both read as `decode_bytes` does and
+    render alike."""
+    text = decode_bytes(bits(t))
+    assert text in (t, None)
+    put = evaluate(parse("put ((:):(:)) : " + render(bits(t))), prelude()).result
+    assert put == (word(t),) and not hasattr(put[0], "_text")
+    for marker in (WORD_MARKER, WORD_LANG):
+        lang = marker is WORD_LANG
+        built = lang_atom(t) if lang else word(t)
+        plain = Coda((marker,), bits(t))
+        assert hasattr(built, "_text") and not hasattr(plain, "_text") and built == plain
+        for c in (built, plain) if lang else (built, plain, put[0]):
+            assert word_text(c) == (None if lang else text)
+            assert lang_source(c) == (text if lang else None)
+            assert atom_text(c) == (text, lang)
+            assert is_word_atom(c) == (not lang and text is not None)
+            assert is_lang_atom(c) == lang
+            assert render((c,)) == render((built,))
+            assert parse(render((c,))) == (c,)
+
+
+@given(any_text)
+def test_carried_text_matches_the_decoder(t):
+    carried_text_matches_the_decoder(t)
+
+
+@pytest.mark.parametrize("t", ["", "=x", " x", "a b", "{", "é", "\udcff", "ab"])
+def test_carried_text_matches_the_decoder_on(t):
+    carried_text_matches_the_decoder(t)
 
 
 @pytest.mark.parametrize("d", [

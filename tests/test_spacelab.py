@@ -395,6 +395,19 @@ def test_map_searches_past_the_work_bound_are_refused(monkeypatch):
     assert classify(z11, [identity_endo(z11), zero_endo(z11)]).field is None
 
 
+def test_subspace_search_reads_every_candidate():
+    # an open table: sums past 2 are undefined.  A map from which nothing
+    # new follows is read once, so `_settle` counts, for each known image,
+    # f[f[i]] = f[i] and two candidates per y, also those with an
+    # undefined sum or with neither side known
+    open3 = carrier_from_function(range(3), lambda x, y: x + y, 0)
+    assert open3.add == ((0, 1, 2), (1, 2, None), (2, None, None))
+    equations = spacelab._subspace_equations(open3.add)
+    for f in ([None, 1, None], [None, 2, 2], [0, 1, 2]):
+        known = sum(v is not None for v in f)
+        assert spacelab._settle(list(f), equations) == (True, known * (1 + 2 * 3)), f
+
+
 @st.composite
 def small_tables(draw):
     """Arbitrary operation tables on 1 to 5 elements: rarely associative,
