@@ -86,15 +86,19 @@ def _define(ctx: Context, line: str) -> Optional[Context]:
     return ctx
 
 
+def _evaluate(src: str, ctx: Context, budget: Budget) -> None:
+    """Print the normal form of `src`; exhaustion is noted on stderr."""
+    out = evaluate(parse(src), ctx, budget)
+    print(render(out.result))
+    if not out.normalized:
+        print("budget exhausted; partial form shown", file=sys.stderr)
+
+
 def cmd_eval(args) -> int:
     src = args.expr
     if src == "-":
         src = sys.stdin.read()
-    ctx = _load_preludes(args.prelude)
-    out = evaluate(parse(src), ctx, _budget(args))
-    print(render(out.result))
-    if not out.normalized:
-        print("budget exhausted; partial form shown", file=sys.stderr)
+    _evaluate(src, _load_preludes(args.prelude), _budget(args))
     return 0
 
 
@@ -120,7 +124,7 @@ def cmd_repl(args) -> int:
                 return 0
             if parts[0] == ":defs":
                 print(" ".join(ctx.names()))
-            elif parts[0] == ":budget" and len(parts) == 2 and parts[1].isdigit():
+            elif parts[0] == ":budget" and len(parts) == 2 and parts[1].isdecimal():
                 steps = int(parts[1])
                 budget = _steps_budget(steps)
                 print(f"budget set to {steps} steps", file=sys.stderr)
@@ -131,10 +135,7 @@ def cmd_repl(args) -> int:
         if new_ctx is not None:
             ctx = new_ctx
             continue
-        out = evaluate(parse(line), ctx, budget)
-        print(render(out.result))
-        if not out.normalized:
-            print("budget exhausted; partial form shown", file=sys.stderr)
+        _evaluate(line, ctx, budget)
 
 
 def cmd_count(args) -> int:

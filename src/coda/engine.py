@@ -26,22 +26,22 @@ Normalising is not idempotent in cost: a builtin's result is walked again
 in full, also where it holds operands already normalised, and a stuck `=`
 or `ar` coda in it re-runs its guard and charges for it again.
 
-Normal-form memo.  The engine remembers, per context, each coda it
-normalized together with the steps and nodes that evaluation charged.  The
+Normal-form memo.  The engine remembers each coda it normalized together
+with the steps and nodes that evaluation charged.  The
 memo is exact: a hit charges the stored steps and nodes, and is taken only
 when they fit strictly inside the window's remaining budget, so exhaustion
 happens where recomputing would have put it; an entry is stored only when
-its evaluation ended unexhausted in the context it started in (a `def`
-firing inside prevents the store).  Results, `normalized` and `steps_used`
-are the same as without it.  Its scope is one engine, across the windows
-`begin()` opens for a law verdict's cases or a carrier extraction's normal
-forms, each back in the engine's own context and entries; it is never kept
-across calls.  An entry is filed under the coda's `_hash` and holds the
-coda, which a hit must be or equal (else it is a miss), so no lookup calls
-`Coda.__hash__`.  Each context's entries are cleared when they reach
-MEMO_CAP.  Atoms bypass the memo: a coda that is (:X) or headed by a fixed
-point (a bit, byte or word atom) evaluates to itself at no charge, so
-`eval_data` returns it before any lookup or store.
+its evaluation ended unexhausted.  It is read and filled only in the
+engine's own context: a window in which a `def` fired neither reads nor
+stores.  Results, `normalized` and `steps_used` are the same as without it.
+Its scope is one engine, across the windows `begin()` opens for a law
+verdict's cases or a carrier extraction's normal forms, each back in the
+engine's own context; it is never kept across calls.  An entry is filed
+under the coda's `_hash` and holds the coda, which a hit must be or equal
+(else it is a miss), so no lookup calls `Coda.__hash__`.  The entries are
+cleared when they reach MEMO_CAP.  Atoms bypass the memo: a coda that is
+(:X) or headed by a fixed point (a bit, byte or word atom) evaluates to
+itself at no charge, so `eval_data` returns it before any lookup or store.
 """
 
 from __future__ import annotations
@@ -51,16 +51,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
-from .encoding import LANG_NAME, is_lang_atom, is_word_atom, lang_source, word, word_text
+from .encoding import _TEXT_CAP, LANG_NAME, is_lang_atom, is_word_atom, lang_source, word, word_text
 from .lang import eval_lang_atom
 from .terms import Coda, Data
 
 BranchFn = Callable[["Engine", Data, Data], Optional[Data]]
 
-# normal forms kept per context before the memo is cleared
+# normal forms kept before the memo is cleared
 MEMO_CAP = 4096
-# language-atom definitions kept before the least recently used is dropped
-_LANG_DEFS_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -140,18 +138,17 @@ class Engine:
         self.budget = budget
         self.steps = 0
         self.nodes = 0
-        self._own_context = context
-        self._own_memo: Dict[int, MemoEntry] = {}
+        self.base = context
+        self._memo: Dict[int, MemoEntry] = {}
         self.begin()
 
     def begin(self) -> None:
-        """Open a fresh budget window, in the engine's own context and memo:
+        """Open a fresh budget window, in the engine's own context `base`:
         what a `def` bound in the last window is gone."""
         self.max_steps = self.steps + self.budget.max_steps
         self.max_nodes = self.nodes + self.budget.max_nodes
         self.exhausted = False
-        self.context = self._memo_context = self._own_context
-        self._memo = self._own_memo
+        self.context = self.base
 
     # -- budget ------------------------------------------------------------
 
@@ -211,13 +208,10 @@ class Engine:
         if self.steps >= self.max_steps or self.nodes >= self.max_nodes:
             self.exhausted = True
             return (c,)
-        context = self.context
-        if context is not self._memo_context:
-            # a def replaced the context: earlier entries no longer apply
-            self._memo_context = context
-            self._memo = {}
         memo = self._memo
-        hit = memo.get(c._hash)
+        # once a def has replaced `base` in this window, the entries no
+        # longer apply, and none is stored
+        hit = memo.get(c._hash) if self.context is self.base else None
         if hit is not None:
             key, result, steps, nodes = hit
             if ((key is c or key == c) and self.steps + steps < self.max_steps
@@ -257,7 +251,7 @@ class Engine:
             self.nodes += len(res)
             result = self.eval_data(res)
             break
-        if not self.exhausted and self.context is context:
+        if not self.exhausted and self.context is self.base:
             if len(memo) >= MEMO_CAP:
                 memo.clear()
             memo[key._hash] = (key, result, self.steps - steps, self.nodes - nodes)
@@ -310,16 +304,24 @@ class Engine:
         return True
 
     def is_invariant(self, c: Coda) -> bool:
-        if c.left:
-            defn = self.dispatch(c)
-            if defn is None:
-                if self.dispatch(c.left[0]) is not None or any(
-                    not self.is_atom(x) for x in c.left + c.right
-                ):
+        """True when `c` and every coda inside it are atoms: (:X), a fixed
+        point's coda, or a coda whose head is out of every domain.  One walk,
+        which visits each shared coda once."""
+        stack, seen = [c], set()
+        while stack:
+            c = stack.pop()
+            if id(c) in seen:
+                continue
+            seen.add(id(c))
+            if c.left:
+                defn = self.dispatch(c)
+                if defn is None:
+                    if self.dispatch(c.left[0]) is not None:
+                        return False
+                elif not defn.fixed_point:
                     return False
-            elif not defn.fixed_point:
-                return False
-        return all(self.is_invariant(x) for x in c.left + c.right)
+            stack += c.left + c.right
+        return True
 
     def emptiness(self, d: Data) -> TriBool:
         """Does data `d` evaluate to the empty sequence?  ALWAYS if it does,
@@ -347,8 +349,6 @@ class Engine:
             hi_a -= 1
             hi_b -= 1
         ra, rb = a[lo:hi_a], b[lo:hi_b]
-        if not ra and not rb:
-            return TriBool.ALWAYS
         if not ra or not rb:
             rest = ra or rb
             if any(self.is_atom(c) for c in rest):
@@ -356,16 +356,12 @@ class Engine:
             return TriBool.UNDECIDED
         if self.is_atom(ra[0]) and self.is_atom(rb[0]):
             return TriBool.NEVER  # distinct atoms at the front
-        if (
-            ra[-1] != rb[-1]
-            and self.is_atom(ra[-1])
-            and self.is_atom(rb[-1])
-        ):
-            return TriBool.NEVER
+        if self.is_atom(ra[-1]) and self.is_atom(rb[-1]):
+            return TriBool.NEVER  # distinct atoms at the back
         return TriBool.UNDECIDED
 
 
-@lru_cache(maxsize=_LANG_DEFS_CAP)
+@lru_cache(maxsize=_TEXT_CAP)
 def _lang_definition(atom: Coda) -> Definition:
     """A language atom's definition: (atom A : B) rewrites by the atom's
     source, decoded once here, with A and B spliced in."""
@@ -403,23 +399,24 @@ def equal(a: Data, b: Data, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> Tr
 
 
 def classify_atom(c: Coda, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> str:
-    """One of invariant_atom, defined_fixed_point, reducible, undecided."""
+    """One of invariant_atom, defined_fixed_point, reducible, undecided.
+    The head is resolved under the one budget; spending it is undecided."""
     eng = Engine(ctx, budget)
-    if not c.left:
-        return "invariant_atom"
-    defn = eng.dispatch(c)
-    if defn is None:
+    while True:
+        if not c.left:
+            return "invariant_atom"
+        defn = eng.dispatch(c)
+        if defn is not None:
+            break
         head = c.left[0]
         hv = eng.eval_data((head,))
-        if hv != (head,):
-            return classify_atom(Coda(hv + c.left[1:], c.right), ctx, budget)
-        if eng.exhausted:
+        if hv == (head,):
+            return "invariant_atom" if not eng.exhausted and eng.is_atom(c) else "undecided"
+        if eng.spent():
             return "undecided"
-        return "invariant_atom" if eng.is_atom(c) else "undecided"
+        c = Coda(hv + c.left[1:], c.right)
     if defn.fixed_point:
-        if all(eng.is_invariant(x) for x in c.left + c.right):
-            return "invariant_atom"
-        return "defined_fixed_point"
+        return "invariant_atom" if eng.is_invariant(c) else "defined_fixed_point"
     if eng._rewrite(c, defn) is not None:
         return "reducible"
     return "undecided"

@@ -212,45 +212,36 @@ def _switch(operand: str, empty: str, atomic: str):
 def _is(keep_equal: bool):
     """is/isnt: keep the codas of B equal (or unequal) to some atom of A.
 
-    Each coda of B is decided in one pass: equal to a member of A, it is a
-    match; otherwise it is not one when A is empty, or when it and every
-    member of A are atoms (A's atomicity is worked out once, when B is
-    non-empty).  For any other coda, `by_pairs`, which compares each member
-    of A with each coda of B, decides the whole filter.  It also does when a
-    member of A or B is an atom only if an `=` residue on its head chain
-    never holds: `is_atom` evaluates that residue, so it must spend the
-    steps it always did, in the same order."""
-
-    def by_pairs(eng, a, b):
-        out: list = []
-        for c in b:
-            verdicts = [eng.tri_compare((x,), (c,)) for x in a]
-            if any(v is TriBool.ALWAYS for v in verdicts):
-                equal = True
-            elif all(v is TriBool.NEVER for v in verdicts):
-                equal = False
-            else:
-                return None  # an undecided comparison blocks the whole filter
-            if equal is keep_equal:
-                out.append(c)
-        return tuple(out)
+    Each coda of B is decided in turn.  When `atom_or_eq` decides every
+    member of A (read once, when B is non-empty), a coda that is a member is
+    a match, and one is not when A is empty or when it and every member are
+    atoms.  Any other coda is compared with each member by `tri_compare`;
+    one undecided comparison blocks the whole filter.  The comparisons
+    evaluate an `=` residue on a head chain, so they charge steps, while the
+    cases decided without them charge nothing: the steps and their order
+    are those of comparing every pair."""
 
     def branch(eng, a, b):
         if not b:
             return ()
         kinds = [eng.atom_or_eq(x) for x in a]
-        if not all(k is True or k is False for k in kinds):
-            return by_pairs(eng, a, b)
-        atomic_a = all(kinds)
+        decided = all(k is True or k is False for k in kinds)
+        atomic_a = decided and all(kinds)
         members = set(a)
         out: list = []
         for c in b:
-            if c in members:
+            if decided and c in members:
                 equal = True
-            elif not a or (atomic_a and eng.atom_or_eq(c) is True):
+            elif not a or atomic_a and eng.atom_or_eq(c) is True:
                 equal = False
             else:
-                return by_pairs(eng, a, b)
+                verdicts = [eng.tri_compare((x,), (c,)) for x in a]
+                if any(v is TriBool.ALWAYS for v in verdicts):
+                    equal = True
+                elif all(v is TriBool.NEVER for v in verdicts):
+                    equal = False
+                else:
+                    return None  # an undecided comparison blocks the whole filter
             if equal is keep_equal:
                 out.append(c)
         return tuple(out)

@@ -84,6 +84,35 @@ def test_budget_env_malformed(capsys, monkeypatch):
     assert "CODA_BUDGET" in err and "Traceback" not in err
 
 
+def repl(capsys, monkeypatch, *lines):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    return run(capsys, "repl")
+
+
+def test_repl_budget(capsys, monkeypatch):
+    code, out, err = repl(capsys, monkeypatch, ":budget 3", "while {(B:B)} : a")
+    assert code == 0 and "budget set to 3 steps" in err and "budget exhausted" in err
+
+
+def test_repl_definitions(capsys, monkeypatch):
+    code, out, _ = repl(capsys, monkeypatch, "def twice : {B B}", "twice : x", ":defs")
+    # one prompt per line read, the last one answered by the end of input
+    _, _, result, names, rest = out.split("coda> ")
+    assert (code, result, rest) == (0, "x x\n", "") and "twice" in names.split()
+
+
+@pytest.mark.parametrize("line", [":nope", ":budget", ":budget -1", ":budget ²"])
+def test_repl_unknown_meta_command(capsys, monkeypatch, line):
+    # "²" is a digit, but not a decimal, so `int` would refuse it
+    code, _, err = repl(capsys, monkeypatch, line)
+    assert code == 0 and f"unknown meta-command: {line}\n" in err
+
+
+def test_repl_end_of_input(capsys, monkeypatch):
+    code, out, _ = repl(capsys, monkeypatch)
+    assert (code, out) == (0, "coda> ")
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--width", "2", "--depth", "2")
     assert code == 0 and out == "91\n"

@@ -185,6 +185,37 @@ def test_classify_atom():
     assert classify_atom(parse("(b:({B}:x))")[0], ctx) == "defined_fixed_point"
 
 
+def test_classify_atom_resolves_the_head_under_one_budget():
+    # the head takes two steps to resolve, and a third is left for the rewrite
+    c = parse("((pass:(pass:pass)):x)")[0]
+    assert classify_atom(c, prelude(), Budget(max_steps=1)) == "undecided"
+    assert classify_atom(c, prelude(), Budget(max_steps=3)) == "reducible"
+
+
+def test_classify_atom_of_a_deep_chain():
+    c = parse("(n:" * 10_000 + ")" * 10_000)[0]
+    assert classify_atom(c, prelude()) == "invariant_atom"
+
+
+def test_is_invariant_reads_a_shared_coda_once(monkeypatch):
+    # each level holds the one below twice, so a walk that unfolds the
+    # sharing dispatches 2^d times
+    calls = 0
+    dispatch = Engine.dispatch
+
+    def counted(eng, c):
+        nonlocal calls
+        calls += 1
+        return dispatch(eng, c)
+
+    monkeypatch.setattr(Engine, "dispatch", counted)
+    d, c = 16, COLON
+    for _ in range(d):
+        c = Coda((word("n"), c), (c,))
+    assert classify_atom(c, prelude()) == "invariant_atom"
+    assert calls <= 2 * d
+
+
 def test_determinism():
     src = "sort : (pass:b) (null:c) a"
     assert ev(src) == ev(src)
