@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from .algebra import ProbeSet, default_probes
-from .engine import Budget, Context, add_definition, evaluate
+from .engine import Budget, Context, evaluate
 from .lang import parse, render
 from .organic import DEFAULT_SEARCH_CAP, DEMOS, SearchResult, search_spaces
 from .prelude import prelude
@@ -61,6 +61,8 @@ def _budget(args) -> Budget:
 
 
 def _load_preludes(paths: List[str]) -> Context:
+    """The prelude plus the words each file's lines bind.  A line is
+    evaluated as in the REPL; one whose normal form is not () is ignored."""
     ctx = prelude()
     for path in paths:
         try:
@@ -71,27 +73,22 @@ def _load_preludes(paths: List[str]) -> Context:
             raise SystemExit(2)
         for line in map(str.strip, lines):
             if line and not line.startswith("#"):
-                ctx = _define(ctx, line) or ctx
+                out = evaluate(parse(line), ctx)
+                if out.result:
+                    print(f"ignored malformed definition: {line}", file=sys.stderr)
+                else:
+                    ctx = out.context
     return ctx
 
 
-def _define(ctx: Context, line: str) -> Optional[Context]:
-    """Handle a `def name : body` line; None when it is not one."""
-    if not line.startswith("def "):
-        return None
-    d = parse(line[4:])
-    if len(d) == 1 and len(d[0].left) == 1:
-        return add_definition(ctx, d[0].left[0], d[0].right)
-    print(f"ignored malformed definition: {line}", file=sys.stderr)
-    return ctx
-
-
-def _evaluate(src: str, ctx: Context, budget: Budget) -> None:
-    """Print the normal form of `src`; exhaustion is noted on stderr."""
+def _evaluate(src: str, ctx: Context, budget: Budget) -> Context:
+    """Print the normal form of `src`; exhaustion is noted on stderr.
+    Returns the context the evaluation ended in."""
     out = evaluate(parse(src), ctx, budget)
     print(render(out.result))
     if not out.normalized:
         print("budget exhausted; partial form shown", file=sys.stderr)
+    return out.context
 
 
 def cmd_eval(args) -> int:
@@ -107,8 +104,10 @@ def cmd_repl(args) -> int:
     budget = _budget(args)
     print("coda repl; :quit to leave, :defs, :budget N", file=sys.stderr)
     while True:
+        # the prompt goes to stderr, so stdout holds only results
+        print("coda> ", end="", file=sys.stderr, flush=True)
         try:
-            line = input("coda> ")
+            line = input()
         except EOFError:
             print(file=sys.stderr)
             return 0
@@ -131,11 +130,7 @@ def cmd_repl(args) -> int:
             else:
                 print(f"unknown meta-command: {stripped}", file=sys.stderr)
             continue
-        new_ctx = _define(ctx, stripped)
-        if new_ctx is not None:
-            ctx = new_ctx
-            continue
-        _evaluate(line, ctx, budget)
+        ctx = _evaluate(line, ctx, budget)
 
 
 def cmd_count(args) -> int:

@@ -15,9 +15,12 @@ its budget).  This is one of the deterministic strategies the rewrite rules
 admit; it is documented rather than canonical.
 
 There are no run-time errors: evaluation either normalizes or stops at the
-step/node budget, reporting normalized=False.  The meters move only while
-`eval_coda` runs, and it checks the budget on entry; `eval_data` checks it
-once more after a trailing run of atoms.  So evaluation is reported
+step/node budget, reporting normalized=False.  `charge()` meters each
+rewrite step, and `spent()` is the one check of the meters against the
+window's limits (only the memo's fit test reads them otherwise).  The
+meters move only while `eval_coda` runs, and it checks the budget on entry;
+`eval_data` checks it once more after a trailing run of atoms, and
+`_rewrite` after a branch.  So evaluation is reported
 unnormalized when the limit was reached before some later coda or atom,
 not whenever it was reached: under Budget(max_steps=1), `a (null:x)` is
 normalized with steps_used 1, while `(null:x) a` and `a (null:x) b` are not.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
-from .encoding import _TEXT_CAP, LANG_NAME, is_lang_atom, is_word_atom, lang_source, word, word_text
+from .encoding import _TEXT_CAP, LANG_NAME, is_lang_atom, lang_source, word, word_text
 from .lang import eval_lang_atom
 from .terms import Coda, Data
 
@@ -83,9 +86,13 @@ MemoEntry = Tuple[Coda, Data, int, int]
 
 @dataclass
 class EvalOutcome:
+    """`context` is the one the evaluation ended in: the given context
+    plus every word a `def` in it bound."""
+
     result: Data
     normalized: bool
     steps_used: int
+    context: Context
 
 
 @dataclass(frozen=True)
@@ -153,11 +160,14 @@ class Engine:
     # -- budget ------------------------------------------------------------
 
     def spent(self) -> bool:
+        """Whether the window's budget is used up; the one place the meters
+        meet the limits, which also notes the exhaustion."""
         if self.steps >= self.max_steps or self.nodes >= self.max_nodes:
             self.exhausted = True
         return self.exhausted
 
     def charge(self, produced: Data) -> None:
+        """Meter one rewrite step that produced `produced`."""
         self.steps += 1
         self.nodes += len(produced)
 
@@ -197,16 +207,15 @@ class Engine:
         # exhaustion is noted as for any coda; the meters only move in
         # eval_coda, which checks on entry, so one check per trailing run of
         # atoms sets `exhausted` where a check per atom would
-        if atom and (self.steps >= self.max_steps or self.nodes >= self.max_nodes):
-            self.exhausted = True
+        if atom:
+            self.spent()
         return tuple(out)
 
     def eval_coda(self, c: Coda, defn: Optional[Definition]) -> Data:
         """The normal form of `c`, a coda with a head, whose head's entry in
         the context is `defn`: from the memo, or by rewriting and storing
         the result.  `eval_data` keeps atoms away from it."""
-        if self.steps >= self.max_steps or self.nodes >= self.max_nodes:
-            self.exhausted = True
+        if self.spent():
             return (c,)
         memo = self._memo
         # once a def has replaced `base` in this window, the entries no
@@ -247,8 +256,7 @@ class Engine:
             if res is None:
                 result = (c,)  # stuck as-is
                 break
-            self.steps += 1
-            self.nodes += len(res)
+            self.charge(res)
             result = self.eval_data(res)
             break
         if not self.exhausted and self.context is self.base:
@@ -270,10 +278,7 @@ class Engine:
         if "B" in defn.strict:
             b = self.eval_data(b)
         res = defn.apply(self, a, b)
-        if res is None or self.steps < self.max_steps and self.nodes < self.max_nodes:
-            return res
-        self.exhausted = True
-        return None
+        return None if res is not None and self.spent() else res
 
     # -- decision helpers --------------------------------------------------
 
@@ -298,7 +303,7 @@ class Engine:
                 return c if defn.name == "=" else False
             head = c.left[0]
             # normal head with no definition: inert coda, treated as atomic
-            if self.dispatch(head) is None or is_word_atom(head):
+            if self.dispatch(head) is None:
                 return True
             c = head
         return True
@@ -379,7 +384,7 @@ def _lang_definition(atom: Coda) -> Definition:
 def evaluate(d: Data, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> EvalOutcome:
     eng = Engine(ctx, budget)
     result = eng.eval_data(tuple(d))
-    return EvalOutcome(result=result, normalized=not eng.exhausted, steps_used=eng.steps)
+    return EvalOutcome(result, not eng.exhausted, eng.steps, eng.context)
 
 
 def step(d: Data, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> Data:

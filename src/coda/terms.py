@@ -5,8 +5,8 @@ represented as a plain tuple of Coda values so that concatenation is tuple
 concatenation and everything is hashable.  Equality is structural, and
 `_hash` is too, so codas of different hash are unequal.  Past the hashes,
 `Coda.__eq__` is done when the codas below are the same objects; otherwise
-it walks the pairs of data below on an explicit stack, as `cmp_data` does,
-to the end or to the first difference: equal hashes prove nothing.
+it is `cmp_data`'s walk of the left and then the right data, whose 0 means
+equal: equal hashes prove nothing.
 
 Also provides the canonical total order used everywhere (carrier listing,
 sorting, quotient representatives), and bounded enumeration / exact counting
@@ -67,7 +67,7 @@ class Coda:
         a, b, c, d = self.left, other.left, self.right, other.right
         if len(a) == len(b) and len(c) == len(d) and all(map(is_, a + c, b + d)):
             return True  # the same codas below: the common case, decided in C
-        return _equal_data([(a, b), (c, d)])
+        return not cmp_data(a, b) and not cmp_data(c, d)
 
     def __repr__(self):
         from .lang import _pieces  # lang imports terms
@@ -110,25 +110,6 @@ def cmp_data(a: Data, b: Data) -> int:
             if x is not y:
                 stack += ((x.right, y.right), (x.left, y.left))
     return 0
-
-
-def _equal_data(stack: list) -> bool:
-    """Whether each pair of data on `stack` is equal (see the module docstring)."""
-    seen = set()
-    while stack:
-        a, b = stack.pop()
-        if len(a) != len(b):
-            return False
-        pair = id(a), id(b)
-        if a is b or pair in seen:
-            continue
-        seen.add(pair)
-        for x, y in zip(a, b):
-            if x is not y:
-                if x._hash != y._hash:
-                    return False
-                stack += ((x.left, y.left), (x.right, y.right))
-    return True
 
 
 def cmp_coda(x: Coda, y: Coda) -> int:

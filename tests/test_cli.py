@@ -95,10 +95,19 @@ def test_repl_budget(capsys, monkeypatch):
 
 
 def test_repl_definitions(capsys, monkeypatch):
-    code, out, _ = repl(capsys, monkeypatch, "def twice : {B B}", "twice : x", ":defs")
-    # one prompt per line read, the last one answered by the end of input
-    _, _, result, names, rest = out.split("coda> ")
-    assert (code, result, rest) == (0, "x x\n", "") and "twice" in names.split()
+    code, out, err = repl(capsys, monkeypatch, "def twice : {B B}", "twice : x", ":defs")
+    # a def line prints its normal form; the prompts go to stderr, one per
+    # line read and the last one answered by the end of input
+    defined, result, names, rest = out.split("\n")
+    assert (code, defined, result, rest) == (0, "()", "x x", "") and "twice" in names.split()
+    assert err.count("coda> ") == 4
+
+
+def test_repl_keeps_every_word_the_calculus_binds(capsys, monkeypatch):
+    code, out, err = repl(capsys, monkeypatch, "(def twice : {B B})", "twice : x",
+                          "def\tthrice : {B B B}", "thrice : y", "def (pass:z) : w", "z : v")
+    assert (code, out) == (0, "()\nx x\n()\ny y y\n()\n(w:v)\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("line", [":nope", ":budget", ":budget -1", ":budget ²"])
@@ -109,8 +118,8 @@ def test_repl_unknown_meta_command(capsys, monkeypatch, line):
 
 
 def test_repl_end_of_input(capsys, monkeypatch):
-    code, out, _ = repl(capsys, monkeypatch)
-    assert (code, out) == (0, "coda> ")
+    code, out, err = repl(capsys, monkeypatch)
+    assert (code, out) == (0, "") and err.endswith("coda> \n")
 
 
 def test_count(capsys):
@@ -212,6 +221,16 @@ def test_prelude_file(capsys, tmp_path):
     f.write_text("# session helpers\ndef dup : ap {B B}\n")
     code, out, _ = run(capsys, "eval", "dup : x y", "--prelude", str(f))
     assert code == 0 and out == "x x y y\n"
+
+
+def test_prelude_lines_are_evaluated(capsys, tmp_path):
+    # any def form the calculus accepts binds; a line whose normal form is
+    # not () is named on stderr and leaves the context as it was
+    f = tmp_path / "defs.coda"
+    f.write_text("deff t : x\n(def u : {B B})\ndef (pass:z) : w\n")
+    code, out, err = run(capsys, "eval", "u : a", "--prelude", str(f))
+    assert (code, out) == (0, "a a\n")
+    assert err == "ignored malformed definition: deff t : x\n"
 
 
 @pytest.mark.parametrize("argv", [

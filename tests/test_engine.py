@@ -106,6 +106,27 @@ def test_exhaustion_at_an_atom(src, steps, normalized, used):
     assert (out.normalized, out.steps_used) == (normalized, used)
 
 
+@pytest.mark.parametrize("src, steps", [
+    ("pass : pass : pass : a", 1),  # eval_coda's entry
+    ("(null:x) a", 1),  # eval_data's trailing atom
+    ("ap {B B} : a b", 1),
+    ("if (null:x) : b", 1),  # _rewrite, after the guard spent the budget
+    ("while {(B:B)} : a", 20),  # the while builtin's loop
+])
+def test_only_spent_decides_exhaustion(monkeypatch, src, steps):
+    answers = []
+    spent = Engine.spent
+
+    def recorded(self):
+        answers.append(spent(self))
+        return answers[-1]
+
+    monkeypatch.setattr(Engine, "spent", recorded)
+    eng = Engine(prelude(), Budget(max_steps=steps))
+    eng.eval_data(parse(src))
+    assert eng.exhausted and True in answers
+
+
 @pytest.mark.parametrize("src, result", [
     ("first 2 : (= nif X:(last (:):(:)) (:(:) nif))", "(= nif X:(last (:):(:)) (:(:) nif))"),
     ("sort : (= nif X:(last (:):(:)) (:(:) nif)) a", "(= nif X:(last (:):(:)) (:(:) nif)) a"),
