@@ -60,9 +60,10 @@ def _budget(args) -> Budget:
     return _steps_budget(steps)
 
 
-def _load_preludes(paths: List[str]) -> Context:
+def _load_preludes(paths: List[str], budget: Budget) -> Context:
     """The prelude plus the words each file's lines bind.  A line is
-    evaluated as in the REPL; one whose normal form is not () is ignored."""
+    evaluated as in the REPL, under `budget`; one that exhausts it, or whose
+    normal form is not (), is named on stderr and binds nothing."""
     ctx = prelude()
     for path in paths:
         try:
@@ -73,8 +74,10 @@ def _load_preludes(paths: List[str]) -> Context:
             raise SystemExit(2)
         for line in map(str.strip, lines):
             if line and not line.startswith("#"):
-                out = evaluate(parse(line), ctx)
-                if out.result:
+                out = evaluate(parse(line), ctx, budget)
+                if not out.normalized:
+                    print(f"budget exhausted; ignored line: {line}", file=sys.stderr)
+                elif out.result:
                     print(f"ignored malformed definition: {line}", file=sys.stderr)
                 else:
                     ctx = out.context
@@ -95,13 +98,14 @@ def cmd_eval(args) -> int:
     src = args.expr
     if src == "-":
         src = sys.stdin.read()
-    _evaluate(src, _load_preludes(args.prelude), _budget(args))
+    budget = _budget(args)
+    _evaluate(src, _load_preludes(args.prelude, budget), budget)
     return 0
 
 
 def cmd_repl(args) -> int:
-    ctx = _load_preludes(args.prelude)
     budget = _budget(args)
+    ctx = _load_preludes(args.prelude, budget)
     print("coda repl; :quit to leave, :defs, :budget N", file=sys.stderr)
     while True:
         # the prompt goes to stderr, so stdout holds only results
@@ -158,16 +162,17 @@ def _print_search(results: List[SearchResult], fmt: str) -> None:
 
 
 def cmd_search(args) -> int:
-    ctx = _load_preludes(args.prelude)
+    ctx = _load_preludes(args.prelude, Budget())
     results = search_spaces(args.words, args.max_len, ctx=ctx, cap=args.cap)
     _print_search(results, args.format)
     return 0
 
 
 def cmd_space(args) -> int:
-    ctx = _load_preludes(args.prelude)
+    budget = _budget(args)
+    ctx = _load_preludes(args.prelude, budget)
     space = parse(args.expr)
-    probes = ProbeSet(default_probes().probes, budget=_budget(args))
+    probes = ProbeSet(default_probes().probes, budget=budget)
     carrier = extract_carrier(space, probes, cap=args.cap, ctx=ctx,
                               on_overflow="raise")
     endos = enumerate_endos(carrier, cap=args.endo_cap)

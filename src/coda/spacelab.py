@@ -5,8 +5,9 @@ carrier is finite (or truncated), endomorphisms become plain endofunctions of
 the element set.  The classification (constants, homomorphisms, units,
 central maps, idempotents, subspaces, quotients) is decided by exhaustive
 checks over the tables.  The product and sum tables are filled a row at a
-time: the results of f with every listed g are looked up by their
-mixed-radix index, which C-level maps compute down the list's columns.  The
+time: the images of f with every listed g are computed by one byte
+translation per position, down the list's columns, and looked up by their
+packed bytes, so `classify` takes carriers of at most 255 elements.  The
 homomorphism and subspace laws are each stated once, as equations over a
 partial map.  Settled on one complete map they decide the law; propagated
 over partial maps in a depth-first search they list the maps that satisfy
@@ -27,9 +28,7 @@ one raises a subclass of `terms.CapExceeded`.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -428,8 +427,17 @@ class SemiringReport:
 
 
 def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
+    """The semiring of the listed endos: its product (composition) and sum
+    (pointwise) tables, None where a result is not listed or a sum is
+    undefined, with each endo's flags and the carrier's.  The list holds
+    distinct endos, the identity and the zero map among them.  An image is
+    one byte in the tables' fill, so a carrier of more than 255 elements
+    raises CarrierOverflow.
+    """
     endos = list(endos)
     n = c.size
+    if n > 255:
+        raise CarrierOverflow(f"{n} carrier elements: classify's tables hold at most 255")
     if not all(isinstance(f, tuple) and len(f) == n for f in endos) or not (
         set(itertools.chain.from_iterable(endos)) <= set(range(n))
     ):
@@ -442,27 +450,28 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     if ident not in pos or zero not in pos:
         raise ValueError("endo list must contain the identity and zero maps")
 
-    # An endo's mixed-radix index weighs position i by n^(n-1-i).  In row f,
-    # the index of f.g is the sum of w_i * f[g[i]] and that of f+g the sum of
-    # w_i * add[f[i]][g[i]]: n small image lists read down the list's
-    # columns.  An undefined sum weighs -n^n, so its index matches no endo.
-    weights = [n ** (n - 1 - i) for i in range(n)]
-    undefined = -(n ** n)
-    at = {sum(map(operator.mul, weights, f)): i for i, f in enumerate(endos)}.get
-    columns = list(zip(*endos))
+    # An endo's key is its n images as bytes, padded to k whole 8-byte
+    # words.  The keys of f.g for every listed g are filled at once: one
+    # bytes.translate per position sends column i (every g's g[i]) through
+    # f, and strided slices interleave the columns into one buffer, which
+    # reads as one key per g: its word, or the tuple of its k words.  For
+    # f+g, column i goes through row f[i] of the sum table instead, where
+    # byte 255 stands for an undefined sum, so that key matches no endo.
+    k = -(-n // 8)
+    columns = [bytes(col) for col in zip(*endos)]
+    buf = bytearray(8 * k * len(endos))
+    words = memoryview(buf).cast("Q")
+    keys = [words[j::k] for j in range(k)]
 
-    def row(images) -> List[Optional[int]]:
-        terms = map(map, [img.__getitem__ for img in images], columns)
-        return list(map(at, functools.reduce(functools.partial(map, operator.add), terms)))
+    def fill(tables):
+        for i, (col, table) in enumerate(zip(columns, tables)):
+            buf[i::8 * k] = col.translate(table)
+        return keys[0] if k == 1 else zip(*keys)
 
-    product_table = []
-    sum_table = []
-    for f in endos:
-        product_table.append(row([[w * v for v in f] for w in weights]))
-        sum_table.append(row([
-            [undefined if s is None else w * s for s in c.add[v]]
-            for w, v in zip(weights, f)
-        ]))
+    at = {key: i for i, key in enumerate(fill([bytes(range(256))] * n))}.get
+    sums = [bytes(255 if s is None else s for s in r).ljust(256, b"\xff") for r in c.add]
+    product_table = [list(map(at, fill([bytes(f).ljust(256, b"\xff")] * n))) for f in endos]
+    sum_table = [list(map(at, fill(list(map(sums.__getitem__, f))))) for f in endos]
 
     is_unit = [inverse_of(f) in pos for f in endos]
     units = [f for f, unit in zip(endos, is_unit) if unit]

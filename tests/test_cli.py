@@ -8,6 +8,7 @@ import pytest
 
 import coda
 from coda.cli import main
+from coda.engine import DEFAULT_BUDGET, evaluate
 from coda.organic import DEMOS
 from coda.spacelab import enumerate_endos, zn_carrier
 
@@ -231,6 +232,30 @@ def test_prelude_lines_are_evaluated(capsys, tmp_path):
     code, out, err = run(capsys, "eval", "u : a", "--prelude", str(f))
     assert (code, out) == (0, "a a\n")
     assert err == "ignored malformed definition: deff t : x\n"
+
+
+def test_prelude_lines_run_under_the_command_budget(capsys, monkeypatch, tmp_path):
+    # eval and repl evaluate each prelude line under --budget or CODA_BUDGET,
+    # as they do the command's own input (the last budget recorded), and a
+    # line that exhausts it is named as exhausted
+    steps = []
+
+    def recording(d, ctx, budget=DEFAULT_BUDGET):
+        steps.append(budget.max_steps)
+        return evaluate(d, ctx, budget)
+
+    monkeypatch.setattr("coda.cli.evaluate", recording)
+    f = tmp_path / "defs.coda"
+    f.write_text("def dup : ap {B B}\nwhile {(B:B)} : a\n")
+    code, out, err = run(capsys, "eval", "dup : x", "--budget", "50", "--prelude", str(f))
+    assert (code, out, steps) == (0, "x x\n", [50, 50, 50])
+    assert err == "budget exhausted; ignored line: while {(B:B)} : a\n"
+    steps.clear()
+    monkeypatch.setenv("CODA_BUDGET", "40")
+    monkeypatch.setattr("sys.stdin", io.StringIO("dup : y\n"))
+    code, out, err = run(capsys, "repl", "--prelude", str(f))
+    assert (code, out, steps) == (0, "y y\n", [40, 40, 40])
+    assert "budget exhausted; ignored line: while {(B:B)} : a\n" in err
 
 
 @pytest.mark.parametrize("argv", [

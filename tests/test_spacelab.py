@@ -466,6 +466,34 @@ def test_classify_fills_tables_as_by_entry(c, rng):
         assert (rep.product_table, rep.sum_table) == fill_by_entry(c, endos)
 
 
+def test_classify_fills_tables_past_one_word():
+    # past 8 elements an endo's packed key spans two 8-byte words
+    l3 = extract_carrier(bool_seq_truncated(3), _bool_probes(), cap=64)
+    homs = list(homomorphisms(l3))
+    assert (l3.size, len(homs)) == (15, 205)
+    # an open carrier: a sum of 10 or more is undefined; small maps, their
+    # sums and composites are listed, so both tables hold hits and misses
+    open10 = carrier_from_function(range(10), lambda x, y: x + y, 0)
+    rng = random.Random(11)
+    small = [tuple(rng.randrange(4) for _ in range(10)) for _ in range(12)]
+    listed = set(small) | {identity_endo(open10), zero_endo(open10)}
+    listed |= {oplus(f, g, open10) for f in small for g in small}
+    listed |= {compose(f, g) for f in small for g in small}
+    listed.add(constant_endo(open10, 9))  # 9 + 9 is undefined everywhere
+    endos = sorted(listed)
+    for c, maps in ((l3, homs), (open10, endos)):
+        rep = classify(c, maps)
+        assert (rep.product_table, rep.sum_table) == fill_by_entry(c, maps)
+    cells = [v for row in rep.product_table + rep.sum_table for v in row]
+    assert None in cells and any(v is not None for v in cells)
+
+
+def test_classify_refuses_past_255_elements():
+    c = zn_carrier(256)
+    with pytest.raises(CarrierOverflow):
+        classify(c, [identity_endo(c), zero_endo(c)])
+
+
 def test_field_check_matches_scan_in_every_element_order():
     sat4 = saturation_carrier(4)
     for order in itertools.permutations(range(4)):
