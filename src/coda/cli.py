@@ -2,9 +2,10 @@
 analysis, and the demo runner.
 
 Every subcommand is a thin adapter over the library; the primary output is
-exactly what the corresponding API call renders.  Exit codes: 0 success,
-1 demo assertion failure or an output pipe closed by its reader, 2 cap or
-overflow refusal, or a malformed option, CODA_BUDGET or definition file.
+exactly what the corresponding API call renders.  Exit codes: 0 success;
+1 a demo assertion failure, a `count --enumerate` mismatch, or an output
+pipe closed by its reader; 2 a cap or overflow refusal, a malformed option
+or CODA_BUDGET, or an unreadable --prelude file.
 Cap defaults are the library's; every refusal is a `terms.CapExceeded`,
 reported in one place, `main`.
 """

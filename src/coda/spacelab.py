@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import HOLDS, REFUTED, ProbeSet, Verdict, default_probes
+from .algebra import ProbeSet, default_probes
 from .encoding import word
 from .engine import Context, Engine
 from .lang import render
@@ -236,6 +236,25 @@ def oplus(f: Endo, g: Endo, c: CarrierTable) -> Optional[Endo]:
     """Pointwise sum; None when the carrier's table is missing an entry."""
     out = tuple(c.add[a][b] for a, b in zip(f, g))
     return None if None in out else out
+
+
+def induced_endo(c: CarrierTable, program: Data) -> Endo:
+    """The map that the data `program` induces on the carrier: element i
+    goes to the normal form of (program : element_i), each in its own budget
+    window of one engine.  An image that exhausts the budget, or that is not
+    an element, raises ValueError."""
+    program = tuple(program)
+    eng = Engine(prelude())
+    images = []
+    for x in c.elements:
+        out = _normalize(eng, program, x)
+        if out is None:
+            raise ValueError(f"({render(program)} : {render(x)}) exhausts the budget")
+        k = c.index_of(out)
+        if k is None:
+            raise ValueError(f"({render(program)} : {render(x)}) is {render(out)}, not an element")
+        images.append(k)
+    return tuple(images)
 
 
 def enumerate_endos(c: CarrierTable, cap: int = DEFAULT_ENDO_CAP) -> List[Endo]:
@@ -540,27 +559,6 @@ def quotient_of_hom(h: Endo, c: CarrierTable) -> Endo:
         for v, members in fibers.items()
     }
     return tuple(rep[v] for v in h)
-
-
-def verify_semialgebra(
-    c: CarrierTable,
-    mapping: Dict[int, Endo],
-    units: Optional[Sequence[Endo]] = None,
-) -> Verdict:
-    """Check a constants-to-homomorphisms assignment: total on the listed
-    constants, injective, every image a homomorphism, and, when `units` are
-    given, every image central (commuting with each unit)."""
-    checked = 0
-    images = list(mapping.values())
-    if len(set(images)) != len(images):
-        return Verdict(REFUTED, "semialgebra-injective", len(images))
-    for k, h in mapping.items():
-        checked += 1
-        if not is_homomorphism(h, c):
-            return Verdict(REFUTED, "semialgebra-homomorphism", checked)
-        if units is not None and any(compose(h, u) != compose(u, h) for u in units):
-            return Verdict(REFUTED, "semialgebra-central", checked)
-    return Verdict(HOLDS, "semialgebra", checked)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from coda.organic import (
     DEMOS,
     DemoReport,
     QAtom,
-    bounded_n_carrier,
     demo_bool,
     fibonacci,
     gauss_mult,
@@ -21,7 +20,6 @@ from coda.organic import (
     q_add,
     rationals,
     reduce_int,
-    rem,
     rem_value,
     search_spaces,
     seq,
@@ -64,14 +62,17 @@ def test_rem_values():
     assert rem_value(1, 3, 5) == 2
     assert rem_value(2, 2, 4) == 0
     assert [rem_value(2, 2, n) for n in range(6)] == [0, 1, 0, 1, 0, 1]
-    with pytest.raises(ValueError):
-        rem(0, 1)
 
 
-def test_rem_endo_on_carrier():
-    c = bounded_n_carrier(10)
-    e = rem(3, 3, c)
-    assert e[:7] == (0, 1, 2, 0, 1, 2, 0)
+def test_organic_n_reads_its_rem_maps_from_the_calculus(monkeypatch):
+    # rem(2,2) given the program of rem(3,3): only the two checks that read
+    # its map fail, and the carrier check names the n where n % 3 != n % 2
+    monkeypatch.setitem(organic.REM_PROGRAMS, (2, 2), "while remove a a a")
+    report = organic.organic_N()
+    assert not report.passed
+    failing = {a.description: a.actual for a in report.assertions if not a.passed}
+    assert failing == {"rem(2,2)(4)": "1",
+                       "rem(2,2) equals mod 2 on the carrier": "11 failing, first 2"}
 
 
 def test_qatom():

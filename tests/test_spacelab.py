@@ -5,11 +5,18 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from coda.algebra import ProbeSet, default_probes
+from coda.algebra import ProbeSet, default_probes, product
 from coda.encoding import word
 from coda.engine import Budget, Engine
 from coda.lang import parse
-from coda.organic import _bool_probes, bool_seq_truncated, sets_space
+from coda.organic import (
+    REM_PROGRAMS,
+    _bool_probes,
+    bool_seq_truncated,
+    bounded_n_carrier,
+    rem_value,
+    sets_space,
+)
 from coda.prelude import prelude
 from coda import spacelab
 from coda.spacelab import (
@@ -28,6 +35,7 @@ from coda.spacelab import (
     field_check,
     homomorphisms,
     identity_endo,
+    induced_endo,
     inverse_of,
     is_cancellative,
     is_commutative,
@@ -41,7 +49,6 @@ from coda.spacelab import (
     render_report,
     render_table,
     saturation_carrier,
-    verify_semialgebra,
     zn_carrier,
     zero_endo,
 )
@@ -517,15 +524,19 @@ def test_quotient_of_hom():
         quotient_of_hom((1, 1, 1, 1), c)
 
 
-def test_verify_semialgebra():
-    c = zn_carrier(5)
-    mapping = {k: tuple((k * i) % 5 for i in range(5)) for k in range(5)}
-    units = [e for e in enumerate_endos(c)
-             if is_homomorphism(e, c) and len(set(e)) == 5]
-    assert verify_semialgebra(c, mapping, units=units).holds
-    bad = dict(mapping)
-    bad[7] = mapping[2]
-    assert verify_semialgebra(c, bad).refuted
+def test_induced_endo():
+    c = bounded_n_carrier()
+    for (p, q), src in REM_PROGRAMS.items():
+        assert induced_endo(c, parse(src)) == tuple(rem_value(p, q, n) for n in range(17)), src
+    for k in range(5):
+        program = product(parse("first 16"), parse("ap const" + " a" * k))
+        assert induced_endo(c, program) == tuple(min(k * n, 16) for n in range(17)), k
+    # a^9 goes to a^18, which is not an element
+    with pytest.raises(ValueError, match="not an element"):
+        induced_endo(c, parse("ap const a a"))
+    # a doubles until the budget runs out
+    with pytest.raises(ValueError, match="exhausts the budget"):
+        induced_endo(c, parse("while {B B}"))
 
 
 def test_iso_check():
