@@ -24,6 +24,17 @@ or directly from a Python-level addition function when an independent oracle
 (mod-n arithmetic, saturation, and so on) is wanted.  `closed` is derived
 from the table: no sum is None.  Each cap is set by a constant here; work past
 one raises a subclass of `terms.CapExceeded`.
+
+Extraction reads a space as the paper defines it, associative data with the
+neutral as identity, so its carrier is a monoid: a walk of the right Cayley
+graph over a few generators (Froidure & Pin, 1997) normalises about n·g sums
+for n elements and g generators, and every other sum is read from the
+graph.  The neutral's identity laws are then checked on every element.  A
+space that fails them, and a walk that exhausts the budget or passes the
+cap, fall back to normalising every ordered pair of elements.  Associativity
+is not checked: for a space that passes the identity check but is not
+associative, x + y is read along y's word, summing x with y's generators one
+at a time.
 """
 
 from __future__ import annotations
@@ -95,6 +106,117 @@ def _normalize(eng: Engine, space: Data, x: Data) -> Optional[Data]:
     return None if eng.exhausted else out
 
 
+# (x, y) -> the number of x + y, or None, over the elements numbered as found
+Sums = Dict[Tuple[int, int], Optional[int]]
+
+
+def _cayley_graph(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int):
+    """The right Cayley graph (Froidure & Pin, 1997) of the monoid that
+    `found[1:]` generate over the neutral `found[0]`, or None if a
+    normalisation exhausts the budget, the elements would pass `cap`, or e g
+    is not g for the neutral e and a generator g.
+
+    The elements of `found` are taken in shortlex order (length, then
+    `data_key`); one that earlier generators reach is skipped, any other
+    becomes a generator.  Every element reached so far is extended by it,
+    one normalisation of x g each, and every element reached anew by every
+    generator.  As e g is g, every element of `found` is reached: it is a
+    generator or was skipped.  Returns the elements, the generators, the
+    elements in the order reached, `parent[y] = (x, k)` when y was first
+    reached as x + gens[k], so that each element keeps the word that first
+    reached it, and `edges[x][k]`, the number of x + gens[k]."""
+    found = list(found)
+    number = {e: i for i, e in enumerate(found)}
+    gens: List[int] = []
+    reached = [0]
+    parent: Dict[int, Optional[Tuple[int, int]]] = {0: None}
+    edges: List[List[int]] = [[] for _ in found]
+    for g in sorted(range(1, len(found)), key=lambda i: (len(found[i]), data_key(found[i]))):
+        if g in parent:
+            continue
+        gens.append(g)
+        for x in reached:  # `reached` grows as it is read, so new elements are extended too
+            for k in range(len(edges[x]), len(gens)):
+                s = normal(found[x] + found[gens[k]])
+                if s is None:
+                    return None
+                y = number.get(s)
+                if y is None:
+                    if len(found) >= cap:
+                        return None
+                    y = number[s] = len(found)
+                    found.append(s)
+                    edges.append([])
+                if x == 0 and y != gens[k]:
+                    return None  # e g is not g: the neutral is no identity
+                if y not in parent:
+                    parent[y] = (x, k)
+                    reached.append(y)
+                edges[x].append(y)
+    return found, gens, reached, parent, edges
+
+
+def _sums_by_walk(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int
+                  ) -> Optional[Tuple[List[Data], Sums]]:
+    """The elements and every sum, read from the right Cayley graph with no
+    further normalisation, or None if there is no graph or the neutral's
+    identity laws fail on an element.  Every row is filled in the order the
+    elements were reached: x + y is (x + parent(y)) + the last generator of
+    y's word, one edge away."""
+    graph = _cayley_graph(normal, found, cap)
+    if graph is None:
+        return None
+    found, gens, reached, parent, edges = graph
+    e = found[0]
+    # normal forms the graph already holds: () is the neutral's own datum,
+    # and e g, the edge from the neutral by generator g, is g
+    known = {(): e, **{e + found[g]: found[g] for g in gens}}
+    for d in found:
+        # x e and e x, once when e is (): they are then the same datum
+        for side in dict.fromkeys((d + e, e + d)):
+            if (known[side] if side in known else normal(side)) != d:
+                return None
+    sums: Sums = {}
+    for x in range(len(found)):
+        sums[x, 0] = x
+        for y in reached[1:]:
+            p, k = parent[y]
+            sums[x, y] = edges[sums[x, p]][k]
+    return found, sums
+
+
+def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int,
+                   on_overflow: str) -> Tuple[List[Data], Sums]:
+    """The elements and every sum by normalising each ordered pair of
+    elements once: every element enters one frontier and is summed there,
+    both ways, with every element found before its turn, skipping the pairs
+    an earlier turn summed.  A sum past `cap` is None, or raises
+    CarrierOverflow when on_overflow is "raise"."""
+    found = list(found)
+    number = {e: i for i, e in enumerate(found)}
+    sums: Sums = {}
+    frontier = range(len(found))
+    while frontier:
+        start = len(found)
+        for x in frontier:
+            for y in range(len(found)):
+                for a, b in ((x, y), (y, x)):
+                    if (a, b) in sums:
+                        continue
+                    s = normal(found[a] + found[b])
+                    k = None if s is None else number.get(s)
+                    if s is not None and k is None:
+                        if len(found) >= cap:
+                            if on_overflow == "raise":
+                                raise CarrierOverflow(f"more than {cap} carrier elements")
+                        else:
+                            k = number[s] = len(found)
+                            found.append(s)
+                    sums[a, b] = k
+        frontier = range(start, len(found))
+    return found, sums
+
+
 def extract_carrier(
     space: Data,
     probes: Optional[ProbeSet] = None,
@@ -108,46 +230,42 @@ def extract_carrier(
     bounds only the elements that sums add.  A sum past the cap, or one that
     exhausts the probes' budget, is None in the table; on_overflow="raise"
     turns the cap into CarrierOverflow.
+
+    The carrier is first walked as a monoid, by its right Cayley graph over
+    the probe elements that earlier ones do not reach (`_sums_by_walk`):
+    about n·g normalisations for n elements and g generators.  Then the
+    neutral's identity laws are checked on every element.  The walk gives
+    way to normalising every ordered pair of elements (`_sums_by_pairs`),
+    begun afresh from the probe elements, when a normalisation exhausts the
+    budget, the walk would pass `cap`, or an identity law fails.  A probe
+    element that the walk never reaches fails the left law e g = g on the
+    generator it would be.  So open and refused carriers, and spaces whose
+    neutral is no identity (`not`: (:) + (:) is ()), are what the pairs
+    give.  For an associative space both give the same table.  For a space
+    that passes the identity check but is not associative, the walk's table
+    reads x + y along y's word: x is summed with y's generators one at a
+    time, left to right.
     """
     probes = probes if probes is not None else default_probes()
     space = tuple(space)
     eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
 
-    neutral_elem = _normalize(eng, space, ())
+    def normal(x: Data) -> Optional[Data]:
+        return _normalize(eng, space, x)
+
+    neutral_elem = normal(())
     if neutral_elem is None:
         raise CarrierOverflow("budget exhausted while normalizing the neutral")
     found: List[Data] = [neutral_elem]  # the elements, numbered as found
     number: Dict[Data, int] = {neutral_elem: 0}
     for p in probes.probes:
-        e = _normalize(eng, space, p)
+        e = normal(p)
         if e is not None and e not in number:
             number[e] = len(found)
             found.append(e)
 
-    # every element enters one frontier and is summed there, both ways, with
-    # every element found before its turn, skipping the pairs an earlier turn
-    # summed; so each ordered pair is normalised once, and `sums` ends up
-    # holding every pair: the number of the sum, or None
-    sums: Dict[Tuple[int, int], Optional[int]] = {}
-    frontier = range(len(found))
-    while frontier:
-        start = len(found)
-        for x in frontier:
-            for y in range(len(found)):
-                for a, b in ((x, y), (y, x)):
-                    if (a, b) in sums:
-                        continue
-                    s = _normalize(eng, space, found[a] + found[b])
-                    k = None if s is None else number.get(s)
-                    if s is not None and k is None:
-                        if len(found) >= cap:
-                            if on_overflow == "raise":
-                                raise CarrierOverflow(f"more than {cap} carrier elements")
-                        else:
-                            k = number[s] = len(found)
-                            found.append(s)
-                    sums[a, b] = k
-        frontier = range(start, len(found))
+    walked = _sums_by_walk(normal, found, cap)
+    found, sums = walked or _sums_by_pairs(normal, found, cap, on_overflow)
 
     order = sorted(range(len(found)), key=lambda i: data_key(found[i]))
     rank = {i: r for r, i in enumerate(order)}

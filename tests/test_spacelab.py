@@ -57,6 +57,9 @@ from coda.terms import COLON, CapExceeded, Coda, data_key
 from conftest import SAFE_WORDS, random_data
 
 
+SETS_PROBES = ProbeSet(((), (word("a"),), (word("b"),), (word("c"),), parse("a b c")))
+
+
 def bool_carrier():
     return extract_carrier(parse("bool"), ProbeSet(((), (COLON,))), cap=4)
 
@@ -193,11 +196,12 @@ def test_classify_rejects_malformed_endos():
 def test_extracted_table_matches_fresh_engines():
     # the table is read from the sums the closure computed with a shared
     # memo; recompute every entry with its own engine
-    sets_probes = ProbeSet(((), (word("a"),), (word("b"),), (word("c"),), parse("a b c")))
     cases = (
         (parse("bool"), ProbeSet(((), (COLON,))), 4),
-        (sets_space(), sets_probes, 16),
+        (sets_space(), SETS_PROBES, 16),
         (bool_seq_truncated(1), _bool_probes(), 8),
+        (bool_seq_truncated(3), _bool_probes(), 64),
+        (parse("first 2"), default_probes(), 64),
     )
     for space, probes, cap in cases:
         c = extract_carrier(space, probes, cap=cap)
@@ -295,18 +299,57 @@ def test_extraction_past_the_first_frontier_matches_fresh_engines(src):
                     == _reference_extraction(parse(src), probes, cap, on_overflow))
 
 
-@pytest.mark.parametrize("space, probes, cap, size, calls", [
-    (parse("first 2"), default_probes(), 64, 91, 8373),
-    (bool_seq_truncated(3), _bool_probes(), 64, 15, 233),
-], ids=["first 2", "L3"])
-def test_each_ordered_sum_is_normalised_once(monkeypatch, space, probes, cap, size, calls):
-    # the neutral, each probe, and each ordered pair of elements, once
+@pytest.mark.parametrize("space, probes, cap, size, walked, paired", [
+    (parse("bool"), ProbeSet(((), (COLON,))), 4, 2, 5, 7),
+    (sets_space(), SETS_PROBES, 16, 8, 34, 70),
+    (bool_seq_truncated(1), _bool_probes(), 8, 3, 14, 17),
+    (bool_seq_truncated(2), _bool_probes(), 16, 7, 26, 57),
+    (bool_seq_truncated(3), _bool_probes(), 64, 15, 50, 233),
+    (parse("first 2"), default_probes(), 64, 91, 992, 8373),
+], ids=["bool", "sets", "L1", "L2", "L3", "first 2"])
+def test_extraction_normalisation_counts(monkeypatch, space, probes, cap, size, walked, paired):
+    # the walk normalises the neutral, each probe, one sum per element and
+    # generator, and the identity laws: no more than the pairs, which
+    # normalise the neutral, each probe, and each ordered pair of elements
     seen = []
     normalize = spacelab._normalize
     monkeypatch.setattr(spacelab, "_normalize", lambda *args: seen.append(args) or normalize(*args))
     c = extract_carrier(space, probes, cap=cap)
     assert c.size == size and c.closed
-    assert len(seen) == 1 + len(probes.probes) + size ** 2 == calls
+    assert len(seen) == walked <= paired
+    seen.clear()
+    monkeypatch.setattr(spacelab, "_sums_by_walk", lambda *args: None)
+    assert extract_carrier(space, probes, cap=cap) == c
+    assert len(seen) == 1 + len(probes.probes) + size ** 2 == paired
+
+
+WALK_TOKENS = ("not", "bool", "rev", "first", "last", "min", "once", "sort", "pass", "a",
+               "{B a}", "{a B}", "{B B}")
+
+
+def test_walk_matches_the_pairs_on_short_spaces(monkeypatch):
+    # every one- and two-token space: the walk's carrier, or its refusal,
+    # is the one the pairs give; a `not`-headed space fails the identity
+    # check, as (:) + (:) is (), and falls back to the pairs
+    walk = spacelab._sums_by_walk
+    stood = []
+
+    def spy(*args):
+        out = walk(*args)
+        stood.append(out is not None)
+        return out
+
+    probes = ProbeSet(((), (word("a"),), (word("b"),)))
+    for tokens in itertools.chain.from_iterable(
+            itertools.product(WALK_TOKENS, repeat=n) for n in (1, 2)):
+        space = parse(" ".join(tokens))
+        for cap, on_overflow in itertools.product((3, 5, 8, 20), ("open", "raise")):
+            monkeypatch.setattr(spacelab, "_sums_by_walk", spy)
+            got = _extraction(space, probes, cap, on_overflow)
+            monkeypatch.setattr(spacelab, "_sums_by_walk", lambda *args: None)
+            assert got == _extraction(space, probes, cap, on_overflow), (tokens, cap, on_overflow)
+            assert tokens[0] != "not" or stood[-1] is False, (tokens, cap)
+    assert len(stood) == 182 * 8 and 0 < sum(stood) < len(stood)
 
 
 def reordered(c, order):
