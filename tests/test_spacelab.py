@@ -194,8 +194,8 @@ def test_classify_rejects_malformed_endos():
 
 
 def test_extracted_table_matches_fresh_engines():
-    # the table is read from the sums the closure computed with a shared
-    # memo; recompute every entry with its own engine
+    # the table is read from the walk's graph, whose sums share one
+    # engine's memo; recompute every entry with its own engine
     cases = (
         (parse("bool"), ProbeSet(((), (COLON,))), 4),
         (sets_space(), SETS_PROBES, 16),
