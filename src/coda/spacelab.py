@@ -31,14 +31,16 @@ graph over a few generators (Froidure & Pin, 1997) normalises about n·g sums
 for n elements and g generators, and every other sum is read from the
 graph.  The neutral's identity laws are then checked on every element.  A
 space that fails them, and a walk that exhausts the budget or passes the
-cap, fall back to normalising every ordered pair of elements.  Associativity
-is not checked: for a space that passes the identity check but is not
+cap, fall back to summing every ordered pair of elements.  One cache per
+extraction answers both, so no datum is normalised twice.  Associativity is
+not checked: for a space that passes the identity check but is not
 associative, x + y is read along y's word, summing x with y's generators one
 at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -72,7 +74,8 @@ class CarrierTable:
     """Elements in canonical order with the induced addition table.
 
     `add[i][j]` is the index of element_i + element_j, or None when the sum
-    left the extracted set (only possible for open, truncated carriers).
+    left the extracted set (a truncated carrier) or exhausted the budget;
+    either makes the carrier open.
     """
 
     elements: Tuple[Data, ...]
@@ -160,22 +163,18 @@ def _sums_by_walk(normal: Callable[[Data], Optional[Data]], found: Sequence[Data
                   ) -> Optional[Tuple[List[Data], Sums]]:
     """The elements and every sum, read from the right Cayley graph with no
     further normalisation, or None if there is no graph or the neutral's
-    identity laws fail on an element.  Every row is filled in the order the
-    elements were reached: x + y is (x + parent(y)) + the last generator of
-    y's word, one edge away."""
+    identity laws d e = d = e d fail on an element d.  `normal` normalises
+    each datum once, so the laws cost nothing for e g, which the walk
+    summed, and one normalisation for d when e is ().  Every row is filled
+    in the order the elements were reached: x + y is (x + parent(y)) + the
+    last generator of y's word, one edge away."""
     graph = _cayley_graph(normal, found, cap)
     if graph is None:
         return None
-    found, gens, reached, parent, edges = graph
+    found, _, reached, parent, edges = graph
     e = found[0]
-    # normal forms the graph already holds: () is the neutral's own datum,
-    # and e g, the edge from the neutral by generator g, is g
-    known = {(): e, **{e + found[g]: found[g] for g in gens}}
-    for d in found:
-        # x e and e x, once when e is (): they are then the same datum
-        for side in dict.fromkeys((d + e, e + d)):
-            if (known[side] if side in known else normal(side)) != d:
-                return None
+    if not all(normal(d + e) == d == normal(e + d) for d in found):
+        return None
     sums: Sums = {}
     for x in range(len(found)):
         sums[x, 0] = x
@@ -187,11 +186,12 @@ def _sums_by_walk(normal: Callable[[Data], Optional[Data]], found: Sequence[Data
 
 def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int,
                    on_overflow: str) -> Tuple[List[Data], Sums]:
-    """The elements and every sum by normalising each ordered pair of
-    elements once: every element enters one frontier and is summed there,
-    both ways, with every element found before its turn, skipping the pairs
-    an earlier turn summed.  A sum past `cap` is None, or raises
-    CarrierOverflow when on_overflow is "raise"."""
+    """The elements and every sum, each ordered pair of elements summed
+    once: every element enters one frontier and is summed there, both ways,
+    with every element found before its turn, skipping the pairs an earlier
+    turn summed.  `normal` normalises each datum once, so a sum that a walk
+    given up or another pair normalised costs nothing more.  A sum past
+    `cap` is None, or raises CarrierOverflow when on_overflow is "raise"."""
     found = list(found)
     number = {e: i for i, e in enumerate(found)}
     sums: Sums = {}
@@ -231,39 +231,35 @@ def extract_carrier(
     exhausts the probes' budget, is None in the table; on_overflow="raise"
     turns the cap into CarrierOverflow.
 
-    The carrier is first walked as a monoid, by its right Cayley graph over
-    the probe elements that earlier ones do not reach (`_sums_by_walk`):
-    about n·g normalisations for n elements and g generators.  Then the
-    neutral's identity laws are checked on every element.  The walk gives
-    way to normalising every ordered pair of elements (`_sums_by_pairs`),
-    begun afresh from the probe elements, when a normalisation exhausts the
-    budget, the walk would pass `cap`, or an identity law fails.  A probe
-    element that the walk never reaches fails the left law e g = g on the
-    generator it would be.  So open and refused carriers, and spaces whose
-    neutral is no identity (`not`: (:) + (:) is ()), are what the pairs
-    give.  For an associative space both give the same table.  For a space
-    that passes the identity check but is not associative, the walk's table
-    reads x + y along y's word: x is summed with y's generators one at a
-    time, left to right.
+    Each datum is normalised once per extraction: `normal` is a cache,
+    keyed by the data.  The carrier is first walked as a monoid, by its
+    right Cayley graph over the probe elements that earlier ones do not
+    reach (`_sums_by_walk`): about n·g normalisations for n elements and g
+    generators.  Then the neutral's identity laws are checked on every
+    element.  The walk gives way to summing every ordered pair of elements
+    (`_sums_by_pairs`), begun afresh from the probe elements, when a
+    normalisation exhausts the budget, the walk would pass `cap`, or an
+    identity law fails; the pairs repeat none of the walk's normalisations.
+    A probe element that the walk never reaches fails the left law e g = g
+    on the generator it would be.  So open and refused carriers, and spaces
+    whose neutral is no identity (`not`: (:) + (:) is ()), are what the
+    pairs give.  For an associative space both give the same table.  For a
+    space that passes the identity check but is not associative, the walk's
+    table reads x + y along y's word: x is summed with y's generators one at
+    a time, left to right.
     """
     probes = probes if probes is not None else default_probes()
     space = tuple(space)
     eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
 
+    @functools.cache  # each datum once per extraction
     def normal(x: Data) -> Optional[Data]:
         return _normalize(eng, space, x)
 
-    neutral_elem = normal(())
-    if neutral_elem is None:
+    if normal(()) is None:
         raise CarrierOverflow("budget exhausted while normalizing the neutral")
-    found: List[Data] = [neutral_elem]  # the elements, numbered as found
-    number: Dict[Data, int] = {neutral_elem: 0}
-    for p in probes.probes:
-        e = normal(p)
-        if e is not None and e not in number:
-            number[e] = len(found)
-            found.append(e)
-
+    # the elements, numbered as found: the neutral's normal form first
+    found = [e for e in dict.fromkeys(map(normal, ((), *probes.probes))) if e is not None]
     walked = _sums_by_walk(normal, found, cap)
     found, sums = walked or _sums_by_pairs(normal, found, cap, on_overflow)
 
@@ -618,7 +614,7 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
             homomorphism=is_homomorphism(f, c),
             unit=is_unit[i],
             central=all(compose(f, u) == compose(u, f) for u in units),
-            idempotent=product_table[i][i] == i,
+            idempotent=is_idempotent(f),
             subspace=is_subspace(f, c),
         )
         for i, f in enumerate(endos)

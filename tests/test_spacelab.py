@@ -300,27 +300,31 @@ def test_extraction_past_the_first_frontier_matches_fresh_engines(src):
 
 
 @pytest.mark.parametrize("space, probes, cap, size, walked, paired", [
-    (parse("bool"), ProbeSet(((), (COLON,))), 4, 2, 5, 7),
-    (sets_space(), SETS_PROBES, 16, 8, 34, 70),
-    (bool_seq_truncated(1), _bool_probes(), 8, 3, 14, 17),
-    (bool_seq_truncated(2), _bool_probes(), 16, 7, 26, 57),
-    (bool_seq_truncated(3), _bool_probes(), 64, 15, 50, 233),
-    (parse("first 2"), default_probes(), 64, 91, 992, 8373),
+    # each count as (now, before each datum was normalised once per extraction)
+    (parse("bool"), ProbeSet(((), (COLON,))), 4, 2, (3, 5), (3, 7)),
+    (sets_space(), SETS_PROBES, 16, 8, (25, 34), (52, 70)),
+    (bool_seq_truncated(1), _bool_probes(), 8, 3, (7, 14), (7, 17)),
+    (bool_seq_truncated(2), _bool_probes(), 16, 7, (15, 26), (31, 57)),
+    (bool_seq_truncated(3), _bool_probes(), 64, 15, (31, 50), (127, 233)),
+    (parse("first 2"), default_probes(), 64, 91, (820, 992), (7381, 8373)),
 ], ids=["bool", "sets", "L1", "L2", "L3", "first 2"])
 def test_extraction_normalisation_counts(monkeypatch, space, probes, cap, size, walked, paired):
     # the walk normalises the neutral, each probe, one sum per element and
     # generator, and the identity laws: no more than the pairs, which
-    # normalise the neutral, each probe, and each ordered pair of elements
+    # normalise the neutral, each probe, and each ordered pair of elements;
+    # either way no datum is normalised twice
     seen = []
     normalize = spacelab._normalize
-    monkeypatch.setattr(spacelab, "_normalize", lambda *args: seen.append(args) or normalize(*args))
+    monkeypatch.setattr(spacelab, "_normalize", lambda *args: seen.append(args[2]) or normalize(*args))
     c = extract_carrier(space, probes, cap=cap)
     assert c.size == size and c.closed
-    assert len(seen) == walked <= paired
+    assert len(seen) == walked[0] <= min(walked[1], paired[0])
+    assert len(set(seen)) == len(seen)
     seen.clear()
     monkeypatch.setattr(spacelab, "_sums_by_walk", lambda *args: None)
     assert extract_carrier(space, probes, cap=cap) == c
-    assert len(seen) == 1 + len(probes.probes) + size ** 2 == paired
+    assert len(seen) == paired[0] <= paired[1]
+    assert len(set(seen)) == len(seen)
 
 
 WALK_TOKENS = ("not", "bool", "rev", "first", "last", "min", "once", "sort", "pass", "a",
@@ -330,7 +334,8 @@ WALK_TOKENS = ("not", "bool", "rev", "first", "last", "min", "once", "sort", "pa
 def test_walk_matches_the_pairs_on_short_spaces(monkeypatch):
     # every one- and two-token space: the walk's carrier, or its refusal,
     # is the one the pairs give; a `not`-headed space fails the identity
-    # check, as (:) + (:) is (), and falls back to the pairs
+    # check, as (:) + (:) is (), and falls back to the pairs; no extraction
+    # normalises a datum twice, not even a walk and the fallback after it
     walk = spacelab._sums_by_walk
     stood = []
 
@@ -339,15 +344,25 @@ def test_walk_matches_the_pairs_on_short_spaces(monkeypatch):
         stood.append(out is not None)
         return out
 
+    seen = []
+    normalize = spacelab._normalize
+    monkeypatch.setattr(spacelab, "_normalize", lambda *args: seen.append(args[2]) or normalize(*args))
+
+    def extraction(*args):
+        seen.clear()
+        out = _extraction(*args)
+        assert len(set(seen)) == len(seen), args
+        return out
+
     probes = ProbeSet(((), (word("a"),), (word("b"),)))
     for tokens in itertools.chain.from_iterable(
             itertools.product(WALK_TOKENS, repeat=n) for n in (1, 2)):
         space = parse(" ".join(tokens))
         for cap, on_overflow in itertools.product((3, 5, 8, 20), ("open", "raise")):
             monkeypatch.setattr(spacelab, "_sums_by_walk", spy)
-            got = _extraction(space, probes, cap, on_overflow)
+            got = extraction(space, probes, cap, on_overflow)
             monkeypatch.setattr(spacelab, "_sums_by_walk", lambda *args: None)
-            assert got == _extraction(space, probes, cap, on_overflow), (tokens, cap, on_overflow)
+            assert got == extraction(space, probes, cap, on_overflow), (tokens, cap, on_overflow)
             assert tokens[0] != "not" or stood[-1] is False, (tokens, cap)
     assert len(stood) == 182 * 8 and 0 < sum(stood) < len(stood)
 
