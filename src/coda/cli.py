@@ -17,7 +17,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .algebra import ProbeSet, default_probes
+from .algebra import default_probes
 from .engine import Budget, Context, evaluate
 from .lang import parse, render
 from .organic import DEFAULT_SEARCH_CAP, DEMOS, SearchResult, search_spaces
@@ -173,7 +173,7 @@ def cmd_space(args) -> int:
     budget = _budget(args)
     ctx = _load_preludes(args.prelude, budget)
     space = parse(args.expr)
-    probes = ProbeSet(default_probes().probes, budget=budget)
+    probes = default_probes(budget=budget)
     carrier = extract_carrier(space, probes, cap=args.cap, ctx=ctx,
                               on_overflow="raise")
     endos = enumerate_endos(carrier, cap=args.endo_cap)

@@ -3,10 +3,10 @@
 A context is a partial function from codas to data.  Named definitions
 trigger on a word atom heading the left data of a coda: in (name A : B) the
 definition receives A (the rest of the left data) and B (the right data).
-Marker definitions are fixed points: their codas are atoms.  A language
-atom heading a coda is a definition too, built from the atom's own source
-(decoded once per atom, then cached): it always applies, and `eval_coda`,
-`step` and the decision helpers treat it as any other.
+A definition without `apply` is a fixed point: its codas are atoms.  A
+language atom heading a coda is a definition too, built from the atom's
+own source (decoded once per atom, then cached): it always applies, and
+`eval_coda`, `step` and the decision helpers treat it as any other.
 
 Evaluation strategy: repeated outermost rewriting, left to right.  A coda's
 head is evaluated just far enough to resolve dispatch; branch guards may
@@ -17,13 +17,14 @@ admit; it is documented rather than canonical.
 There are no run-time errors: evaluation either normalizes or stops at the
 step/node budget, reporting normalized=False.  `charge()` meters each
 rewrite step, and `spent()` is the one check of the meters against the
-window's limits (only the memo's fit test reads them otherwise).  The
-meters move only while `eval_coda` runs, and it checks the budget on entry;
-`eval_data` checks it once more after a trailing run of atoms, and
-`_rewrite` after a branch.  So evaluation is reported
-unnormalized when the limit was reached before some later coda or atom,
-not whenever it was reached: under Budget(max_steps=1), `a (null:x)` is
-normalized with steps_used 1, while `(null:x) a` and `a (null:x) b` are not.
+window's limits (only the memo's fit test reads them otherwise).  An
+evaluation is exhausted only when a check refused work: `eval_coda`'s
+entry (a coda met past the limit), its head-change check, `_rewrite` after
+a branch, and the `while` builtin's loop.  An atom needs no work, so
+meeting one past the limit refuses nothing: under Budget(max_steps=1),
+`a (null:x)`, `(null:x) a` and `a (null:x) b` are normalized with
+steps_used 1, while `(null:x) (zzz:a)` is not, since finding out whether a
+coda needs a step is itself work.
 
 Normalising is not idempotent in cost: a builtin's result is walked again
 in full, also where it holds operands already normalised, and a stuck `=`
@@ -102,15 +103,14 @@ class Definition:
     `apply` implements the branch list natively: it returns the rewritten
     data, or None when no branch is in domain (the coda stays put).
     `strict` names the operands ("A", "B" or "AB", A first) that
-    `Engine._rewrite` normalises before `apply` sees them.  Fixed-point
-    definitions are atom makers: their codas are atoms and are never
-    rewritten or evaluated inside.
+    `Engine._rewrite` normalises before `apply` sees them.  A definition
+    without `apply` is a fixed point, an atom maker: its codas are atoms
+    and are never rewritten or evaluated inside.
     """
 
     name: str
     trigger: Coda
     apply: Optional[BranchFn] = None
-    fixed_point: bool = False
     strict: str = ""
 
 
@@ -190,25 +190,17 @@ class Engine:
     def eval_data(self, d: Data) -> Data:
         """The normal form of `d`, coda by coda."""
         out: list = []
-        atom = False  # an atom came after the last eval_coda
         defs = self.context.defs
         for c in d:
             if c.left:
                 defn = defs.get(c.left[0])
-                if defn is None or not defn.fixed_point:
+                if defn is None or defn.apply is not None:
                     out.extend(self.eval_coda(c, defn))
                     defs = self.context.defs  # a def may have replaced the context
-                    atom = False
                     continue
-            # (:X), or an atom maker's coda such as a word: an atom, which
-            # stays out of the memo
+            # (:X), or an atom maker's coda such as a word: an atom needs no
+            # work, so the limit refuses none, and it stays out of the memo
             out.append(c)
-            atom = True
-        # exhaustion is noted as for any coda; the meters only move in
-        # eval_coda, which checks on entry, so one check per trailing run of
-        # atoms sets `exhausted` where a check per atom would
-        if atom:
-            self.spent()
         return tuple(out)
 
     def eval_coda(self, c: Coda, defn: Optional[Definition]) -> Data:
@@ -270,7 +262,7 @@ class Engine:
         stays put: `defn` is a fixed point, no branch is in domain, or the
         operands' normalisation or the branch's guards spent the budget (so
         steps never pass the limit)."""
-        if defn.fixed_point:
+        if defn.apply is None:
             return None
         a, b = c.left[1:], c.right
         if "A" in defn.strict:
@@ -298,7 +290,7 @@ class Engine:
         while c.left:
             defn = self.dispatch(c)
             if defn is not None:
-                if defn.fixed_point:
+                if defn.apply is None:
                     return True
                 return c if defn.name == "=" else False
             head = c.left[0]
@@ -323,7 +315,7 @@ class Engine:
                 if defn is None:
                     if self.dispatch(c.left[0]) is not None:
                         return False
-                elif not defn.fixed_point:
+                elif defn.apply is not None:
                     return False
             stack += c.left + c.right
         return True
@@ -420,7 +412,7 @@ def classify_atom(c: Coda, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> str
         if eng.spent():
             return "undecided"
         c = Coda(hv + c.left[1:], c.right)
-    if defn.fixed_point:
+    if defn.apply is None:
         return "invariant_atom" if eng.is_invariant(c) else "defined_fixed_point"
     if eng._rewrite(c, defn) is not None:
         return "reducible"

@@ -61,7 +61,12 @@ WORD_B = word("b")
 
 
 def ev(d: Data, ctx: Optional[Context] = None, budget: Budget = DEFAULT_BUDGET) -> Data:
-    return Engine(ctx if ctx is not None else prelude(), budget).eval_data(tuple(d))
+    """The normal form of `d`; exhausting the budget raises ValueError."""
+    eng = Engine(ctx if ctx is not None else prelude(), budget)
+    out = eng.eval_data(tuple(d))
+    if eng.exhausted:
+        raise ValueError(f"{render(d)} exhausts the budget")
+    return out
 
 
 def ev_apply(f: Data, x: Data, ctx: Optional[Context] = None,

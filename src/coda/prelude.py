@@ -334,7 +334,7 @@ def builtin(name: str) -> Definition:
         apply, strict = _BRANCHES[name]
         return Definition(name=name, trigger=kept_word(name), apply=apply, strict=strict)
     if name in _FIXED_POINTS:
-        return Definition(name=name, trigger=_FIXED_POINTS[name], fixed_point=True)
+        return Definition(name=name, trigger=_FIXED_POINTS[name])
     raise UnknownBuiltin(name)
 
 

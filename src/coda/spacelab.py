@@ -27,15 +27,15 @@ one raises a subclass of `terms.CapExceeded`.
 
 Extraction reads a space as the paper defines it, associative data with the
 neutral as identity, so its carrier is a monoid: a walk of the right Cayley
-graph over a few generators (Froidure & Pin, 1997) normalises about n·g sums
-for n elements and g generators, and every other sum is read from the
-graph.  The neutral's identity laws are then checked on every element.  A
-space that fails them, and a walk that exhausts the budget or passes the
-cap, fall back to summing every ordered pair of elements.  One cache per
-extraction answers both, so no datum is normalised twice.  Associativity is
-not checked: for a space that passes the identity check but is not
-associative, x + y is read along y's word, summing x with y's generators one
-at a time.
+graph over a few generators, taken in canonical order (Froidure & Pin,
+1997), normalises about n·g sums for n elements and g generators, and every
+other sum is read from the graph.  The neutral's identity laws are then
+checked on every element.  A space that fails them, and a walk that
+exhausts the budget or passes the cap, fall back to summing every ordered
+pair of elements.  One cache per extraction answers both, so no datum is
+normalised twice.  Associativity is not checked: for a space that passes
+the identity check but is not associative, x + y is read along y's word,
+summing x with y's generators one at a time.
 """
 
 from __future__ import annotations
@@ -119,22 +119,22 @@ def _cayley_graph(normal: Callable[[Data], Optional[Data]], found: Sequence[Data
     normalisation exhausts the budget, the elements would pass `cap`, or e g
     is not g for the neutral e and a generator g.
 
-    The elements of `found` are taken in shortlex order (length, then
-    `data_key`); one that earlier generators reach is skipped, any other
-    becomes a generator.  Every element reached so far is extended by it,
-    one normalisation of x g each, and every element reached anew by every
-    generator.  As e g is g, every element of `found` is reached: it is a
-    generator or was skipped.  Returns the elements, the generators, the
-    elements in the order reached, `parent[y] = (x, k)` when y was first
-    reached as x + gens[k], so that each element keeps the word that first
-    reached it, and `edges[x][k]`, the number of x + gens[k]."""
+    The elements of `found` are taken in canonical order (`data_key`, so
+    shorter data first); one that earlier generators reach is skipped, any
+    other becomes a generator.  Every element reached so far is extended by
+    it, one normalisation of x g each, and every element reached anew by
+    every generator.  As e g is g, every element of `found` is reached: it
+    is a generator or was skipped.  Returns the elements, the generators,
+    the elements in the order reached, `parent[y] = (x, k)` when y was
+    first reached as x + gens[k], so that each element keeps the word that
+    first reached it, and `edges[x][k]`, the number of x + gens[k]."""
     found = list(found)
     number = {e: i for i, e in enumerate(found)}
     gens: List[int] = []
     reached = [0]
     parent: Dict[int, Optional[Tuple[int, int]]] = {0: None}
     edges: List[List[int]] = [[] for _ in found]
-    for g in sorted(range(1, len(found)), key=lambda i: (len(found[i]), data_key(found[i]))):
+    for g in sorted(range(1, len(found)), key=lambda i: data_key(found[i])):
         if g in parent:
             continue
         gens.append(g)

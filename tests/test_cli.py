@@ -70,6 +70,14 @@ def test_eval_budget_note(capsys):
     assert "budget exhausted" in err
 
 
+def test_eval_budget_note_only_when_work_was_refused(capsys):
+    # sort's one step yields atoms, which need no work past the limit
+    code, out, err = run(capsys, "eval", "sort : c b a", "--budget", "1")
+    assert (code, out, err) == (0, "a b c\n", "")
+    code, out, err = run(capsys, "eval", "ap {B B} : a b", "--budget", "1")
+    assert code == 0 and err == "budget exhausted; partial form shown\n"
+
+
 def test_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CODA_BUDGET", "10")
     code, out, err = run(capsys, "eval", "while {B B} : x")

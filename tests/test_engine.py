@@ -4,6 +4,7 @@ from coda.algebra import apply_to, small_probes
 from coda.encoding import word
 from coda.engine import (
     Budget,
+    Definition,
     Engine,
     TriBool,
     add_definition,
@@ -84,22 +85,29 @@ def test_steps_never_pass_the_budget(rng):
     for words in (SAFE_WORDS, SAFE_WORDS + DECIDING_WORDS):
         for _ in range(5000):
             d = random_data(rng, 3, words=words)
+            full = evaluate(d, prelude(), Budget(max_steps=100))
             for steps in range(1, 9):
-                assert evaluate(d, prelude(), Budget(max_steps=steps)).steps_used <= steps
+                out = evaluate(d, prelude(), Budget(max_steps=steps))
+                assert out.steps_used <= steps
+                # a run that reports a normal form did all the work there was
+                if out.normalized:
+                    assert (out.result, out.steps_used) == (full.result, full.steps_used)
 
 
 @pytest.mark.parametrize("src, steps, normalized, used", [
-    # the budget runs out on the step before the word `a` comes back
-    ("pass : a", 1, False, 1),
+    # exhaustion is only work the budget refused: an atom needs none, so
+    # meeting one past the limit keeps the evaluation normalized, while a
+    # coda met there is refused, as finding out whether it needs a step is
+    # itself work
+    ("pass : a", 1, True, 1),
     ("pass : a", 2, True, 1),
     ("ap {B B} : a b", 1, False, 1),
     ("ap {B B} : a b", 2, False, 2),
-    ("ap {B B} : a b", 3, False, 3),
-    # `normalized` depends on whether an atom follows the step that hits
-    # the limit: only an atom after it notes the exhaustion
+    ("ap {B B} : a b", 3, True, 3),
     ("a (null:x)", 1, True, 1),
-    ("(null:x) a", 1, False, 1),
-    ("a (null:x) b", 1, False, 1),
+    ("(null:x) a", 1, True, 1),
+    ("a (null:x) b", 1, True, 1),
+    ("(null:x) (zzz:a)", 1, False, 1),
 ])
 def test_exhaustion_at_an_atom(src, steps, normalized, used):
     out = evaluate(parse(src), prelude(), Budget(max_steps=steps))
@@ -108,7 +116,6 @@ def test_exhaustion_at_an_atom(src, steps, normalized, used):
 
 @pytest.mark.parametrize("src, steps", [
     ("pass : pass : pass : a", 1),  # eval_coda's entry
-    ("(null:x) a", 1),  # eval_data's trailing atom
     ("ap {B B} : a b", 1),
     ("if (null:x) : b", 1),  # _rewrite, after the guard spent the budget
     ("while {(B:B)} : a", 20),  # the while builtin's loop
@@ -193,6 +200,14 @@ def test_add_definition_and_monotonicity():
 
 def test_def_builtin_defines_within_evaluation():
     assert ev("(def first2 : {first 2 : B}) (first2 : a b c d)") == "a b"
+
+
+def test_a_definition_without_a_branch_is_a_fixed_point():
+    # a name and a trigger only: the codas it heads are atoms
+    ctx = prelude().bind(Definition(name="zz", trigger=word("zz")))
+    out = evaluate(parse("zz a : b"), ctx)
+    assert (render(out.result), out.normalized) == ("(zz a:b)", True)
+    assert classify_atom(out.result[0], ctx) == "invariant_atom"
 
 
 def test_classify_atom():

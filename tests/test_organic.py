@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from coda import organic
-from coda.engine import Engine
+from coda.engine import Budget, Engine
 from coda.lang import parse
 from coda.organic import (
     DEMOS,
     DemoReport,
     QAtom,
     demo_bool,
+    ev,
     fibonacci,
     gauss_mult,
     inner,
@@ -98,6 +99,13 @@ def test_sum_check_catches_one_bad_pair(monkeypatch, bad_sum):
     [check] = [a for a in rationals().assertions if a.description == SUM_CHECK]
     assert not check.passed
     assert check.actual == "1 failing, first (7, 12, 11, 12)"
+
+
+def test_ev_refuses_a_partial_form():
+    # no demo compares a form the budget cut short
+    with pytest.raises(ValueError, match="exhausts the budget"):
+        ev(parse("while {(B:B)} : a"), budget=Budget(max_steps=5))
+    assert ev(parse("ap {B B} : a b"), budget=Budget(max_steps=5)) == parse("a a b b")
 
 
 def test_nat_product_via_engine():
