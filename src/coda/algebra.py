@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .encoding import word
-from .engine import DEFAULT_BUDGET, Budget, Context, Engine, TriBool
+from .engine import DEFAULT_BUDGET, Budget, Context, Engine, TriBool, equal
 from .lang import render
 from .prelude import prelude
 from .terms import Coda, Data, SizeBound, enumerate_pure_data
@@ -109,8 +109,7 @@ class Witness:
 
     def still_violates(self, ctx: Optional[Context] = None,
                        budget: Budget = DEFAULT_BUDGET) -> bool:
-        eng = Engine(ctx if ctx is not None else prelude(), budget)
-        return eng.tri_equal(self.lhs, self.rhs) is TriBool.NEVER
+        return equal(self.lhs, self.rhs, ctx or prelude(), budget) is TriBool.NEVER
 
 
 @dataclass

@@ -9,10 +9,11 @@ own source (decoded once per atom, then cached): it always applies, and
 `eval_coda`, `step` and the decision helpers treat it as any other.
 
 Evaluation strategy: repeated outermost rewriting, left to right.  A coda's
-head is evaluated just far enough to resolve dispatch; branch guards may
-demand further evaluation of the components through the shared engine (and
-its budget).  This is one of the deterministic strategies the rewrite rules
-admit; it is documented rather than canonical.
+head is evaluated just far enough to resolve dispatch.  A guard's operand is
+normalised in `_rewrite`, under the shared budget, when the definition
+declares it strict; the decision helpers (`emptiness`, `tri_compare`) then
+read that normal form.  This is one of the deterministic strategies the
+rewrite rules admit; it is documented rather than canonical.
 
 There are no run-time errors: evaluation either normalizes or stops at the
 step/node budget, reporting normalized=False.  `charge()` meters each
@@ -321,12 +322,12 @@ class Engine:
         return True
 
     def emptiness(self, d: Data) -> TriBool:
-        """Does data `d` evaluate to the empty sequence?  ALWAYS if it does,
-        NEVER if it is atomic (contains an atom), else UNDECIDED."""
-        ev = self.eval_data(d)
-        if not ev:
+        """Is the normal form `d` the empty sequence?  ALWAYS if it is, NEVER
+        if it is atomic (contains an atom), else UNDECIDED.  It evaluates
+        nothing: a guard's operand was normalised in `_rewrite`."""
+        if not d:
             return TriBool.ALWAYS
-        if any(self.is_atom(c) for c in ev):
+        if any(self.is_atom(c) for c in d):
             return TriBool.NEVER
         return TriBool.UNDECIDED
 

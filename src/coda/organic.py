@@ -36,7 +36,7 @@ from .algebra import (
     small_probes,
 )
 from .encoding import lang_atom, word, word_text
-from .engine import DEFAULT_BUDGET, Budget, Context, Engine
+from .engine import DEFAULT_BUDGET, Budget, Context, evaluate
 from .lang import parse, render
 from .prelude import prelude
 from .spacelab import (
@@ -62,11 +62,10 @@ WORD_B = word("b")
 
 def ev(d: Data, ctx: Optional[Context] = None, budget: Budget = DEFAULT_BUDGET) -> Data:
     """The normal form of `d`; exhausting the budget raises ValueError."""
-    eng = Engine(ctx if ctx is not None else prelude(), budget)
-    out = eng.eval_data(tuple(d))
-    if eng.exhausted:
+    out = evaluate(d, ctx or prelude(), budget)
+    if not out.normalized:
         raise ValueError(f"{render(d)} exhausts the budget")
-    return out
+    return out.result
 
 
 def ev_apply(f: Data, x: Data, ctx: Optional[Context] = None,

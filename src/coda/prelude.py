@@ -1,16 +1,19 @@
 """The installed base context: marker atoms plus the combinatoric builtins.
 
 Each builtin implements its rewrite branches natively; the branch function
-receives the engine (for guard evaluation against the shared budget), the
-left-data tail A and the right data B of the coda (name A : B).  Returning
-None means no branch is in domain and the coda stays put.  A builtin that
-branches on the normal form of A, B or both says so once, in `_BRANCHES`;
-`Engine._rewrite` normalises those operands before the branch sees them.
+receives the engine, the left-data tail A and the right data B of the coda
+(name A : B).  Returning None means no branch is in domain and the coda
+stays put.  A builtin that branches on the normal form of A, B or both says
+so once, in `_BRANCHES`; `Engine._rewrite` normalises those operands, under
+the shared budget, before the branch sees them.  So a branch is passed the
+engine for its decisions on normal forms, and evaluates with it only in
+`while`, which applies A once per iteration, and `def`, which normalises a
+computed name.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
 
 from .encoding import (
     BIT_MARKER,
@@ -107,7 +110,7 @@ def _b_atoms(eng, a, b):
 
 
 def _b_eq(eng, a, b):
-    if eng.tri_equal(a, b) is TriBool.ALWAYS:
+    if eng.tri_compare(a, b) is TriBool.ALWAYS:
         return ()
     return None  # a mismatch residue is its own fixed point
 
@@ -129,7 +132,7 @@ def _b_def(eng, a, b):
 
 
 def _b_while(eng, a, b):
-    cur = eng.eval_data(b)
+    cur = b
     while not eng.spent():
         eng.charge(())
         nxt = eng.eval_data((Coda(a, cur),))
@@ -193,8 +196,8 @@ def _has(keep_matching: bool):
 
 
 def _switch(operand: str, empty: str, atomic: str):
-    """bool/not/if/nif: branch on whether `operand` ("A" or "B") evaluates
-    empty or atomic; each outcome is "()", "(:)" or "B"."""
+    """bool/not/if/nif: branch on whether the normal form of `operand` ("A"
+    or "B") is empty or atomic; each outcome is "()", "(:)" or "B"."""
     outcomes = {"()": lambda b: (), "(:)": lambda b: (COLON,), "B": lambda b: b}
     on_empty, on_atomic = outcomes[empty], outcomes[atomic]
 
@@ -291,13 +294,13 @@ _BRANCHES = {
     "get": (_b_get, "AB"),
     "get0": (_b_get0, "AB"),
     "atoms": (_b_atoms, "B"),
-    "bool": (_switch("B", "()", "(:)"), ""),
-    "not": (_switch("B", "(:)", "()"), ""),
-    "=": (_b_eq, ""),
+    "bool": (_switch("B", "()", "(:)"), "B"),
+    "not": (_switch("B", "(:)", "()"), "B"),
+    "=": (_b_eq, "AB"),
     "def": (_b_def, ""),
-    "if": (_switch("A", "B", "()"), ""),
-    "nif": (_switch("A", "()", "B"), ""),
-    "while": (_b_while, ""),
+    "if": (_switch("A", "B", "()"), "A"),
+    "nif": (_switch("A", "()", "B"), "A"),
+    "while": (_b_while, "B"),
     "prod": (_b_prod, "A"),
     "sum": (_b_sum, "A"),
     "domain": (_b_domain, "B"),
@@ -349,12 +352,7 @@ def install_prelude() -> Context:
     return Context(defs)
 
 
-_PRELUDE: Optional[Context] = None
-
-
+@functools.cache
 def prelude() -> Context:
     """The shared immutable base context."""
-    global _PRELUDE
-    if _PRELUDE is None:
-        _PRELUDE = install_prelude()
-    return _PRELUDE
+    return install_prelude()

@@ -187,7 +187,7 @@ def _sums_by_walk(normal: Callable[[Data], Optional[Data]], found: Sequence[Data
 def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int,
                    on_overflow: str) -> Tuple[List[Data], Sums]:
     """The elements and every sum, each ordered pair of elements summed
-    once: every element enters one frontier and is summed there, both ways,
+    once: each element in turn, in the order found, is summed both ways
     with every element found before its turn, skipping the pairs an earlier
     turn summed.  `normal` normalises each datum once, so a sum that a walk
     given up or another pair normalised costs nothing more.  A sum past
@@ -195,25 +195,21 @@ def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Dat
     found = list(found)
     number = {e: i for i, e in enumerate(found)}
     sums: Sums = {}
-    frontier = range(len(found))
-    while frontier:
-        start = len(found)
-        for x in frontier:
-            for y in range(len(found)):
-                for a, b in ((x, y), (y, x)):
-                    if (a, b) in sums:
-                        continue
-                    s = normal(found[a] + found[b])
-                    k = None if s is None else number.get(s)
-                    if s is not None and k is None:
-                        if len(found) >= cap:
-                            if on_overflow == "raise":
-                                raise CarrierOverflow(f"more than {cap} carrier elements")
-                        else:
-                            k = number[s] = len(found)
-                            found.append(s)
-                    sums[a, b] = k
-        frontier = range(start, len(found))
+    for x, _ in enumerate(found):  # `found` grows as it is read, so new elements take a turn too
+        for y in range(len(found)):
+            for a, b in ((x, y), (y, x)):
+                if (a, b) in sums:
+                    continue
+                s = normal(found[a] + found[b])
+                k = None if s is None else number.get(s)
+                if s is not None and k is None:
+                    if len(found) >= cap:
+                        if on_overflow == "raise":
+                            raise CarrierOverflow(f"more than {cap} carrier elements")
+                    else:
+                        k = number[s] = len(found)
+                        found.append(s)
+                sums[a, b] = k
     return found, sums
 
 

@@ -19,9 +19,9 @@ from coda.terms import COLON, Coda
 
 from conftest import SAFE_WORDS, random_data
 
-# builtins that decide by comparing or ordering, which the budget test
-# adds to the safe words
-DECIDING_WORDS = ("is", "isnt", "=", "sort", "min", "once")
+# builtins that decide by comparing or ordering, and the guards that pass B
+# on, which the budget test adds to the safe words
+DECIDING_WORDS = ("is", "isnt", "=", "sort", "min", "once", "if", "nif")
 
 
 def ev(src, ctx=None, budget=Budget()):
@@ -70,6 +70,13 @@ def test_tri_equal():
     assert equal(parse("x a"), parse("x b"), ctx) is TriBool.NEVER
     assert equal(parse("a"), parse(""), ctx) is TriBool.NEVER
     assert equal(parse(""), parse(""), ctx) is TriBool.ALWAYS
+
+
+def test_emptiness_is_equality_with_the_empty_sequence(rng):
+    eng = Engine(prelude())
+    for _ in range(2000):
+        d = evaluate(random_data(rng, 3, words=SAFE_WORDS + DECIDING_WORDS), prelude()).result
+        assert eng.emptiness(d) is eng.tri_compare((), d)
 
 
 def test_budget_exhaustion_is_reported():

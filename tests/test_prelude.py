@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from coda.encoding import word
-from coda.engine import Budget, Context, TriBool, evaluate
+from coda.engine import Budget, Context, Engine, TriBool, evaluate
 from coda.lang import parse, render
 from coda.prelude import _BRANCHES, UnknownBuiltin, builtin, prelude
 from coda.terms import COLON, Coda
@@ -57,6 +57,16 @@ def test_if_nif():
 def test_while():
     assert ev("while remove a : a a a b") == "b"
     assert ev("while pass : x") == "x"
+
+
+def test_guards_declare_their_operands():
+    # a guard's operand is normalised in Engine._rewrite, by declaration
+    # alone, so the branch and emptiness only read normal forms
+    declared = {name: _BRANCHES[name][1] for name in ("bool", "not", "if", "nif", "=", "while")}
+    assert declared == {"bool": "B", "not": "B", "if": "A", "nif": "A", "=": "AB", "while": "B"}
+    eng = Engine(prelude())
+    assert eng.emptiness(parse("pass : a")) is TriBool.UNDECIDED
+    assert eng.steps == 0
 
 
 def test_prod_and_sum():
