@@ -174,8 +174,7 @@ def cmd_space(args) -> int:
     ctx = _load_preludes(args.prelude, budget)
     space = parse(args.expr)
     probes = default_probes(budget=budget)
-    carrier = extract_carrier(space, probes, cap=args.cap, ctx=ctx,
-                              on_overflow="raise")
+    carrier = extract_carrier(space, probes, cap=args.cap, ctx=ctx)
     endos = enumerate_endos(carrier, cap=args.endo_cap)
     report = classify(carrier, endos)
     print(render_report(report, fmt=args.format))

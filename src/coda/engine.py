@@ -325,11 +325,7 @@ class Engine:
         """Is the normal form `d` the empty sequence?  ALWAYS if it is, NEVER
         if it is atomic (contains an atom), else UNDECIDED.  It evaluates
         nothing: a guard's operand was normalised in `_rewrite`."""
-        if not d:
-            return TriBool.ALWAYS
-        if any(self.is_atom(c) for c in d):
-            return TriBool.NEVER
-        return TriBool.UNDECIDED
+        return self.tri_compare((), d)
 
     def tri_equal(self, a: Data, b: Data) -> TriBool:
         return self.tri_compare(self.eval_data(a), self.eval_data(b))

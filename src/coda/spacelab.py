@@ -23,7 +23,9 @@ Carriers come from two directions: extraction through the rewriting engine,
 or directly from a Python-level addition function when an independent oracle
 (mod-n arithmetic, saturation, and so on) is wanted.  `closed` is derived
 from the table: no sum is None.  Each cap is set by a constant here; work past
-one raises a subclass of `terms.CapExceeded`.
+one raises a subclass of `terms.CapExceeded`, so extraction past its cap
+refuses.  None in an extracted table is a sum that exhausted the budget, and
+in a `carrier_from_function` table a sum the function left undefined.
 
 Extraction reads a space as the paper defines it, associative data with the
 neutral as identity, so its carrier is a monoid: a walk of the right Cayley
@@ -31,11 +33,11 @@ graph over a few generators, taken in canonical order (Froidure & Pin,
 1997), normalises about n·g sums for n elements and g generators, and every
 other sum is read from the graph.  The neutral's identity laws are then
 checked on every element.  A space that fails them, and a walk that
-exhausts the budget or passes the cap, fall back to summing every ordered
-pair of elements.  One cache per extraction answers both, so no datum is
-normalised twice.  Associativity is not checked: for a space that passes
-the identity check but is not associative, x + y is read along y's word,
-summing x with y's generators one at a time.
+exhausts the budget, fall back to summing every ordered pair of elements.
+One cache per extraction answers both, so no datum is normalised twice.
+Associativity is not checked: for a space that passes the identity check
+but is not associative, x + y is read along y's word, summing x with y's
+generators one at a time.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ class CarrierTable:
     """Elements in canonical order with the induced addition table.
 
     `add[i][j]` is the index of element_i + element_j, or None when the sum
-    left the extracted set (a truncated carrier) or exhausted the budget;
-    either makes the carrier open.
+    exhausted the budget (an extracted table) or is undefined (a
+    `carrier_from_function` table); either makes the carrier open.
     """
 
     elements: Tuple[Data, ...]
@@ -116,8 +118,9 @@ Sums = Dict[Tuple[int, int], Optional[int]]
 def _cayley_graph(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int):
     """The right Cayley graph (Froidure & Pin, 1997) of the monoid that
     `found[1:]` generate over the neutral `found[0]`, or None if a
-    normalisation exhausts the budget, the elements would pass `cap`, or e g
-    is not g for the neutral e and a generator g.
+    normalisation exhausts the budget or e g is not g for the neutral e and
+    a generator g.  Elements past `cap` raise CarrierOverflow: every one of
+    them is a sum that the pairs would take too, so they would refuse.
 
     The elements of `found` are taken in canonical order (`data_key`, so
     shorter data first); one that earlier generators reach is skipped, any
@@ -146,7 +149,7 @@ def _cayley_graph(normal: Callable[[Data], Optional[Data]], found: Sequence[Data
                 y = number.get(s)
                 if y is None:
                     if len(found) >= cap:
-                        return None
+                        raise CarrierOverflow(f"more than {cap} carrier elements")
                     y = number[s] = len(found)
                     found.append(s)
                     edges.append([])
@@ -184,14 +187,14 @@ def _sums_by_walk(normal: Callable[[Data], Optional[Data]], found: Sequence[Data
     return found, sums
 
 
-def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int,
-                   on_overflow: str) -> Tuple[List[Data], Sums]:
+def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int
+                   ) -> Tuple[List[Data], Sums]:
     """The elements and every sum, each ordered pair of elements summed
     once: each element in turn, in the order found, is summed both ways
     with every element found before its turn, skipping the pairs an earlier
     turn summed.  `normal` normalises each datum once, so a sum that a walk
-    given up or another pair normalised costs nothing more.  A sum past
-    `cap` is None, or raises CarrierOverflow when on_overflow is "raise"."""
+    given up or another pair normalised costs nothing more.  A sum that
+    exhausts the budget is None; one past `cap` raises CarrierOverflow."""
     found = list(found)
     number = {e: i for i, e in enumerate(found)}
     sums: Sums = {}
@@ -201,14 +204,12 @@ def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Dat
                 if (a, b) in sums:
                     continue
                 s = normal(found[a] + found[b])
-                k = None if s is None else number.get(s)
-                if s is not None and k is None:
+                k = number.get(s)
+                if k is None and s is not None:
                     if len(found) >= cap:
-                        if on_overflow == "raise":
-                            raise CarrierOverflow(f"more than {cap} carrier elements")
-                    else:
-                        k = number[s] = len(found)
-                        found.append(s)
+                        raise CarrierOverflow(f"more than {cap} carrier elements")
+                    k = number[s] = len(found)
+                    found.append(s)
                 sums[a, b] = k
     return found, sums
 
@@ -218,28 +219,27 @@ def extract_carrier(
     probes: Optional[ProbeSet] = None,
     cap: int = DEFAULT_CARRIER_CAP,
     ctx: Optional[Context] = None,
-    on_overflow: str = "open",
 ) -> CarrierTable:
     """Distinct normal forms of (space : probe), closed under the sum.
 
     The normal forms of the neutral and the probes are always kept; `cap`
-    bounds only the elements that sums add.  A sum past the cap, or one that
-    exhausts the probes' budget, is None in the table; on_overflow="raise"
-    turns the cap into CarrierOverflow.
+    bounds only the elements that sums add: a sum past it raises
+    CarrierOverflow.  A sum that exhausts the probes' budget is None in the
+    table.
 
     Each datum is normalised once per extraction: `normal` is a cache,
     keyed by the data.  The carrier is first walked as a monoid, by its
     right Cayley graph over the probe elements that earlier ones do not
     reach (`_sums_by_walk`): about n·g normalisations for n elements and g
     generators.  Then the neutral's identity laws are checked on every
-    element.  The walk gives way to summing every ordered pair of elements
-    (`_sums_by_pairs`), begun afresh from the probe elements, when a
-    normalisation exhausts the budget, the walk would pass `cap`, or an
+    element.  The walk refuses at `cap` by itself.  It gives way to summing
+    every ordered pair of elements (`_sums_by_pairs`), begun afresh from the
+    probe elements, only when a normalisation exhausts the budget or an
     identity law fails; the pairs repeat none of the walk's normalisations.
     A probe element that the walk never reaches fails the left law e g = g
-    on the generator it would be.  So open and refused carriers, and spaces
-    whose neutral is no identity (`not`: (:) + (:) is ()), are what the
-    pairs give.  For an associative space both give the same table.  For a
+    on the generator it would be.  So open carriers, and spaces whose
+    neutral is no identity (`not`: (:) + (:) is ()), are what the pairs
+    give.  For an associative space both give the same table.  For a
     space that passes the identity check but is not associative, the walk's
     table reads x + y along y's word: x is summed with y's generators one at
     a time, left to right.
@@ -257,7 +257,7 @@ def extract_carrier(
     # the elements, numbered as found: the neutral's normal form first
     found = [e for e in dict.fromkeys(map(normal, ((), *probes.probes))) if e is not None]
     walked = _sums_by_walk(normal, found, cap)
-    found, sums = walked or _sums_by_pairs(normal, found, cap, on_overflow)
+    found, sums = walked or _sums_by_pairs(normal, found, cap)
 
     order = sorted(range(len(found)), key=lambda i: data_key(found[i]))
     rank = {i: r for r, i in enumerate(order)}

@@ -99,15 +99,16 @@ def test_closed_is_no_undefined_sum():
     exhausting = ProbeSet(((), (word("a"),)), Budget(max_steps=4, max_nodes=1_000))
     doubling = extract_carrier(parse("ap {B B}"), exhausting)
     assert doubling.size == 3  # under the cap, so no sum was left out for it
+    with pytest.raises(CarrierOverflow):  # a sum past the cap refuses: it is never None
+        extract_carrier(parse("pass"), default_probes(), cap=1)
     carriers = [
         bool_carrier(),
-        extract_carrier(parse("pass"), default_probes(), cap=1),  # sums past the cap
         doubling,
         zn_carrier(3),
         carrier_from_function(range(4), lambda x, y: x + y, 0),
         carrier_from_function(range(2), lambda x, y: None, 0),
     ]
-    assert [c.closed for c in carriers] == [True, False, False, True, False, False]
+    assert [c.closed for c in carriers] == [True, False, True, False, False]
     for c in carriers:
         assert c.closed == all(None not in row for row in c.add)
 
@@ -116,7 +117,7 @@ def test_carrier_cap_bounds_only_the_elements_sums_add():
     # the neutral's and the probes' normal forms are kept past the cap
     first2 = extract_carrier(parse("first 2"), default_probes(), cap=5)
     assert first2.size == 91 and first2.closed
-    b = extract_carrier(parse("bool"), ProbeSet(((), (COLON,))), cap=1, on_overflow="raise")
+    b = extract_carrier(parse("bool"), ProbeSet(((), (COLON,))), cap=1)
     assert b.size == 2 and b.closed
 
 
@@ -218,7 +219,7 @@ def test_extracted_table_matches_fresh_engines():
         assert c.add == tuple(table)
 
 
-def extract_by_fresh_engines(space, probes, cap, on_overflow):
+def extract_by_fresh_engines(space, probes, cap):
     """`extract_carrier` with a fresh engine for each normal form, keyed by
     the data themselves: the reference for the windows of one engine."""
     budget, space = probes.budget, tuple(space)
@@ -247,9 +248,7 @@ def extract_by_fresh_engines(space, probes, cap, on_overflow):
                     s = sums[a, b] = normalize(a + b)
                     if s is not None and s not in seen:
                         if len(seen) >= cap:
-                            if on_overflow == "raise":
-                                raise CarrierOverflow(f"more than {cap} carrier elements")
-                            continue
+                            raise CarrierOverflow(f"more than {cap} carrier elements")
                         seen[s] = None
                         new.append(s)
         frontier = new
@@ -259,16 +258,16 @@ def extract_by_fresh_engines(space, probes, cap, on_overflow):
     return CarrierTable(elements=elements, neutral=index[neutral_elem], add=table)
 
 
-def _extraction(space, probes, cap, on_overflow):
+def _extraction(space, probes, cap):
     try:
-        return extract_carrier(space, probes, cap=cap, on_overflow=on_overflow)
+        return extract_carrier(space, probes, cap=cap)
     except CarrierOverflow as exc:
         return str(exc)
 
 
-def _reference_extraction(space, probes, cap, on_overflow):
+def _reference_extraction(space, probes, cap):
     try:
-        return extract_by_fresh_engines(space, probes, cap, on_overflow)
+        return extract_by_fresh_engines(space, probes, cap)
     except CarrierOverflow as exc:
         return str(exc)
 
@@ -278,14 +277,13 @@ SPACE_WORDS = SAFE_WORDS + ("def", "f", "sort", "once", "is", "last")
 
 @seed(20261018)
 @settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(1, 8), st.sampled_from(["open", "raise"]),
+@given(st.randoms(use_true_random=False), st.integers(1, 8),
        st.sampled_from([Budget(max_steps=n) for n in range(1, 13)] + [Budget()]))
-def test_extraction_on_one_engine_matches_fresh_engines(rng, cap, on_overflow, budget):
+def test_extraction_on_one_engine_matches_fresh_engines(rng, cap, budget):
     space = random_data(rng, 2, words=SPACE_WORDS)
     probes = ProbeSet(tuple(random_data(rng, 2, words=SPACE_WORDS)
                             for _ in range(rng.randrange(1, 5))) + (parse("(def f : a) (f : b)"),), budget)
-    assert (_extraction(space, probes, cap, on_overflow)
-            == _reference_extraction(space, probes, cap, on_overflow))
+    assert _extraction(space, probes, cap) == _reference_extraction(space, probes, cap)
 
 
 @pytest.mark.parametrize("src", ["pass", "sort", "once", "not", "rev"])
@@ -294,9 +292,7 @@ def test_extraction_past_the_first_frontier_matches_fresh_engines(src):
     # first one does not repeat; `not` lists its neutral second
     probes = ProbeSet(((), (word("a"),), (word("b"),)))
     for cap in (3, 5, 8, 20):
-        for on_overflow in ("open", "raise"):
-            assert (_extraction(parse(src), probes, cap, on_overflow)
-                    == _reference_extraction(parse(src), probes, cap, on_overflow))
+        assert _extraction(parse(src), probes, cap) == _reference_extraction(parse(src), probes, cap)
 
 
 @pytest.mark.parametrize("space, probes, cap, size, walked, paired", [
@@ -340,8 +336,11 @@ def test_walk_matches_the_pairs_on_short_spaces(monkeypatch):
     stood = []
 
     def spy(*args):
-        out = walk(*args)
-        stood.append(out is not None)
+        out = None
+        try:
+            out = walk(*args)
+        finally:  # a walk past the cap raises, and gives no carrier
+            stood.append(out is not None)
         return out
 
     seen = []
@@ -358,13 +357,32 @@ def test_walk_matches_the_pairs_on_short_spaces(monkeypatch):
     for tokens in itertools.chain.from_iterable(
             itertools.product(WALK_TOKENS, repeat=n) for n in (1, 2)):
         space = parse(" ".join(tokens))
-        for cap, on_overflow in itertools.product((3, 5, 8, 20), ("open", "raise")):
+        for cap in (3, 5, 8, 20):
             monkeypatch.setattr(spacelab, "_sums_by_walk", spy)
-            got = extraction(space, probes, cap, on_overflow)
+            got = extraction(space, probes, cap)
             monkeypatch.setattr(spacelab, "_sums_by_walk", lambda *args: None)
-            assert got == extraction(space, probes, cap, on_overflow), (tokens, cap, on_overflow)
+            assert got == extraction(space, probes, cap), (tokens, cap)
             assert tokens[0] != "not" or stood[-1] is False, (tokens, cap)
-    assert len(stood) == 182 * 8 and 0 < sum(stood) < len(stood)
+    assert len(stood) == 182 * 4 and 0 < sum(stood) < len(stood)
+
+
+@pytest.mark.parametrize("src", ["pass", "sort"])
+def test_the_walk_refuses_at_the_cap_by_itself(monkeypatch, src):
+    # `pass` and `sort` are infinite over a and b: the walk raises at the
+    # cap, no pairs follow it, and no datum is normalised twice
+    pairs, paired = spacelab._sums_by_pairs, []
+    monkeypatch.setattr(spacelab, "_sums_by_pairs", lambda *args: paired.append(args) or pairs(*args))
+    seen = []
+    normalize = spacelab._normalize
+    monkeypatch.setattr(spacelab, "_normalize", lambda *args: seen.append(args[2]) or normalize(*args))
+    probes = ProbeSet(((), (word("a"),), (word("b"),)))
+    for cap in (3, 5, 8, 20):
+        seen.clear()
+        with pytest.raises(CarrierOverflow, match=f"^more than {cap} carrier elements$"):
+            extract_carrier(parse(src), probes, cap=cap)
+        assert not paired, cap
+        assert len(set(seen)) == len(seen), cap
+    assert len(seen) == 21  # the neutral, a, b and 18 sums
 
 
 def reordered(c, order):
@@ -551,6 +569,39 @@ def test_classify_fills_tables_past_one_word():
         assert (rep.product_table, rep.sum_table) == fill_by_entry(c, maps)
     cells = [v for row in rep.product_table + rep.sum_table for v in row]
     assert None in cells and any(v is not None for v in cells)
+
+
+def test_classify_reads_matrices_on_the_homomorphisms_of_z2_cubed():
+    # End(Z2^3) is M3(F2): a homomorphism f is the matrix whose columns are
+    # the images of the basis 1, 2, 4, and the flags classify reads off the
+    # 512 homomorphisms are checked against the 512 matrices themselves
+    c = carrier_from_function(range(8), operator.xor, 0)
+    homs = list(homomorphisms(c))
+    rep = classify(c, homs)
+
+    def apply(m, v):
+        out = 0
+        for k, column in enumerate(m):
+            if v >> k & 1:
+                out ^= column
+        return out
+
+    def times(m, n):
+        return tuple(apply(m, column) for column in n)
+
+    matrices = list(itertools.product(range(8), repeat=3))
+    invertible = {m for m in matrices if len({apply(m, v) for v in range(8)}) == 8}
+    idempotent = {m for m in matrices if times(m, m) == m}
+    central = {m for m in matrices if all(times(m, u) == times(u, m) for u in invertible)}
+    assert (len(matrices), len(invertible), len(idempotent), len(central)) == (512, 168, 58, 2)
+    assert sorted((f[1], f[2], f[4]) for f in homs) == matrices
+    for f, flags in zip(homs, rep.flags):
+        m = (f[1], f[2], f[4])
+        assert f == tuple(apply(m, v) for v in range(8))
+        assert (flags.homomorphism, flags.unit, flags.idempotent, flags.central) == (
+            True, m in invertible, m in idempotent, m in central)
+    counts = [sum(getattr(flags, name) for flags in rep.flags) for name in ("unit", "idempotent", "central")]
+    assert counts == [168, 58, 2]
 
 
 def test_classify_refuses_past_255_elements():
