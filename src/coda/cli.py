@@ -4,10 +4,10 @@ analysis, and the demo runner.
 Every subcommand is a thin adapter over the library; the primary output is
 exactly what the corresponding API call renders.  Exit codes: 0 success;
 1 a demo assertion failure, a `count --enumerate` mismatch, or an output
-pipe closed by its reader; 2 a cap or overflow refusal, a malformed option
-or CODA_BUDGET, or an unreadable --prelude file.
-Cap defaults are the library's; every refusal is a `terms.CapExceeded`,
-reported in one place, `main`.
+pipe closed by its reader; 2 a cap or overflow refusal, data that is no
+space, a malformed option or CODA_BUDGET, or an unreadable --prelude file.
+Cap defaults are the library's; every refusal is a `terms.CapExceeded` or a
+`spacelab.NotASpace`, reported in one place, `main`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .prelude import prelude
 from .spacelab import (
     DEFAULT_CARRIER_CAP,
     DEFAULT_ENDO_CAP,
+    NotASpace,
     classify,
     enumerate_endos,
     extract_carrier,
@@ -257,7 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except CapExceeded as exc:
+    except (CapExceeded, NotASpace) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

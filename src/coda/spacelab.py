@@ -24,30 +24,30 @@ or directly from a Python-level addition function when an independent oracle
 (mod-n arithmetic, saturation, and so on) is wanted.  `closed` is derived
 from the table: no sum is None.  Each cap is set by a constant here; work past
 one raises a subclass of `terms.CapExceeded`, so extraction past its cap
-refuses.  None in an extracted table is a sum that exhausted the budget, and
-in a `carrier_from_function` table a sum the function left undefined.
+refuses.  None in a `carrier_from_function` table is a sum the function left
+undefined.
 
 Extraction reads a space as the paper defines it, associative data with the
-neutral as identity, so its carrier is a monoid: a walk of the right Cayley
+neutral as identity, so its carrier is a monoid.  It walks the right Cayley
 graph over a few generators, taken in canonical order (Froidure & Pin,
-1997), normalises about n·g sums for n elements and g generators, and every
-other sum is read from the graph.  The neutral's identity laws are then
-checked on every element.  A space that fails them, and a walk that
-exhausts the budget, fall back to summing every ordered pair of elements.
-One cache per extraction answers both, so no datum is normalised twice.
-Associativity is not checked: for a space that passes the identity check
-but is not associative, x + y is read along y's word, summing x with y's
-generators one at a time.
+1997), about n·g normalisations for n elements and g generators, and reads
+every other sum from the graph.  The neutral's identity laws are then
+checked on every element, and associativity by Light's test over the
+generators.  Data that fails a law is no space: it raises NotASpace, whose
+witness re-checks in a fresh engine.  A law fails only where the engine
+refutes it: a sum that exhausts, or normal forms that three-valued equality
+cannot tell apart, fail nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import ProbeSet, default_probes
+from .algebra import ProbeSet, Witness, apply_to, default_probes
 from .encoding import word
 from .engine import Context, Engine
 from .lang import render
@@ -69,6 +69,16 @@ class TooManyEndos(CapExceeded):
 
 class NotAHomomorphism(Exception):
     pass
+
+
+class NotASpace(Exception):
+    """Data whose carrier breaks a monoid law.  `witness` is an
+    `algebra.Witness`: two forms that the law equates, which
+    `witness.still_violates()` normalises apart in a fresh engine."""
+
+    def __init__(self, law: str, witness: Witness):
+        super().__init__(f"{law} fails: {render(witness.lhs)} is not {render(witness.rhs)}")
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -111,107 +121,93 @@ def _normalize(eng: Engine, space: Data, x: Data) -> Optional[Data]:
     return None if eng.exhausted else out
 
 
-# (x, y) -> the number of x + y, or None, over the elements numbered as found
-Sums = Dict[Tuple[int, int], Optional[int]]
-
-
-def _cayley_graph(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int):
+def _cayley_graph(space: Data, normal: Callable[[Data], Optional[Data]], refute: Callable,
+                  found: Sequence[Data], cap: int):
     """The right Cayley graph (Froidure & Pin, 1997) of the monoid that
-    `found[1:]` generate over the neutral `found[0]`, or None if a
-    normalisation exhausts the budget or e g is not g for the neutral e and
-    a generator g.  Elements past `cap` raise CarrierOverflow: every one of
-    them is a sum that the pairs would take too, so they would refuse.
+    `found[1:]` generate over the neutral `found[0]`.  Elements past `cap`
+    raise CarrierOverflow, and e g other than g, for the neutral e and a
+    generator g, is passed to `refute`.  An exhausted normalisation is a
+    None edge, which the walk does not follow.
 
     The elements of `found` are taken in canonical order (`data_key`, so
     shorter data first); one that earlier generators reach is skipped, any
-    other becomes a generator.  Every element reached so far is extended by
-    it, one normalisation of x g each, and every element reached anew by
-    every generator.  As e g is g, every element of `found` is reached: it
-    is a generator or was skipped.  Returns the elements, the generators,
-    the elements in the order reached, `parent[y] = (x, k)` when y was
-    first reached as x + gens[k], so that each element keeps the word that
-    first reached it, and `edges[x][k]`, the number of x + gens[k]."""
+    other becomes a generator, reached by its one-letter word.  Every
+    element reached so far is extended by it, one normalisation of x g
+    each, and every element reached anew by every generator.  Returns the
+    elements, the generators, the elements in the order reached, `parent[y]
+    = (x, k)` when y was first reached as x + gens[k], which keeps y's
+    word, and `edges[x][k]`, the number of x + gens[k]."""
     found = list(found)
     number = {e: i for i, e in enumerate(found)}
     gens: List[int] = []
     reached = [0]
     parent: Dict[int, Optional[Tuple[int, int]]] = {0: None}
-    edges: List[List[int]] = [[] for _ in found]
+    edges: List[List[Optional[int]]] = [[] for _ in found]
     for g in sorted(range(1, len(found)), key=lambda i: data_key(found[i])):
         if g in parent:
             continue
+        parent[g] = (0, len(gens))
+        reached.append(g)
         gens.append(g)
         for x in reached:  # `reached` grows as it is read, so new elements are extended too
             for k in range(len(edges[x]), len(gens)):
-                s = normal(found[x] + found[gens[k]])
-                if s is None:
-                    return None
+                h = found[gens[k]]
+                s = normal(found[x] + h)
                 y = number.get(s)
-                if y is None:
+                if y is None and s is not None:
                     if len(found) >= cap:
                         raise CarrierOverflow(f"more than {cap} carrier elements")
                     y = number[s] = len(found)
                     found.append(s)
                     edges.append([])
-                if x == 0 and y != gens[k]:
-                    return None  # e g is not g: the neutral is no identity
-                if y not in parent:
+                if x == 0 and y not in (None, gens[k]):
+                    e = found[0]
+                    refute("left identity", Witness((e, h), apply_to(space, e + h), h))
+                if y is not None and y not in parent:
                     parent[y] = (x, k)
                     reached.append(y)
                 edges[x].append(y)
     return found, gens, reached, parent, edges
 
 
-def _sums_by_walk(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int
-                  ) -> Optional[Tuple[List[Data], Sums]]:
-    """The elements and every sum, read from the right Cayley graph with no
-    further normalisation, or None if there is no graph or the neutral's
-    identity laws d e = d = e d fail on an element d.  `normal` normalises
-    each datum once, so the laws cost nothing for e g, which the walk
-    summed, and one normalisation for d when e is ().  Every row is filled
-    in the order the elements were reached: x + y is (x + parent(y)) + the
-    last generator of y's word, one edge away."""
-    graph = _cayley_graph(normal, found, cap)
-    if graph is None:
-        return None
-    found, _, reached, parent, edges = graph
-    e = found[0]
-    if not all(normal(d + e) == d == normal(e + d) for d in found):
-        return None
-    sums: Sums = {}
-    for x in range(len(found)):
-        sums[x, 0] = x
-        for y in reached[1:]:
-            p, k = parent[y]
-            sums[x, y] = edges[sums[x, p]][k]
-    return found, sums
+def _light(add: Sequence[Sequence[Optional[int]]], gens: Sequence[int]):
+    """Light's associativity test (Clifford & Preston, 1961): the first
+    (x, g, y), for g in `gens`, at which (x + g) + y and x + (g + y) are both
+    defined and differ, or None.  When `gens` generate the elements, None
+    means that the table is associative wherever it is defined.  The
+    column g + y is read from each row at once, by one `itemgetter`."""
+    n = len(add)
+    rows = [(*row, None) for row in add]  # index n reads an undefined sum
+    for g in gens:
+        column = operator.itemgetter(*(n if gy is None else gy for gy in add[g]))
+        for x, row in enumerate(rows):
+            if row[g] is not None and rows[row[g]][:n] != column(row):
+                for y, (a, b) in enumerate(zip(rows[row[g]], column(row))):
+                    if a != b and a is not None and b is not None:
+                        return x, g, y
+    return None
 
 
-def _sums_by_pairs(normal: Callable[[Data], Optional[Data]], found: Sequence[Data], cap: int
-                   ) -> Tuple[List[Data], Sums]:
-    """The elements and every sum, each ordered pair of elements summed
-    once: each element in turn, in the order found, is summed both ways
-    with every element found before its turn, skipping the pairs an earlier
-    turn summed.  `normal` normalises each datum once, so a sum that a walk
-    given up or another pair normalised costs nothing more.  A sum that
-    exhausts the budget is None; one past `cap` raises CarrierOverflow."""
-    found = list(found)
-    number = {e: i for i, e in enumerate(found)}
-    sums: Sums = {}
-    for x, _ in enumerate(found):  # `found` grows as it is read, so new elements take a turn too
-        for y in range(len(found)):
-            for a, b in ((x, y), (y, x)):
-                if (a, b) in sums:
-                    continue
-                s = normal(found[a] + found[b])
-                k = number.get(s)
-                if k is None and s is not None:
-                    if len(found) >= cap:
-                        raise CarrierOverflow(f"more than {cap} carrier elements")
-                    k = number[s] = len(found)
-                    found.append(s)
-                sums[a, b] = k
-    return found, sums
+def _associativity_witness(space, normal, found, add, gens, parent, x, g, y) -> Witness:
+    """(space : (space : u v) w) against (space : u (space : v w)), where
+    Light's test fails at (x, g, y).  u, v, w are x, g, y unless the table
+    read one of those sums, a + b, along b's word to other than the
+    engine's normal form.  Then they are a, b's prefix p and the generator
+    after it, at the first step of the word whose sum differs: a + p is the
+    engine's there, as a + e = a, and (a + p) + h is one edge."""
+    def witness(u, v, w):
+        u, v, w = found[u], found[v], found[w]
+        return Witness((u, v, w), apply_to(space, apply_to(space, u + v) + w),
+                       apply_to(space, u + apply_to(space, v + w)))
+
+    for a, b in ((g, y), (add[x][g], y), (x, add[g][y])):
+        path = [b]  # b's prefixes, b first
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]][0])
+        for p, q in zip(path[::-1], path[-2::-1]):
+            if found[add[a][q]] != normal(found[a] + found[q]):
+                return witness(a, p, gens[parent[q][1]])
+    return witness(x, g, y)
 
 
 def extract_carrier(
@@ -220,48 +216,60 @@ def extract_carrier(
     cap: int = DEFAULT_CARRIER_CAP,
     ctx: Optional[Context] = None,
 ) -> CarrierTable:
-    """Distinct normal forms of (space : probe), closed under the sum.
+    """The monoid of the distinct normal forms of (space : probe).
 
     The normal forms of the neutral and the probes are always kept; `cap`
     bounds only the elements that sums add: a sum past it raises
-    CarrierOverflow.  A sum that exhausts the probes' budget is None in the
-    table.
-
-    Each datum is normalised once per extraction: `normal` is a cache,
-    keyed by the data.  The carrier is first walked as a monoid, by its
-    right Cayley graph over the probe elements that earlier ones do not
-    reach (`_sums_by_walk`): about n·g normalisations for n elements and g
-    generators.  Then the neutral's identity laws are checked on every
-    element.  The walk refuses at `cap` by itself.  It gives way to summing
-    every ordered pair of elements (`_sums_by_pairs`), begun afresh from the
-    probe elements, only when a normalisation exhausts the budget or an
-    identity law fails; the pairs repeat none of the walk's normalisations.
-    A probe element that the walk never reaches fails the left law e g = g
-    on the generator it would be.  So open carriers, and spaces whose
-    neutral is no identity (`not`: (:) + (:) is ()), are what the pairs
-    give.  For an associative space both give the same table.  For a
-    space that passes the identity check but is not associative, the walk's
-    table reads x + y along y's word: x is summed with y's generators one at
-    a time, left to right.
+    CarrierOverflow.  Each datum is normalised once: `normal` is a cache.
+    x + y is read along y's word in the walk (`_cayley_graph`), one edge
+    per generator; the identity laws are normalised in the engine, and
+    Light's test reads the table.  A law fails, raising NotASpace, when a
+    fresh engine tells its witness's two sides apart (`refute`).  A None
+    sum exhausted the probes' budget, or was read through one that did; an
+    identity law whose sum exhausts fails nothing, and its sum is None.
+    Light's test is exact for the table; that the table holds the engine's
+    sums needs the space to be associative, which `algebra` judges on probes.
     """
     probes = probes if probes is not None else default_probes()
     space = tuple(space)
-    eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
+    ctx = ctx if ctx is not None else prelude()
+    eng = Engine(ctx, probes.budget)
 
     @functools.cache  # each datum once per extraction
     def normal(x: Data) -> Optional[Data]:
         return _normalize(eng, space, x)
 
+    def refute(law: str, witness: Witness) -> None:
+        if witness.still_violates(ctx):
+            raise NotASpace(law, witness)
+
     if normal(()) is None:
         raise CarrierOverflow("budget exhausted while normalizing the neutral")
     # the elements, numbered as found: the neutral's normal form first
     found = [e for e in dict.fromkeys(map(normal, ((), *probes.probes))) if e is not None]
-    walked = _sums_by_walk(normal, found, cap)
-    found, sums = walked or _sums_by_pairs(normal, found, cap)
-
+    found, gens, reached, parent, edges = _cayley_graph(space, normal, refute, found, cap)
+    add = [[x] * len(found) for x in range(len(found))]
+    for row in add:
+        for y in reached[1:]:
+            p, k = parent[y]
+            row[y] = None if row[p] is None else edges[row[p]][k]
+    exhausted = []
+    for i, d in enumerate(found):
+        for law, x, y in (("right identity", i, 0), ("left identity", 0, i)):
+            u, v = found[x], found[y]
+            if normal(u + v) is None:
+                exhausted.append((x, y))
+            elif normal(u + v) != d:
+                refute(law, Witness((u, v), apply_to(space, u + v), d))
+    bad = _light(add, gens)
+    if bad is not None:
+        refute("associativity",
+               _associativity_witness(space, normal, found, add, gens, parent, *bad))
+    for x, y in exhausted:
+        add[x][y] = None
     order = sorted(range(len(found)), key=lambda i: data_key(found[i]))
     rank = {i: r for r, i in enumerate(order)}
-    table = tuple(tuple(rank.get(sums[x, y]) for y in order) for x in order)
+    table = tuple(tuple(rank.get(add[x][y]) for y in order) for x in order)
     return CarrierTable(elements=tuple(found[i] for i in order), neutral=rank[0], add=table)
 
 
@@ -300,23 +308,12 @@ def saturation_carrier(q: int) -> CarrierTable:
 
 
 def check_carrier_monoid(c: CarrierTable) -> bool:
-    """Neutral unit laws and associativity wherever the table is defined."""
-    n = c.size
-    for i in range(n):
-        if c.add[c.neutral][i] != i or c.add[i][c.neutral] != i:
-            return False
-    for i in range(n):
-        for j in range(n):
-            ij = c.add[i][j]
-            for k in range(n):
-                jk = c.add[j][k]
-                if ij is None or jk is None:
-                    continue
-                left = c.add[ij][k]
-                right = c.add[i][jk]
-                if left is not None and right is not None and left != right:
-                    return False
-    return True
+    """The neutral's identity laws, and associativity wherever the table is
+    defined, by Light's test over every element but the neutral."""
+    e = c.neutral
+    if any(c.add[e][i] != i or c.add[i][e] != i for i in range(c.size)):
+        return False
+    return _light(c.add, [g for g in range(c.size) if g != e]) is None
 
 
 # ---------------------------------------------------------------------------

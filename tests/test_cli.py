@@ -191,6 +191,13 @@ def test_space_analyze_overflow(capsys):
     assert code == 2 and err.startswith("CarrierOverflow: ")
 
 
+def test_space_analyze_refuses_what_is_no_space(capsys):
+    # ap {B B} doubles (:) (:) again, so the neutral () is no left identity
+    code, out, err = run(capsys, "space", "analyze", "ap {B B}")
+    assert (code, out) == (2, "")
+    assert err == "NotASpace: left identity fails: (ap {B B}:(:) (:)) is not (:) (:)\n"
+
+
 def _capped_demo():
     return enumerate_endos(zn_carrier(8))  # 8^8 endofunctions
 
