@@ -11,7 +11,8 @@ normalised by the space's own program, `sort` or the cancellation built by
 normal form.  organic-N's rem and multiplication maps are programs too
 (`REM_PROGRAMS`, `ap const a^k` clamped by `first`), induced on the
 truncated carrier by `induced_endo` and judged by the single-map checks.
-The rationals (`QAtom`, `q_add`, `q_mult`) and the mediant's gcd are
+The mediant's sum is the engine's, `sort` of the two pair data.  The
+rationals (`QAtom`, `q_add`, `q_mult`) and the mediant's gcd are
 oracle-only: no builtin normalises a `q` atom or divides out a gcd.  The
 rationals' sum check compares each `q_add` sum with the operands by integer
 cross-multiplication and checks that it is in lowest terms.
@@ -349,6 +350,15 @@ def matrix_hom(mat: Tuple[int, int, int, int], d: Data,
     return ev_apply(matrix_data(mat), d, ctx)
 
 
+def mediant(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+    """The mediant of two (numerator, denominator) pairs in lowest terms:
+    the engine sorts the sum of their pair data, and Python divides out the
+    gcd, as no builtin does."""
+    m, n = sort_pair(ev_apply(SORT, pair_data(*x) + pair_data(*y)))
+    g = gcd(m, n)
+    return (m // g, n // g) if g else (m, n)
+
+
 def demo_N2() -> DemoReport:
     r = DemoReport("n2")
 
@@ -399,18 +409,10 @@ def demo_N2() -> DemoReport:
         if ev_apply(collapsed, pair_data(n1, a1) + pair_data(n2, a2))
         != pair_data(n1 + n2, a1 | a2)))
 
-    # oracle-only: no builtin divides out a gcd
-    def lowest(m: int, n: int) -> Tuple[int, int]:
-        g = gcd(m, n)
-        return (m // g, n // g) if g else (m, n)
-
-    def mediant(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
-        return lowest(*sort_pair(pair_data(*x) + pair_data(*y)))
-
     r.check("mediant of 1/2 and 1/3", (2, 5), mediant((1, 2), (1, 3)))
     r.check_none("mediant sum is the gcd-reduced sum of parts", (
         (x, y) for x in [(1, 2), (2, 3), (1, 4), (3, 5)] for y in [(1, 3), (1, 2), (2, 5)]
-        if mediant(x, y) != lowest(x[0] + y[0], x[1] + y[1])))
+        if mediant(x, y) != Fraction(x[0] + y[0], x[1] + y[1]).as_integer_ratio()))
     return r
 
 

@@ -3,16 +3,17 @@
 A space S induces a monoid on the normal forms (S:X): the carrier.  Once the
 carrier is finite (or truncated), endomorphisms become plain endofunctions of
 the element set.  The classification (constants, homomorphisms, units,
-central maps, idempotents, subspaces, quotients) is decided by exhaustive
-checks over the tables.  The product and sum tables are filled a row at a
-time: the images of f with every listed g are computed by one byte
-translation per position, down the list's columns, and looked up by their
-packed bytes, so `classify` takes carriers of at most 255 elements.  The
-homomorphism and subspace laws are each stated once, as equations over a
-partial map.  Settled on one complete map they decide the law; propagated
-over partial maps in a depth-first search they list the maps that satisfy
-it, visiting far fewer than the n^n endofunctions, under one work bound
-(`homomorphisms`, the field criteria and `iso_check`).
+central maps, idempotents, subspaces) is decided by exhaustive checks over
+the tables.  The product and sum tables are filled a row at a time: the
+images of f with every listed g are computed by one byte translation per
+position, down the list's columns, and looked up by their packed bytes, so
+`classify` takes carriers of at most 255 elements.  The homomorphism and
+subspace laws are each stated once, as equations over a partial map.
+Settled on one complete map they decide the law; propagated over partial
+maps in one depth-first search under one work bound, they list the maps that
+satisfy it, far fewer than all.  Its entry point is Hom(A, B),
+`homomorphisms(a, b)`: End(A) is `homomorphisms(a, a)`, and `isomorphisms`
+is its injective case.
 
 An endomorphism is a tuple of element indices: `f[i]` is the index of the
 image of element i.  On the two-element bool carrier, for instance,
@@ -65,10 +66,6 @@ class CarrierOverflow(CapExceeded):
 
 class TooManyEndos(CapExceeded):
     """Too many endofunctions to list, or a map search past its work bound."""
-
-
-class NotAHomomorphism(Exception):
-    pass
 
 
 class NotASpace(Exception):
@@ -436,13 +433,13 @@ def _settle(f: List[Optional[int]], equations) -> Tuple[bool, int]:
     return True, read
 
 
-def _solutions(f: List[Optional[int]], equations, injective: bool) -> Iterator[Endo]:
-    """Every map that extends the partial map f and settles, in
-    lexicographic order: depth-first over the unassigned positions, values
-    ascending, pruning every partial map whose equations contradict each
-    other or, when `injective`, that repeats an image.  The work is the
-    pairs `_settle` reads plus n per map visited; past SEARCH_WORK_CAP it
-    raises TooManyEndos."""
+def _solutions(f: List[Optional[int]], values: int, equations, injective: bool) -> Iterator[Endo]:
+    """Every map that extends the partial map f, with images in
+    range(values), and settles, in lexicographic order: depth-first over the
+    unassigned positions, values ascending, pruning every partial map whose
+    equations contradict each other or, when `injective`, that repeats an
+    image.  The work is the pairs `_settle` reads plus len(f) per map
+    visited; past SEARCH_WORK_CAP it raises TooManyEndos."""
     n, work = len(f), 0
     stack = [f]
     while stack:
@@ -458,16 +455,17 @@ def _solutions(f: List[Optional[int]], equations, injective: bool) -> Iterator[E
             yield tuple(f)
             continue
         i = f.index(None)
-        for v in reversed(range(n)):
+        for v in reversed(range(values)):
             if v not in images:
                 stack.append(f[:i] + [v] + f[i + 1:])
 
 
-def homomorphisms(c: CarrierTable) -> Iterator[Endo]:
-    """Every endofunction with f[i + j] = f[i] + f[j] wherever both sums
-    are defined, in lexicographic order, found by search, not by testing
-    all n^n maps."""
-    return _solutions([None] * c.size, _hom_equations(c.add, c.add), False)
+def homomorphisms(c1: CarrierTable, c2: CarrierTable) -> Iterator[Endo]:
+    """Hom(c1, c2): every map f from c1's elements to c2's with f[i + j] =
+    f[i] + f[j] wherever both sums are defined (an undefined sum states
+    nothing), in lexicographic order.  Arrows are semigroup maps: the
+    neutral's image is not pinned.  End(c) is `homomorphisms(c, c)`."""
+    return _solutions([None] * c1.size, c2.size, _hom_equations(c1.add, c2.add), False)
 
 
 def is_homomorphism(f: Endo, c: CarrierTable) -> bool:
@@ -648,24 +646,9 @@ def field_check(c: CarrierTable) -> Tuple[bool, bool]:
     n = c.size
     ident = tuple(range(n))
     subspaces_ok = not any(len(set(m)) > 1 and m != ident
-                           for m in _solutions([None] * n, _subspace_equations(c.add), False))
-    homs_ok = not any(1 < len(set(m)) < n for m in homomorphisms(c))
+                           for m in _solutions([None] * n, n, _subspace_equations(c.add), False))
+    homs_ok = not any(1 < len(set(m)) < n for m in homomorphisms(c, c))
     return subspaces_ok, homs_ok
-
-
-def quotient_of_hom(h: Endo, c: CarrierTable) -> Endo:
-    """The idempotent with the same fibers as h, picking the canonically
-    smallest element of each fiber as representative."""
-    if not is_homomorphism(h, c):
-        raise NotAHomomorphism(f"endo {h} does not preserve the sum")
-    fibers: Dict[int, List[int]] = {}
-    for i, v in enumerate(h):
-        fibers.setdefault(v, []).append(i)
-    rep = {
-        v: min(members, key=lambda i: data_key(c.elements[i]))
-        for v, members in fibers.items()
-    }
-    return tuple(rep[v] for v in h)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +657,16 @@ def quotient_of_hom(h: Endo, c: CarrierTable) -> Endo:
 def isomorphisms(c1: CarrierTable, c2: CarrierTable) -> Iterator[Endo]:
     """Every monoid isomorphism from c1 to c2 in lexicographic order, as a
     bijection p of element indices: p sends the neutral to the neutral and
-    i + j to p[i] + p[j] wherever both sums are defined.  Found by search,
-    with the neutral's image fixed and no image repeated."""
+    i + j to p[i] + p[j] wherever both sums are defined, and i + j is
+    undefined exactly where p[i] + p[j] is.  The injective case of
+    `homomorphisms`' search, with the neutral's image pinned."""
     if c1.size == c2.size:
-        p = [None] * c1.size
-        p[c1.neutral] = c2.neutral
-        yield from _solutions(p, _hom_equations(c1.add, c2.add), True)
+        f = [None] * c1.size
+        f[c1.neutral] = c2.neutral
+        for p in _solutions(f, c2.size, _hom_equations(c1.add, c2.add), True):
+            if all((s is None) == (c2.add[p[i]][p[j]] is None)
+                   for i, row in enumerate(c1.add) for j, s in enumerate(row)):
+                yield p
 
 
 def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[Endo]:

@@ -9,8 +9,7 @@ it is `cmp_data`'s walk of the left and then the right data, whose 0 means
 equal: equal hashes prove nothing.
 
 Also provides the canonical total order used everywhere (carrier listing,
-sorting, quotient representatives), and bounded enumeration / exact counting
-of pure data.
+sorting), and bounded enumeration / exact counting of pure data.
 
 The order has two forms.  `cmp_data`/`cmp_coda` compare two terms with an
 explicit stack and stop at the first difference, which is usually a length;

@@ -16,6 +16,7 @@ from coda.organic import (
     inner,
     int_data,
     matrix_hom,
+    mediant,
     nat_product,
     pair_data,
     q_add,
@@ -139,6 +140,8 @@ def test_arithmetic_runs_in_the_engine(monkeypatch):
         reduce_int(int_data(2) + int_data(-1))
     with pytest.raises(RuntimeError):
         matrix_hom((1, 1, 1, 0), pair_data(1, 1))
+    with pytest.raises(RuntimeError):
+        mediant((1, 2), (1, 3))
 
 
 def test_fibonacci():

@@ -1,17 +1,19 @@
 import collections
 import itertools
+import math
 import operator
 import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from coda.algebra import ProbeSet, default_probes, product
+from coda.algebra import ProbeSet, default_probes, product, product_chain
 from coda.encoding import word
 from coda.engine import Budget, Engine, TriBool, equal
 from coda.lang import parse
 from coda.organic import (
     REM_PROGRAMS,
+    T_ELEM,
     _bool_probes,
     bool_seq_truncated,
     bounded_n_carrier,
@@ -24,7 +26,6 @@ from coda.spacelab import (
     CarrierOverflow,
     CarrierTable,
     EndoFlags,
-    NotAHomomorphism,
     NotASpace,
     TooManyEndos,
     carrier_from_function,
@@ -47,7 +48,6 @@ from coda.spacelab import (
     iso_check,
     isomorphisms,
     oplus,
-    quotient_of_hom,
     render_report,
     render_table,
     saturation_carrier,
@@ -522,7 +522,7 @@ def test_map_searches_past_the_work_bound_are_refused(monkeypatch):
     z11 = zn_carrier(11)
     assert field_check(z11) == (True, True)
     monkeypatch.setattr(spacelab, "SEARCH_WORK_CAP", 100)
-    searches = (lambda: field_check(z11), lambda: list(homomorphisms(z11)),
+    searches = (lambda: field_check(z11), lambda: list(homomorphisms(z11, z11)),
                 lambda: iso_check(z11, reordered(z11, [0, *range(10, 0, -1)])))
     for search in searches:
         with pytest.raises(TooManyEndos):
@@ -576,7 +576,82 @@ def test_settled_complete_map_satisfies_the_law(c):
     for f in endos:
         assert is_homomorphism(f, c) == respects_by_loop(c, c, f)
         assert is_subspace(f, c) == is_subspace_by_loop(f, c)
-    assert list(homomorphisms(c)) == [f for f in endos if respects_by_loop(c, c, f)]
+    assert list(homomorphisms(c, c)) == [f for f in endos if respects_by_loop(c, c, f)]
+
+
+def maps_by_scan(a, b):
+    """Reference for Hom(a, b): every map from a's elements to b's, in
+    lexicographic order, that respects the sum."""
+    return [f for f in itertools.product(range(b.size), repeat=a.size)
+            if respects_by_loop(a, b, f)]
+
+
+@seed(7)
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(small_tables(), small_tables()).filter(lambda cs: cs[0].size != cs[1].size))
+def test_hom_between_tables_of_different_sizes_matches_scan(cs):
+    c1, c2 = cs
+    assert list(homomorphisms(c1, c2)) == maps_by_scan(c1, c2)
+
+
+def test_hom_between_cyclic_groups():
+    # Hom(Z_m, Z_n) is x -> k x for each k with m k = 0 mod n: gcd(m, n) maps
+    for m, n in itertools.product(range(1, 13), repeat=2):
+        homs = list(homomorphisms(zn_carrier(m), zn_carrier(n)))
+        assert len(homs) == math.gcd(m, n)
+        assert homs == sorted(tuple(k * x % n for x in range(m)) for k in range(n) if m * k % n == 0)
+
+
+def test_hom_between_saturations():
+    # row q lists |Hom(sat_q, sat_r)| for r = 1..6; the truncation x ->
+    # min(x, r - 1) is an arrow when r <= q, and from sat1, whose one
+    # element goes to 0; else 1 + (q - 1) is q - 1 in sat_q but not in sat_r
+    counts = [[1, 2, 2, 2, 2, 2], [1, 3, 3, 3, 3, 3], [1, 3, 4, 4, 5, 5],
+              [1, 3, 4, 5, 5, 6], [1, 3, 4, 5, 6, 6], [1, 3, 4, 5, 6, 7]]
+    for q, r in itertools.product(range(1, 7), repeat=2):
+        a, b = saturation_carrier(q), saturation_carrier(r)
+        homs = list(homomorphisms(a, b))
+        assert homs == maps_by_scan(a, b) and len(homs) == counts[q - 1][r - 1]
+        assert (tuple(min(x, r - 1) for x in range(q)) in homs) == (r <= q or q == 1)
+    # semigroup maps: Z4 -> sat4 also sends everything to the absorbing 3
+    sat4, z4 = saturation_carrier(4), zn_carrier(4)
+    assert list(homomorphisms(sat4, z4)) == [(0, 0, 0, 0)]
+    assert list(homomorphisms(z4, sat4)) == [(0, 0, 0, 0), (3, 3, 3, 3)]
+
+
+def test_hom_between_the_boolean_sequence_spaces():
+    # bool, L1, L2, L3: |Hom| between every two, checked against the scan
+    # wherever there are at most 10^5 maps
+    carriers = [bool_carrier()] + [
+        extract_carrier(bool_seq_truncated(n), _bool_probes(), cap=64) for n in (1, 2, 3)]
+    counts = [[3, 5, 9, 17], [3, 7, 21, 73], [3, 7, 41, 153], [3, 7, 41, 205]]
+    homs = {}
+    for (i, a), (j, b) in itertools.product(enumerate(carriers), repeat=2):
+        homs[i, j] = list(homomorphisms(a, b))
+        assert len(homs[i, j]) == counts[i][j]
+        if b.size ** a.size <= 10 ** 5:
+            assert homs[i, j] == maps_by_scan(a, b)
+
+    def arrow(i, j, image):
+        return tuple(carriers[j].index_of(image(x)) for x in carriers[i].elements)
+
+    # the truncations L3 -> L2 -> L1 are arrows; the inclusions are not,
+    # since in L1 T + F is T, the sum cut to length 1, and in L2 it is T F
+    for i in (2, 3):
+        assert arrow(i, i - 1, lambda x: x[:i - 1]) in homs[i, i - 1]
+        assert arrow(i - 1, i, lambda x: x) not in homs[i - 1, i]
+    # L1 -> bool sends every non-empty element to (:), bool -> L1 sends (:) to T
+    assert arrow(1, 0, lambda x: (COLON,) if x else ()) in homs[1, 0]
+    assert arrow(0, 1, lambda x: T_ELEM if x else ()) in homs[0, 1]
+
+
+def test_hom_between_sets_spaces_includes_the_inclusion():
+    p2 = extract_carrier(product_chain(parse("sort"), parse("once"), parse("is a b")),
+                         ProbeSet(((), (word("a"),), (word("b"),), parse("a b"))), cap=16)
+    p3 = extract_carrier(sets_space(), SETS_PROBES, cap=16)
+    homs = list(homomorphisms(p2, p3))
+    assert len(homs) == 125 and homs == maps_by_scan(p2, p3)
+    assert tuple(p3.index_of(x) for x in p2.elements) in homs
 
 
 def fill_by_entry(c, endos):
@@ -604,7 +679,7 @@ def test_classify_fills_tables_as_by_entry(c, rng):
 def test_classify_fills_tables_past_one_word():
     # past 8 elements an endo's packed key spans two 8-byte words
     l3 = extract_carrier(bool_seq_truncated(3), _bool_probes(), cap=64)
-    homs = list(homomorphisms(l3))
+    homs = list(homomorphisms(l3, l3))
     assert (l3.size, len(homs)) == (15, 205)
     # an open carrier: a sum of 10 or more is undefined; small maps, their
     # sums and composites are listed, so both tables hold hits and misses
@@ -628,7 +703,7 @@ def test_classify_reads_matrices_on_the_homomorphisms_of_z2_cubed():
     # the images of the basis 1, 2, 4, and the flags classify reads off the
     # 512 homomorphisms are checked against the 512 matrices themselves
     c = carrier_from_function(range(8), operator.xor, 0)
-    homs = list(homomorphisms(c))
+    homs = list(homomorphisms(c, c))
     rep = classify(c, homs)
 
     def apply(m, v):
@@ -676,15 +751,6 @@ def test_subspace_example():
     assert is_subspace(identity_endo(c), c)
 
 
-def test_quotient_of_hom():
-    c = zn_carrier(4)
-    doubling = (0, 2, 0, 2)
-    q = quotient_of_hom(doubling, c)
-    assert q == (0, 1, 0, 1)
-    with pytest.raises(NotAHomomorphism):
-        quotient_of_hom((1, 1, 1, 1), c)
-
-
 def test_induced_endo():
     c = bounded_n_carrier()
     for (p, q), src in REM_PROGRAMS.items():
@@ -719,6 +785,15 @@ def test_iso_check():
     z9_shuffled = reordered(z9, [4, 7, 0, 2, 8, 1, 6, 3, 5])
     p = iso_check(z9, z9_shuffled)
     assert sorted(p) == list(range(9)) and respects_by_loop(z9, z9_shuffled, p)
+
+
+def test_isomorphisms_keep_undefined_sums_undefined():
+    # o's 1 + 2 is undefined and Z3's is not.  A homomorphism may send it
+    # anywhere, as an undefined sum states nothing; an isomorphism may not
+    o, z3 = carrier_from_function(range(3), lambda x, y: x + y, 0), zn_carrier(3)
+    assert (0, 1, 2) in list(homomorphisms(o, z3)) and (0, 1, 2) in list(homomorphisms(z3, o))
+    assert iso_check(o, z3) is None and iso_check(z3, o) is None
+    assert iso_check(o, o) == (0, 1, 2)
 
 
 def isos_by_scan(c1, c2):
