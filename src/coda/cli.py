@@ -114,10 +114,7 @@ def cmd_repl(args) -> int:
         print("coda> ", end="", file=sys.stderr, flush=True)
         try:
             line = input()
-        except EOFError:
-            print(file=sys.stderr)
-            return 0
-        except KeyboardInterrupt:
+        except (EOFError, KeyboardInterrupt):
             print(file=sys.stderr)
             return 0
         stripped = line.strip()

@@ -47,10 +47,6 @@ _BYTES = tuple(Coda((BYTE_MARKER,), tuple(BIT1 if v >> i & 1 else BIT0
 _BYTE_VALUE = {c: v for v, c in enumerate(_BYTES)}
 
 
-def byte_atom(value: int) -> Coda:
-    return _BYTES[value]
-
-
 def bits(text: str) -> Data:
     """The byte-atom sequence encoding `text` (UTF-8).  Total: a lone
     surrogate, which is how Python hands over a command-line byte that is
@@ -120,10 +116,6 @@ def _text(c: Coda) -> Optional[str]:
         return c._text
     except AttributeError:
         return decode_bytes(c.right)
-
-
-def is_word_atom(c: Coda) -> bool:
-    return word_text(c) is not None
 
 
 def _marked(c: Coda, marker: Coda) -> bool:

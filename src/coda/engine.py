@@ -4,9 +4,10 @@ A context is a partial function from codas to data.  Named definitions
 trigger on a word atom heading the left data of a coda: in (name A : B) the
 definition receives A (the rest of the left data) and B (the right data).
 A definition without `apply` is a fixed point: its codas are atoms.  A
-language atom heading a coda is a definition too, built from the atom's
-own source (decoded once per atom, then cached): it always applies, and
-`eval_coda`, `step` and the decision helpers treat it as any other.
+language atom heading a coda is a definition too: `_lang_definition`
+compiles the atom's source once into a splice plan and keeps it, with the
+borderline rule, in one cache.  It always applies, and `eval_coda`, `step`
+and the decision helpers treat it as any other.
 
 Evaluation strategy: repeated outermost rewriting, left to right.  A coda's
 head is evaluated just far enough to resolve dispatch.  A guard's operand is
@@ -57,7 +58,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from .encoding import _TEXT_CAP, LANG_NAME, is_lang_atom, lang_source, word, word_text
-from .lang import eval_lang_atom
+from .lang import _compile, eval_lang_atom
 from .terms import Coda, Data
 
 BranchFn = Callable[["Engine", Data, Data], Optional[Data]]
@@ -358,11 +359,21 @@ class Engine:
 @lru_cache(maxsize=_TEXT_CAP)
 def _lang_definition(atom: Coda) -> Definition:
     """A language atom's definition: (atom A : B) rewrites by the atom's
-    source, decoded once here, with A and B spliced in."""
-    src = lang_source(atom) or ""
+    source, compiled here once into a splice plan, with A and B spliced in.
+
+    A source with neither a top-level colon nor an `A`/`B` reference is a
+    borderline case.  When its head word is bound in the engine's context it
+    names a transformation and keeps the original components, so that
+    ({pass} A : B) rewrites to (pass A : B).  Otherwise the expansion is the
+    parsed source itself: ({a} : X) is the constant `a`, which is what makes
+    (ap {a}) idempotent."""
+    template, plan = _compile(lang_source(atom) or "")
 
     def apply(engine: Engine, a: Data, b: Data) -> Data:
-        return eval_lang_atom(src, a, b, engine)
+        d = eval_lang_atom(plan, a, b)
+        if template or not d or engine.dispatch(Coda(d, b)) is None:
+            return d
+        return (Coda(d + a, b),)
 
     return Definition(name=LANG_NAME, trigger=atom, apply=apply)
 

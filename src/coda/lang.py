@@ -9,10 +9,11 @@ builds a language atom carrying its source verbatim.  `(x=y)` is sugar for
 `(= x : y)`.  Unbalanced `(` or `{` are healed by implicit closure at end
 of input; unmatched closers are ordinary word characters.  Parsing and
 template expansion are one left-to-right pass with a stack of open groups.
-A template is scanned once per source, into a splice plan that lists the
-codas holding an `A` or `B`; each application fills those in and reuses
-every other part of the expansion as it is.  Nothing here recurses, so
-nesting depth is bounded by memory alone.
+The engine compiles each language atom once (`_compile`), into a splice
+plan that lists the codas holding an `A` or `B`; each application fills
+those in (`eval_lang_atom`) and reuses every other part of the expansion
+as it is.  This module is syntax only: it never calls an engine.  Nothing
+here recurses, so nesting depth is bounded by memory alone.
 `render` is the package's one printer, and `parse(render(d)) == d` for
 every data `d`: an atom whose text would read back as something else
 prints structurally.
@@ -21,11 +22,10 @@ prints structurally.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import groupby
 from typing import Iterator, List, Optional, Tuple
 
-from .encoding import _TEXT_CAP, atom_text, lang_atom, word
+from .encoding import atom_text, lang_atom, word
 from .terms import Coda, Data
 
 # a token: a bracket, colon or `=`, a whitespace run, or a run of the rest
@@ -130,10 +130,9 @@ def _scan(src: str, a: Optional[Data], b: Optional[Data]) -> Tuple[Data, bool]:
 _A, _B = Coda(), Coda()
 
 
-@lru_cache(maxsize=_TEXT_CAP)
 def _compile(source: str) -> Tuple[bool, tuple]:
-    """A language atom's source, scanned once: whether it is a template (see
-    `_scan`), and its splice plan `(slots, nodes, top)`.
+    """A language atom's source as a splice plan: whether it is a template
+    (see `_scan`), and the plan `(slots, nodes, top)`.
 
     `slots` is the fill's table of data: slots 0 and 1 take A and B, each
     hole-free run of codas is kept in a slot as it is, and each coda with a
@@ -182,9 +181,11 @@ def _compile(source: str) -> Tuple[bool, tuple]:
     return template, (tuple(slots), tuple(nodes), top)
 
 
-def _fill(plan: tuple, a: Data, b: Data) -> Data:
-    """A splice plan's expansion for components `a` and `b`: one pass over
-    the codas that hold a hole, children first."""
+def eval_lang_atom(plan: tuple, a: Data, b: Data) -> Data:
+    """A language atom's expansion by its splice plan: `A` and `B` splice in
+    the components `a` and `b`, words stand for themselves.  One pass over
+    the codas that hold a hole, children first; every other part of the
+    expansion is kept as it is."""
     slots, nodes, top = plan
     built = list(slots)
     built[0], built[1] = a, b
@@ -200,27 +201,6 @@ def _join(built: list, parts: Tuple[int, ...]) -> Data:
     for k in parts:
         out += built[k]
     return tuple(out)
-
-
-def eval_lang_atom(source: str, a: Data, b: Data, engine=None) -> Data:
-    """Apply a language atom: split at the top-level colon, then whitespace;
-    `A` and `B` splice in the components, words stand for themselves.  The
-    source is compiled once (`_compile`); each application fills in the
-    holes and keeps the rest of the expansion as it is.
-
-    A source with neither a top-level colon nor an `A`/`B` reference is a
-    borderline case.  When its head word is bound in the engine's context it
-    names a transformation and keeps the original components, so that
-    ({pass} A : B) rewrites to (pass A : B).  Otherwise the expansion is the
-    parsed source itself: ({a} : X) is the constant `a`, which is what makes
-    (ap {a}) idempotent.
-    """
-    a, b = tuple(a), tuple(b)
-    template, plan = _compile(source)
-    d = _fill(plan, a, b)
-    if template or engine is None or not d or engine.dispatch(Coda(d, b)) is None:
-        return d
-    return (Coda(d + a, b),)
 
 
 # ---------------------------------------------------------------------------

@@ -304,15 +304,6 @@ def saturation_carrier(q: int) -> CarrierTable:
     return carrier_from_function(range(q), lambda x, y: min(x + y, q - 1), 0)
 
 
-def check_carrier_monoid(c: CarrierTable) -> bool:
-    """The neutral's identity laws, and associativity wherever the table is
-    defined, by Light's test over every element but the neutral."""
-    e = c.neutral
-    if any(c.add[e][i] != i or c.add[i][e] != i for i in range(c.size)):
-        return False
-    return _light(c.add, [g for g in range(c.size) if g != e]) is None
-
-
 # ---------------------------------------------------------------------------
 # Endomorphisms
 

@@ -131,6 +131,20 @@ def test_repl_end_of_input(capsys, monkeypatch):
     assert (code, out) == (0, "") and err.endswith("coda> \n")
 
 
+def test_repl_interrupt(capsys, monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("builtins.input", interrupted)
+    code, out, err = run(capsys, "repl")
+    assert (code, out) == (0, "") and err.endswith("coda> \n")
+
+
+def test_repl_skips_blank_lines_and_stops_at_quit(capsys, monkeypatch):
+    code, out, err = repl(capsys, monkeypatch, "", "  \t", "pass : a", ":quit", "pass : b")
+    assert (code, out) == (0, "a\n") and err.count("coda> ") == 4
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--width", "2", "--depth", "2")
     assert code == 0 and out == "91\n"

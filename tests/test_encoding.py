@@ -1,5 +1,5 @@
 from coda.encoding import (
-    _TEXT_CAP, BIT0, BIT1, BYTE_MARKER, WORD_MARKER, bits, byte_atom, decode_bytes,
+    _BYTES, _TEXT_CAP, BIT0, BIT1, BYTE_MARKER, WORD_MARKER, bits, decode_bytes,
     lang_atom, word, word_text,
 )
 from coda.lang import parse
@@ -40,13 +40,13 @@ TEXT = "".join(map(chr, [*range(0x800), *range(0x800, 0xD800, 997), *range(0xE00
 def test_decode_table_matches_the_bits():
     assert set(TEXT.encode()) == set(range(256)) - {0xC0, 0xC1, *range(0xF5, 256)}
     for v in range(256):
-        assert spelled([v]) == (byte_atom(v),)
+        assert spelled([v]) == (_BYTES[v],)
         assert decode_bytes(spelled([v])) == decode_by_bits(spelled([v]))
     assert decode_bytes(spelled(TEXT.encode())) == decode_by_bits(spelled(TEXT.encode())) == TEXT
 
 
 def test_decode_refuses_what_is_not_a_byte():
-    a = byte_atom(ord("a")).right
+    a = _BYTES[ord("a")].right
     for bad in (Coda((BYTE_MARKER,), a[:7]),                # 7 bits
                 Coda((BYTE_MARKER,), a + (BIT0,)),          # 9 bits
                 Coda((BYTE_MARKER,), a[:7] + (COLON,)),     # a member that is no bit

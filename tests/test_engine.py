@@ -68,6 +68,8 @@ def test_tri_equal():
     assert equal(parse("a"), parse("while {B B} : x"), ctx,
                  Budget(max_steps=20)) is TriBool.UNDECIDED
     assert equal(parse("x a"), parse("x b"), ctx) is TriBool.NEVER
+    # the fronts (def:) and (def:b) are no atoms, so the backs decide
+    assert equal(parse("(def:) a"), parse("(def:b) b"), ctx) is TriBool.NEVER
     assert equal(parse("a"), parse(""), ctx) is TriBool.NEVER
     assert equal(parse(""), parse(""), ctx) is TriBool.ALWAYS
 
@@ -197,6 +199,10 @@ def test_add_definition_and_monotonicity():
     ctx = prelude()
     ctx2 = add_definition(ctx, "twice", parse("ap {B B}"))
     assert ev("twice : x", ctx2) == "x x"
+    # a word atom names a definition as its text does; any other coda cannot
+    assert ev("thrice : x", add_definition(ctx, word("thrice"), parse("ap {B B B}"))) == "x x x"
+    with pytest.raises(ValueError, match="^definition name must be a word atom$"):
+        add_definition(ctx, parse("(a:b)")[0], parse("null"))
     # rebinding is a no-op
     ctx3 = add_definition(ctx2, "twice", parse("null"))
     assert ev("twice : a b", ctx3) == ev("twice : a b", ctx2)
@@ -226,6 +232,8 @@ def test_classify_atom():
     assert classify_atom(Coda((word("b"),), (word("x"),)), ctx) == "invariant_atom"
     assert classify_atom(parse("(b:(pass:x))")[0], ctx) == "defined_fixed_point"
     assert classify_atom(parse("(b:({B}:x))")[0], ctx) == "defined_fixed_point"
+    # def with no name is out of its builtin's domain
+    assert classify_atom(parse("(def:)")[0], ctx) == "undecided"
 
 
 def test_classify_atom_resolves_the_head_under_one_budget():

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from coda.encoding import (
-    WORD_LANG, WORD_MARKER, atom_text, bits, decode_bytes, is_lang_atom, is_word_atom,
+    WORD_LANG, WORD_MARKER, atom_text, bits, decode_bytes, is_lang_atom,
     lang_atom, lang_source, word, word_text,
 )
-from coda.engine import Engine, evaluate
-from coda.lang import _scan, eval_lang_atom, parse, render
+from coda.engine import Engine, evaluate, step
+from coda.lang import _compile, _scan, eval_lang_atom, parse, render
 from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
@@ -66,11 +66,21 @@ def test_render_roundtrip_examples():
         assert render(parse(src)) == src or parse(render(parse(src))) == parse(src)
 
 
+def expand(src, a, b):
+    """The template `src` expanded for components `a` and `b`."""
+    return eval_lang_atom(_compile(src)[1], a, b)
+
+
+def applied(src, a, b):
+    """The one-step rewrite of ({src} a : b) in the prelude."""
+    return step((Coda((lang_atom(src), *a), b),), prelude())
+
+
 def test_template_substitution():
     a, b = (word("x"),), (word("y"), word("z"))
-    assert eval_lang_atom("A B", a, b) == a + b
-    assert eval_lang_atom("B B", (), b) == b + b
-    assert eval_lang_atom("first 2 : B", (), b) == (
+    assert expand("A B", a, b) == a + b
+    assert expand("B B", (), b) == b + b
+    assert expand("first 2 : B", (), b) == (
         Coda((word("first"), word("2")), b),
     )
 
@@ -106,9 +116,9 @@ def shape(d):
     return tuple(out)
 
 
-# (source, shape(parse(source)), shape(eval_lang_atom(source, (x,), (y, z),
-# engine))): unbalanced and unmatched brackets, `=` sugar and its blank-left
-# cases, brackets of one kind inside the other in both modes, and Unicode
+# (source, shape(parse(source)), shape(applied(source, (x,), (y, z)))):
+# unbalanced and unmatched brackets, `=` sugar and its blank-left cases,
+# brackets of one kind inside the other in both modes, and Unicode
 # whitespace (\x0c, \xa0) that only leads a word when it starts one
 CORPUS = [
     ("(a b", ("a", "b"), ("a", "b")),
@@ -163,7 +173,7 @@ CORPUS = [
 def test_corpus(src, parsed, expanded):
     x, y, z = word("x"), word("y"), word("z")
     assert shape(parse(src)) == parsed
-    assert shape(eval_lang_atom(src, (x,), (y, z), Engine(prelude()))) == expanded
+    assert shape(applied(src, (x,), (y, z))) == expanded
 
 
 def test_deep_input_needs_no_recursion():
@@ -176,10 +186,10 @@ def test_deep_input_needs_no_recursion():
         d = d[0].right
     assert d == (word("a"),)
     deep = "{" * 10 ** 4 + "B" + "}" * 10 ** 4
-    assert eval_lang_atom(deep, (word("x"),), (word("y"),)) == (word("y"),)
+    assert expand(deep, (word("x"),), (word("y"),)) == (word("y"),)
     # a hole at every level of a template 10^5 deep
     x, y = word("x"), word("y")
-    d = eval_lang_atom("(A:" * n + "B" + ")" * n, (x,), (y,))
+    d = expand("(A:" * n + "B" + ")" * n, (x,), (y,))
     for _ in range(n):
         assert len(d) == 1 and d[0].left == (x,)
         d = d[0].right
@@ -197,7 +207,7 @@ any_text = st.text(any_char | st.sampled_from("=(){}: \t\r\n\x0c\xa0AB"), max_si
 
 
 def expand_by_scan(src, a, b, engine):
-    """`eval_lang_atom` scanning the source on every application: the
+    """A language atom's application, scanning the source each time: the
     oracle for the compiled splice plan."""
     d, template = _scan(src, a, b)
     if template:
@@ -219,9 +229,9 @@ components = st.lists(st.sampled_from(
                 max_size=16).map("".join), components, components)
 def test_splice_plan_matches_the_scan(src, a, b):
     engine = Engine(prelude())
-    assert eval_lang_atom(src, a, b, engine) == expand_by_scan(src, a, b, engine)
+    assert applied(src, a, b) == expand_by_scan(src, a, b, engine)
     # a second application reuses the plan, with other components
-    assert eval_lang_atom(src, b, a, engine) == expand_by_scan(src, b, a, engine)
+    assert applied(src, b, a) == expand_by_scan(src, b, a, engine)
 
 
 @given(st.text(any_char, max_size=60))
@@ -257,7 +267,7 @@ def carried_text_matches_the_decoder(t):
             assert word_text(c) == (None if lang else text)
             assert lang_source(c) == (text if lang else None)
             assert atom_text(c) == (text, lang)
-            assert is_word_atom(c) == (not lang and text is not None)
+            assert (word_text(c) is not None) == (not lang and text is not None)
             assert is_lang_atom(c) == lang
             assert render((c,)) == render((built,))
             assert parse(render((c,))) == (c,)

@@ -45,6 +45,8 @@ def test_bool_and_not():
 
 def test_atoms():
     assert ev("atoms : a (x:y)") == "(:) (:)"
+    # (def:) is no atom, so the coda stays put
+    assert ev("atoms : (def:)") == "(atoms:(def:))"
 
 
 def test_if_nif():
@@ -85,6 +87,7 @@ def test_domain_has_hasnt():
 def test_ap_aq_ar():
     assert ev("ap const x : a b") == "x x"
     assert ev("aq zzz a b : c") == "(zzz a:c) (zzz b:c)"
+    assert ev("aq x : y") == ev("aq x y :") == "()"
     assert ev("ar zzz a b : c") == "(zzz a:c) (zzz b:c)"
     assert ev("ap {B B} : 1 2") == "1 1 2 2"
 
@@ -230,6 +233,9 @@ def test_rev_remove_sort_min():
 
 def test_def_word():
     assert ev("(def dup : ap {B B}) (dup : p q)") == "p p q q"
+    # a name that normalises to no word stays put and binds nothing
+    out = evaluate(parse("(def (pass:(:)) : x)"), prelude())
+    assert render(out.result) == "(def (pass:(:)):x)" and out.context.names() == prelude().names()
 
 
 

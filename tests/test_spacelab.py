@@ -29,7 +29,6 @@ from coda.spacelab import (
     NotASpace,
     TooManyEndos,
     carrier_from_function,
-    check_carrier_monoid,
     classify,
     compose,
     constant_endo,
@@ -71,7 +70,7 @@ def test_bool_carrier():
     assert c.size == 2
     assert c.closed
     assert c.label(c.neutral) == "()"
-    assert check_carrier_monoid(c)
+    assert monoid_by_loop(c)
     # the sum is logical or
     assert c.add == ((0, 1), (1, 1))
 
@@ -79,7 +78,7 @@ def test_bool_carrier():
 def test_zn_carrier_monoid():
     for n in (2, 3, 4, 6):
         c = zn_carrier(n)
-        assert check_carrier_monoid(c)
+        assert monoid_by_loop(c)
         assert is_commutative(c)
         assert is_cancellative(c)
 
@@ -195,6 +194,8 @@ def test_classify_rejects_malformed_endos():
     for bad in ((0, 2), (0, -1), (0, 1, 1), (1,), [1, 0]):
         with pytest.raises(ValueError):
             classify(c, full + [bad])
+    with pytest.raises(ValueError, match="^endo list must contain the identity and zero maps$"):
+        classify(zn_carrier(2), [(0, 0), (1, 1)])
 
 
 def test_extracted_table_matches_fresh_engines():
@@ -284,7 +285,7 @@ def matches_fresh_engines(space, probes, cap):
     try:
         got = _extraction(space, probes, cap)
     except NotASpace as exc:
-        refused = isinstance(reference, str) or not check_carrier_monoid(reference)
+        refused = isinstance(reference, str) or not monoid_by_loop(reference)
         return refused and exc.witness.still_violates() and "NotASpace"
     return got == reference and ("refusal" if isinstance(got, str) else "carrier")
 
@@ -388,7 +389,13 @@ def test_a_table_that_is_not_the_sum_is_refused():
     with pytest.raises(NotASpace, match="^associativity fails: ") as refusal:
         extract_carrier(space, probes)
     assert refusal.value.witness.still_violates()
-    assert not check_carrier_monoid(extract_by_fresh_engines(space, probes, 64))
+    assert not monoid_by_loop(extract_by_fresh_engines(space, probes, 64))
+    # with first 2, every sum on the walk is the engine's, so the witness
+    # is the triple at which Light's test fails
+    with pytest.raises(NotASpace, match="^associativity fails: ") as refusal:
+        extract_carrier(product(parse("sort"), parse("first 2")), probes)
+    assert refusal.value.witness.probes == tuple((word(w),) for w in "aba")
+    assert refusal.value.witness.still_violates()
 
 
 def test_a_law_the_engine_cannot_refute_fails_nothing():
@@ -405,8 +412,8 @@ def test_a_law_the_engine_cannot_refute_fails_nothing():
 
 
 def monoid_by_loop(c):
-    """Reference for check_carrier_monoid: the identity laws, and every
-    triple's associativity wherever the table is defined."""
+    """Whether `c` is a monoid: the identity laws, and every triple's
+    associativity wherever the table is defined."""
     n, e = c.size, c.neutral
     if any(c.add[e][i] != i or c.add[i][e] != i for i in range(n)):
         return False
@@ -432,7 +439,10 @@ def test_light_test_matches_every_triple():
     carriers += [bool_carrier(), extract_carrier(sets_space(), SETS_PROBES, cap=16),
                  carrier_from_function(range(4), lambda x, y: x + y, 0)]
     carriers += [extract_carrier(bool_seq_truncated(k), _bool_probes(), cap=64) for k in (1, 2, 3)]
-    verdicts = [check_carrier_monoid(c) for c in carriers]
+    # the identity laws, and Light's test over every element but the neutral
+    verdicts = [all(c.add[c.neutral][i] == i == c.add[i][c.neutral] for i in range(c.size))
+                and spacelab._light(c.add, [g for g in range(c.size) if g != c.neutral]) is None
+                for c in carriers]
     assert verdicts == [monoid_by_loop(c) for c in carriers]
     assert 0 < sum(verdicts[:len(tables)]) < len(tables) and all(verdicts[len(tables):])
 

@@ -42,6 +42,7 @@ def test_coda_is_immutable_and_hashable():
     assert hash(c) == hash(Coda((COLON,), ()))
     assert c == Coda((COLON,), ())
     assert c != COLON
+    assert not Coda() == 1
 
 
 def test_coda_holds_plain_tuples():
