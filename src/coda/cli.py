@@ -24,7 +24,6 @@ from .organic import DEFAULT_SEARCH_CAP, DEMOS, SearchResult, search_spaces
 from .prelude import prelude
 from .spacelab import (
     DEFAULT_CARRIER_CAP,
-    DEFAULT_ENDO_CAP,
     NotASpace,
     classify,
     enumerate_endos,
@@ -173,7 +172,7 @@ def cmd_space(args) -> int:
     space = parse(args.expr)
     probes = default_probes(budget=budget)
     carrier = extract_carrier(space, probes, cap=args.cap, ctx=ctx)
-    endos = enumerate_endos(carrier, cap=args.endo_cap)
+    endos = enumerate_endos(carrier)
     report = classify(carrier, endos)
     print(render_report(report, fmt=args.format))
     return 0
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--cap", type=_natural, default=DEFAULT_CARRIER_CAP,
                    help="cap on the elements sums add (neutral and probes are kept)")
-    p.add_argument("--endo-cap", type=_natural, default=DEFAULT_ENDO_CAP)
     _add_common(p, "format", "budget", "prelude")
     p.set_defaults(fn=cmd_space)
 

@@ -287,20 +287,17 @@ class Engine:
 
     def atom_or_eq(self, c: Coda) -> "bool | Coda":
         """`is_atom(c)` when it is decided without evaluating anything, else
-        the `=` coda on c's head chain whose residue check decides it (and
+        the `=` coda, c or its head, whose residue check decides it (and
         charges steps).  Spends nothing."""
-        while c.left:
+        if not c.left:
+            return True  # (:X)
+        defn = self.dispatch(c)
+        if defn is None:
+            c = c.left[0]  # inert when its head has no definition either
             defn = self.dispatch(c)
-            if defn is not None:
-                if defn.apply is None:
-                    return True
-                return c if defn.name == "=" else False
-            head = c.left[0]
-            # normal head with no definition: inert coda, treated as atomic
-            if self.dispatch(head) is None:
-                return True
-            c = head
-        return True
+        if defn is None or defn.apply is None:
+            return True
+        return c if defn.name == "=" else False
 
     def is_invariant(self, c: Coda) -> bool:
         """True when `c` and every coda inside it are atoms: (:X), a fixed

@@ -160,18 +160,20 @@ def search_spaces(
 ) -> List[SearchResult]:
     """Screen every token sequence up to max_len for associativity.
 
-    Tokens are the given words, a brace-quoted variant of each word, and the
-    literal atom (:).  With no words at all only the literal candidates
-    remain.  Only candidates whose associativity check holds on the probes
-    are reported, shortest first.
+    Tokens are the given words, each once, a brace-quoted variant of each
+    word, and the literal atom (:).  With no words at all only the literal
+    candidates remain.  Counted one length at a time, more than `cap`
+    candidates raise CapExceeded.  Only candidates whose associativity check
+    holds on the probes are reported, in canonical order: shortest first.
     """
     ctx = ctx if ctx is not None else prelude()
+    words = list(dict.fromkeys(words))
     pool: List[Coda] = [word(w) for w in words]
     pool += [lang_atom(w) for w in words]
     pool.append(COLON)
-    total = sum(len(pool) ** k for k in range(max_len + 1))
-    if total > cap:
-        raise CapExceeded(f"{total} candidates exceed cap {cap}")
+    totals = itertools.accumulate(len(pool) ** k for k in range(max_len + 1))
+    if any(total > cap for total in totals):
+        raise CapExceeded(f"more than {cap} candidates")
     free = [w for w in words if not ctx.has_name(w)]
     probes = small_probes(tuple(free), Budget(max_steps=2_000, max_nodes=50_000))
     results: List[SearchResult] = []
@@ -181,7 +183,7 @@ def search_spaces(
             verdict = check_associative(cand, probes, ctx)
             if verdict.holds:
                 results.append(SearchResult(cand, verdict))
-    results.sort(key=lambda r: (len(r.candidate), data_key(r.candidate)))
+    results.sort(key=lambda r: data_key(r.candidate))
     return results
 
 

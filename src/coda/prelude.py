@@ -1,4 +1,5 @@
-"""The installed base context: marker atoms plus the combinatoric builtins.
+"""The base context: one table, built at import, of the definitions of the
+marker atoms and the combinatoric builtins, which `builtin(name)` reads.
 
 Each builtin implements its rewrite branches natively; the branch function
 receives the engine, the left-data tail A and the right data B of the coda
@@ -220,9 +221,9 @@ def _is(keep_equal: bool):
     a match, and one is not when A is empty or when it and every member are
     atoms.  Any other coda is compared with each member by `tri_compare`;
     one undecided comparison blocks the whole filter.  The comparisons
-    evaluate an `=` residue on a head chain, so they charge steps, while the
-    cases decided without them charge nothing: the steps and their order
-    are those of comparing every pair."""
+    evaluate an `=` residue in a coda or its head, so they charge steps,
+    while the cases decided without them charge nothing: the steps and
+    their order are those of comparing every pair."""
 
     def branch(eng, a, b):
         if not b:
@@ -332,27 +333,22 @@ _FIXED_POINTS = {
 }
 
 
+# every builtin's definition, built once: the atom makers, then the rest
+_DEFINITIONS = {
+    **{name: Definition(name=name, trigger=t) for name, t in _FIXED_POINTS.items()},
+    **{name: Definition(name=name, trigger=kept_word(name), apply=apply, strict=strict)
+       for name, (apply, strict) in _BRANCHES.items()},
+}
+
+
 def builtin(name: str) -> Definition:
-    if name in _BRANCHES:
-        apply, strict = _BRANCHES[name]
-        return Definition(name=name, trigger=kept_word(name), apply=apply, strict=strict)
-    if name in _FIXED_POINTS:
-        return Definition(name=name, trigger=_FIXED_POINTS[name])
-    raise UnknownBuiltin(name)
-
-
-def install_prelude() -> Context:
-    defs = {}
-    for name in _FIXED_POINTS:
-        d = builtin(name)
-        defs[d.trigger] = d
-    for name in _BRANCHES:
-        d = builtin(name)
-        defs[d.trigger] = d
-    return Context(defs)
+    try:
+        return _DEFINITIONS[name]
+    except KeyError:
+        raise UnknownBuiltin(name) from None
 
 
 @functools.cache
 def prelude() -> Context:
-    """The shared immutable base context."""
-    return install_prelude()
+    """The shared immutable base context, over the one table."""
+    return Context({d.trigger: d for d in _DEFINITIONS.values()})

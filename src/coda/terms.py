@@ -9,7 +9,8 @@ it is `cmp_data`'s walk of the left and then the right data, whose 0 means
 equal: equal hashes prove nothing.
 
 Also provides the canonical total order used everywhere (carrier listing,
-sorting), and bounded enumeration / exact counting of pure data.
+sorting), bounded enumeration of pure data, and exact counting by one loop
+over the depth, which refuses a count that `str` cannot print.
 
 The order has two forms.  `cmp_data`/`cmp_coda` compare two terms with an
 explicit stack and stop at the first difference, which is usually a length;
@@ -29,6 +30,7 @@ the coda is.
 
 from __future__ import annotations
 
+import sys
 from functools import cmp_to_key, lru_cache
 from itertools import islice, product
 from operator import is_
@@ -168,20 +170,24 @@ def count_pure_data(bound: SizeBound) -> int:
 
     Recurrence: D(w,0) = 1 and D(w,d) = sum_{k=0..w} (D(w,d-1)^2)^k, since a
     data of depth <= d is a sequence of at most w codas, each a pair of data
-    of depth <= d-1.
+    of depth <= d-1.  One loop sums each level in closed form, and raises
+    CapExceeded at a level of more digits than `str` prints (4,300 where
+    Python lacks the limit or has it off), before computing one far past it.
     """
     w, d = bound
     if w < 0 or d < 0:
         raise ValueError(f"width and depth must not be negative: {bound}")
-    return _count(w, d)
-
-
-@lru_cache(maxsize=None)
-def _count(w: int, d: int) -> int:
-    if d <= 0:
-        return 1
-    pairs = _count(w, d - 1) ** 2
-    return sum(pairs**k for k in range(w + 1))
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    n = 1
+    for _ in range(d if w else 0):  # width 0 holds only ()
+        pairs = n * n
+        # the level is at least pairs^w >= 2^(w * (bits - 1)), and 2^3.322 > 10
+        if w * (pairs.bit_length() - 1) * 1000 > digits * 3322:
+            raise CapExceeded(f"the count has more than {digits} digits")
+        n = w + 1 if pairs == 1 else (pairs ** (w + 1) - 1) // (pairs - 1)
+        if n >= 10 ** digits:
+            raise CapExceeded(f"the count has more than {digits} digits")
+    return n
 
 
 DEFAULT_ENUM_CAP = 100_000

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -163,6 +164,23 @@ def test_count_enumerate_cap(capsys):
     assert code == 2 and err.startswith("CapExceeded: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--width", "2", "--depth", "12"),
+    ("count", "--width", "1", "--depth", "1100"),
+    ("count", "--width", "1000000", "--depth", "2"),
+    ("count", "--width", "2", "--depth", "30"),
+    ("search", "--words", "a", "--max-len", "20000"),
+    ("search", "--words", "a", "--max-len", "2000000"),
+], ids=["digits", "deep", "wide", "digits-deep", "search-digits", "search-long"])
+def test_size_refusals_are_quick(capsys, argv):
+    # counts that str would not print, recursion past the limit, and sums
+    # too large to finish are each refused before the work
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and err.startswith("CapExceeded: ") and "Traceback" not in err
+
+
 def test_count_tsv(capsys):
     code, out, _ = run(capsys, "count", "--width", "1", "--depth", "1",
                        "--format", "tsv")
@@ -217,7 +235,7 @@ def _capped_demo():
 
 
 @pytest.mark.parametrize("argv, prefix", [
-    (("space", "analyze", "first", "--endo-cap", "2"), "TooManyEndos: "),
+    (("space", "analyze", "first"), "TooManyEndos: 10^10 endofunctions exceed cap 3125\n"),
     (("demo", "bool"), "TooManyEndos: "),
 ], ids=["endo-cap", "demo"])
 def test_cap_refusal(capsys, monkeypatch, argv, prefix):
@@ -293,8 +311,7 @@ def test_prelude_lines_run_under_the_command_budget(capsys, monkeypatch, tmp_pat
     ("search", "--cap", "-1"),
     ("count", "--width", "1", "--depth", "1", "--cap", "-1"),
     ("space", "analyze", "bool", "--cap", "-1"),
-    ("space", "analyze", "bool", "--endo-cap", "-1"),
-], ids=["eval-budget", "search-max-len", "search-cap", "count-cap", "space-cap", "endo-cap"])
+], ids=["eval-budget", "search-max-len", "search-cap", "count-cap", "space-cap"])
 def test_negative_option_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

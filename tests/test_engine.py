@@ -267,6 +267,31 @@ def test_is_invariant_reads_a_shared_coda_once(monkeypatch):
     assert calls <= 2 * d
 
 
+@pytest.mark.parametrize("src, want", [
+    ("(:a)", True),
+    ("(zzz:a)", True),
+    ("((n:a) x:y)", True),
+    ("((pass:f) x:y)", False),
+    ("((= a:b) x:y)", "(= a:b)"),
+])
+def test_atom_or_eq_reads_c_or_its_head(monkeypatch, src, want):
+    # the definition of c decides, or that of its head when c has none:
+    # two dispatches at most, and none for (:X)
+    calls = 0
+    dispatch = Engine.dispatch
+
+    def counted(eng, c):
+        nonlocal calls
+        calls += 1
+        return dispatch(eng, c)
+
+    monkeypatch.setattr(Engine, "dispatch", counted)
+    found = Engine(prelude()).atom_or_eq(parse(src)[0])
+    want = parse(want)[0] if isinstance(want, str) else want
+    assert type(found) is type(want) and found == want
+    assert calls <= (0 if src == "(:a)" else 2)
+
+
 def test_determinism():
     src = "sort : (pass:b) (null:c) a"
     assert ev(src) == ev(src)

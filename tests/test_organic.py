@@ -175,3 +175,10 @@ def test_search_empty_words_has_no_holders():
 def test_search_cap():
     with pytest.raises(CapExceeded):
         search_spaces(["a", "b", "c", "d"], max_len=4, cap=100)
+
+
+def test_search_screens_each_word_once():
+    def found(words):
+        return [(r.source, r.verdict.checked) for r in search_spaces(words, 1)]
+
+    assert found(["a", "a"]) == found(["a"]) == [("{a}", 32)]

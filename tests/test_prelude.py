@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 from coda.encoding import word
 from coda.engine import Budget, Context, Engine, TriBool, evaluate
 from coda.lang import parse, render
-from coda.prelude import _BRANCHES, UnknownBuiltin, builtin, prelude
+from coda.prelude import _BRANCHES, _FIXED_POINTS, UnknownBuiltin, builtin, prelude
 from coda.terms import COLON, Coda
 
 
@@ -17,6 +17,14 @@ def ev(src):
 def test_unknown_builtin():
     with pytest.raises(UnknownBuiltin):
         builtin("no-such-thing")
+
+
+def test_each_builtin_is_the_preludes_own_definition():
+    names = [*_FIXED_POINTS, *_BRANCHES]
+    for name in names:
+        d = builtin(name)
+        assert d.name == name and builtin(name) is prelude().defs[d.trigger]
+    assert set(prelude().defs) == {builtin(name).trigger for name in names}
 
 
 def test_markers_are_fixed_points():

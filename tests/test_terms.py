@@ -1,3 +1,4 @@
+import sys
 import time
 from functools import cmp_to_key
 from operator import itemgetter
@@ -292,6 +293,36 @@ def test_negative_bounds_are_refused(bound):
         count_pure_data(SizeBound(*bound))
     with pytest.raises(ValueError):
         list(enumerate_pure_data(SizeBound(*bound)))
+
+
+def count_by_recurrence(w, d):
+    n = 1
+    for _ in range(d):
+        n = sum((n * n) ** k for k in range(w + 1))
+    return n
+
+
+@pytest.mark.parametrize("bound", [(2, 12), (1, 1100), (1_000_000, 2), (2, 30), (10**30, 2)])
+def test_counts_str_cannot_print_are_refused_quickly(bound):
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"more than \d+ digits"):
+        count_pure_data(SizeBound(*bound))
+    assert time.perf_counter() - start < 1
+
+
+def test_count_refuses_at_the_first_level_str_cannot_print():
+    # the last level of each width that str prints is counted exactly
+    limit = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+    for w in (1, 2, 3, 50):
+        d = 0
+        while count_by_recurrence(w, d + 1) < limit:
+            d += 1
+        assert count_pure_data(SizeBound(w, d)) == count_by_recurrence(w, d)
+        with pytest.raises(CapExceeded):
+            count_pure_data(SizeBound(w, d + 1))
+    assert len(str(count_pure_data(SizeBound(4, 5)))) == 2873
+    assert count_pure_data(SizeBound(0, 10**18)) == 1  # width 0 holds only ()
+    assert count_pure_data(SizeBound(10**30, 1)) == 10**30 + 1
 
 
 def test_enumeration_cap():
