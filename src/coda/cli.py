@@ -138,12 +138,14 @@ def cmd_repl(args) -> int:
 def cmd_count(args) -> int:
     bound = SizeBound(args.width, args.depth)
     n = count_pure_data(bound)
+    # the cap is checked before the count is printed
+    items = enumerate_pure_data(bound, cap=args.cap) if args.enumerate else None
     if args.format == "tsv":
         print(f"{args.width}\t{args.depth}\t{n}")
     else:
         print(n)
-    if args.enumerate:
-        seen = sum(1 for _ in enumerate_pure_data(bound, cap=args.cap))
+    if items is not None:
+        seen = sum(1 for _ in items)
         if seen != n:
             print(f"enumeration mismatch: {seen} != {n}", file=sys.stderr)
             return 1

@@ -194,16 +194,15 @@ DEFAULT_ENUM_CAP = 100_000
 
 
 def enumerate_pure_data(bound: SizeBound, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Data]:
-    """Yield every pure data within `bound`, in canonical order, no duplicates.
+    """Every pure data within `bound`, in canonical order, no duplicates.
 
-    Raises CapExceeded up front when the recurrence predicts more than `cap`
-    items.
+    Raises CapExceeded at the call, before any item is made, when the
+    recurrence predicts more than `cap` items.
     """
-    w, d = bound
     predicted = count_pure_data(bound)
     if predicted > cap:
         raise CapExceeded(f"{predicted} pure data exceed cap {cap}")
-    yield from _enumerate(w, d)
+    return _enumerate(*bound)
 
 
 def _enumerate(w: int, d: int) -> Iterator[Data]:

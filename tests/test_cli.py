@@ -159,9 +159,10 @@ def test_count_enumerate_cross_check(capsys):
 
 
 def test_count_enumerate_cap(capsys):
-    code, _, err = run(capsys, "count", "--width", "3", "--depth", "3",
-                       "--enumerate", "--cap", "10")
-    assert code == 2 and err.startswith("CapExceeded: ")
+    # refused before the count is printed
+    code, out, err = run(capsys, "count", "--width", "3", "--depth", "3",
+                         "--enumerate", "--cap", "10")
+    assert code == 2 and out == "" and err.startswith("CapExceeded: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -9,23 +10,27 @@ from coda.organic import (
     DEMOS,
     DemoReport,
     QAtom,
+    _bool_probes,
+    _colon_count,
+    bool_seq_truncated,
     demo_bool,
     ev,
     fibonacci,
     gauss_mult,
     inner,
+    inner_bool_endos,
     int_data,
     matrix_hom,
     mediant,
     nat_product,
     pair_data,
     q_add,
-    rationals,
     reduce_int,
     rem_value,
     search_spaces,
     seq,
 )
+from coda.spacelab import extract_carrier
 from coda.terms import CapExceeded
 
 
@@ -84,22 +89,11 @@ def test_qatom():
         QAtom.make(1, 0)
     s = q_add(QAtom.make(1, 2), QAtom.make(1, 3))
     assert (s.numerator, s.denominator) == (5, 6)
-
-
-SUM_CHECK = "sum equals rational addition for num,den <= 12"
-
-
-@pytest.mark.parametrize("bad_sum", [QAtom(5, 3), QAtom(18, 12)], ids=["wrong", "unreduced"])
-def test_sum_check_catches_one_bad_pair(monkeypatch, bad_sum):
-    # 7/12 + 11/12 = 3/2, and only the pair (7, 12, 11, 12) meets these atoms;
-    # 18/12 is 3/2 as a Fraction, so only the lowest-terms clause catches it
-    real = organic.q_add
-    seven, eleven = QAtom(7, 12), QAtom(11, 12)
-    monkeypatch.setattr(organic, "q_add",
-                        lambda x, y: bad_sum if (x, y) == (seven, eleven) else real(x, y))
-    [check] = [a for a in rationals().assertions if a.description == SUM_CHECK]
-    assert not check.passed
-    assert check.actual == "1 failing, first (7, 12, 11, 12)"
+    # the gate checks these sums' values; each is also in lowest terms
+    atoms = [QAtom.make(n, d) for n in range(13) for d in range(1, 13)]
+    for x, y in itertools.product(atoms, repeat=2):
+        s = q_add(x, y)
+        assert s is None or gcd(s.numerator, s.denominator) == 1, (x, y)
 
 
 def test_ev_refuses_a_partial_form():
@@ -133,6 +127,7 @@ def test_arithmetic_runs_in_the_engine(monkeypatch):
     def refuse(self, d):
         raise RuntimeError("engine called")
 
+    c2 = extract_carrier(bool_seq_truncated(2), _bool_probes(), cap=16)
     monkeypatch.setattr(Engine, "eval_data", refuse)
     with pytest.raises(RuntimeError):
         gauss_mult((1, 1), (1, 1))
@@ -142,6 +137,33 @@ def test_arithmetic_runs_in_the_engine(monkeypatch):
         matrix_hom((1, 1, 1, 0), pair_data(1, 1))
     with pytest.raises(RuntimeError):
         mediant((1, 2), (1, 3))
+    with pytest.raises(RuntimeError):
+        inner_bool_endos(c2)
+
+
+# each inner map sends an element to T when its rule holds on the
+# element's count of (:), and to F otherwise
+INNER_RULES = {
+    "e1": lambda c: True,
+    "e2": lambda c: c <= 1,
+    "e3": lambda c: c % 2 == 0,
+    "e4": lambda c: c == 0,
+    "e5": lambda c: c >= 1,
+    "e6": lambda c: c % 2 == 1,
+    "e7": lambda c: c >= 2,
+    "e8": lambda c: False,
+}
+
+
+@pytest.mark.parametrize("n, cap", [(1, 8), (2, 16), (3, 64)])
+def test_inner_bool_endos_follow_the_colon_count(n, cap):
+    c = extract_carrier(bool_seq_truncated(n), _bool_probes(), cap=cap)
+    t_idx, f_idx = c.index_of(organic.T_ELEM), c.index_of(organic.F_ELEM)
+    endos = inner_bool_endos(c)
+    assert sorted(endos) == sorted(INNER_RULES)
+    for name, rule in INNER_RULES.items():
+        want = [t_idx if rule(_colon_count(e)) else f_idx for e in c.elements]
+        assert list(endos[name]) == want, name
 
 
 def test_fibonacci():
