@@ -1,7 +1,8 @@
 import itertools
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from coda.algebra import (
     ALGEBRAIC,
@@ -31,9 +32,9 @@ from coda.algebra import (
     sum_data,
 )
 from coda.encoding import word
-from coda.engine import Budget, Engine, TriBool, evaluate
+from coda.engine import Budget, Context, Engine, TriBool, evaluate
 from coda.lang import parse, render
-from coda.prelude import prelude
+from coda.prelude import builtin, prelude
 from coda.terms import COLON
 
 from conftest import SAFE_WORDS, random_data
@@ -71,6 +72,11 @@ def test_default_probes_include_alphabet():
     assert parse("a") in ps.probes and parse("b") in ps.probes
     assert () in ps.probes
     assert len(ps.probes) == 91 + 2
+    # a repeated word adds no probe, so it neither repeats cases nor
+    # inflates the count of cases checked
+    repeated = default_probes(("a", "b", "a", "b", "b"))
+    assert repeated.probes == ps.probes
+    assert check_idempotent(parse("sort"), repeated).checked == 93
 
 
 def test_default_probes_share_colon():
@@ -216,7 +222,7 @@ def check_by_fresh_engines(law, operands, probes, ctx):
     cases = law.cases(*operands)
     undecided, checked = False, 0
     for used in itertools.product(probes.probes, repeat=law.arity):
-        for lhs, rhs in cases(*used):
+        for lhs, rhs, _ in cases(*used):
             eng = Engine(ctx, probes.budget)
             t = eng.tri_equal(lhs, rhs)
             checked += 1
@@ -258,7 +264,7 @@ def case_outcomes(law, operands, probes, fresh):
     eng = Engine(prelude(), probes.budget)
     out = []
     for used in itertools.product(probes.probes, repeat=law.arity):
-        for lhs, rhs in law.cases(*operands)(*used):
+        for lhs, rhs, _ in law.cases(*operands)(*used):
             if fresh:
                 eng = Engine(prelude(), probes.budget)
             eng.begin()
@@ -266,3 +272,67 @@ def case_outcomes(law, operands, probes, fresh):
             a, b = eng.eval_data(lhs), eng.eval_data(rhs)
             out.append((a, b, eng.tri_compare(a, b), eng.exhausted, eng.steps - steps, eng.nodes - nodes))
     return out
+
+
+# spaces whose head definition normalises B before its branch runs, so
+# that `check` decides their associativity cases from the left side where a
+# probe is its own normal form and theirs; `(= a : a)` resolves its head
+# first and is judged as any other, and `=` and `atoms` leave a coda stuck
+# on a probe they fix
+STRICT_SPACES = [parse(src) for src in (
+    "sort", "once", "first 2", "is a b", "bool", "rev", "while remove a", "(= a : a)", "=", "atoms", "last 2")]
+# fixed probes, probes that fire a def, `=` probes (a residue, a match, and
+# a match that only the evaluation of B reaches) and a stuck non-atom
+ASSOCIATIVITY_PROBES = [parse(src) for src in (
+    "", "(:)", "a", "b", "a b", "b a", "(:) (:)", "(:a)", "a a b",
+    "(f : a)", "(def f : a) (f : b)", "def f : a b", "(f : b) (def f : rev)",
+    "(= a : b)", "(= a : a)", "= a : a", "a (= b : (pass : b))", "(def : a)")]
+ASSOCIATIVITY_BUDGETS = ([Budget(max_steps=n) for n in range(1, 25)]
+                         + [Budget(max_steps=40, max_nodes=n) for n in range(1, 16)] + [Budget()])
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+# a branch that leaves its coda stuck on a probe it fixes; right sides
+# whose steps or nodes end on the window's limit; a def that the left side
+# fires and the right side then cannot rebind
+@example(parse("="), [parse(""), parse("b")], Budget())
+@example(parse("first 2"), [parse(""), parse("(f : a)")], Budget(max_steps=3))
+@example(parse("first 2"), [parse("(f : a)")], Budget(max_steps=40, max_nodes=3))
+@example(parse("last 2"), [parse("b a"), parse("(f : b) (def f : rev)")], Budget())
+@given(st.sampled_from(STRICT_SPACES),
+       st.lists(st.sampled_from(ASSOCIATIVITY_PROBES), min_size=1, max_size=5, unique=True),
+       st.sampled_from(ASSOCIATIVITY_BUDGETS))
+def test_associativity_of_strict_spaces_matches_fresh_engines(space, probes, budget):
+    ps = ProbeSet(tuple(probes), budget)
+    got = check(ASSOCIATIVE, (space,), ps, prelude())
+    want = check_by_fresh_engines(ASSOCIATIVE, (space,), ps, prelude())
+    assert (got.status, got.checked, got.witness) == (want.status, want.checked, want.witness)
+
+
+def counting(name):
+    """A copy of the prelude whose `name` counts its applications, and the
+    one-element list that holds the count."""
+    count = [0]
+    defn = builtin(name)
+
+    def apply(eng, a, b):
+        count[0] += 1
+        return defn.apply(eng, a, b)
+
+    return Context({**prelude().defs, defn.trigger: replace(defn, apply=apply)}), count
+
+
+def test_strict_space_evaluates_each_left_side_once():
+    # `first` normalises B, and every default probe is its own normal form
+    # and that of (first 2 : x): each pair of cases needs at most its left
+    # side, and each probe's (first 2 : x) once
+    probes = default_probes()
+    p = len(probes.probes)
+    ctx, applied = counting("first")
+    assert check_associative(parse("first 2"), probes, ctx).holds
+    assert applied[0] <= p * p + p  # 25,149 when both sides of every case ran
+    # `pass` is not strict: every case evaluates both sides, as before
+    ctx, applied = counting("pass")
+    assert check_associative(parse("pass"), probes, ctx).holds
+    assert applied[0] == 25_149
