@@ -10,27 +10,40 @@ operands, so the results are ordinary data.
 
 Each law is one `Law` row: a name, an arity (probes per case) and a case
 builder that maps a tuple of probes to the (lhs, rhs) pairs that must agree,
-each with the coda its right side holds in place of a probe, if any.
+each with the read that may find its right side, if any (below).
 The rows are idempotent, associative, algebraic, distributive and right- and
 left-distributivity; `check` judges any row on every tuple of probes.  A
 "holds" verdict therefore only ever means holds-on-probes; a refutation, on
 the other hand, carries a concrete witness that can be re-checked
 independently.
 
-Associativity's cases are (d : x y) against (d : (d:x) y) and against
-(d : x (d:y)), and most of them are decided from the left side alone.  When
-d's head definition normalises B before its branch runs (`Definition.strict`
-holds "B"), and a probe x is its own normal form at no charge and the
-normal form of (d : x), which fires no def, both sides hand the branch the
-same operands: the right side's B normalises to the left side's, in the same
-context, at exactly the extra charge of (d : x).  So if the left side fires
-the branch, fires no def and is not exhausted, the right side reaches the
-same normal form whenever the window can hold both sides: the right side
-starts where the left side ended, so twice the left side's steps and nodes
-plus those of (d : x) must stay strictly inside the window's limits, and
-then no check of the meters on the right side finds them spent.  The case
-is then ALWAYS without evaluating the right side.  Each condition is read
-off the evaluations it names, so the rule is exact, not a heuristic: every
+Most right sides are read, not evaluated.  `check` keeps a table per
+verdict, indexed by probe position: each probe's image x' = N(d : x), and
+the left sides of probe tuples that a later case can read, each kept with
+its charge when it ended unexhausted in the engine's own context.  There
+are three reads:
+
+- associativity, when d's head definition normalises B before its branch
+  runs (`Definition.strict` holds "B"): if x' is a probe that is its own
+  normal form at no charge, (d : (d:x) y) hands the branch the operands of
+  (d : x' y), the left side of the tuple (x', y).  If that left side fired
+  d's branch, the right side ends at its normal form, at its charge plus
+  that of (d : x).  (d : x (d:y)) reads the left side of (x, y') the same
+  way, and the tuple's second case takes its left side from the first.
+- commutativity: the case (y, x) is the case (x, y) with its sides
+  swapped, so it holds when (x, y) agreed, both sides unexhausted and
+  firing no def, strictly inside its window.  The case (x, x) reads its own
+  left side.
+- distributivity: (d:x) (d:y) normalises to x' y', at the charge of both
+  images.
+
+A read decides a case ALWAYS when the case's left side fired no def, is not
+exhausted and equals the value read, and its charge plus the charge read
+stays strictly inside the window's step and node limits: the right side
+would start where the left side ended, so no check of the meters on it
+would find them spent, and it would end, unexhausted, at the value read.
+Otherwise the right side is evaluated as before.  Each condition is read
+off the evaluations it names, so the reads are exact, not heuristics: every
 verdict, case count and witness is the one that evaluating both sides
 gives, under any budget.
 """
@@ -155,13 +168,27 @@ class Verdict:
 @dataclass(frozen=True)
 class Law:
     """A law as a row: `cases(*operands)` returns the function that maps one
-    tuple of `arity` probes to the cases (lhs, rhs, wrapped): lhs and rhs
-    must agree, and `wrapped` is None unless the case is (d : P x Q)
-    against (d : P w Q) for one of its probes x, where it is w = (d : x)."""
+    tuple of `arity` probes to the cases (lhs, rhs, read): lhs and rhs must
+    agree, and `read` names where `check` may find rhs's normal form
+    instead of evaluating it (one of the reads below), or is None."""
 
     name: str
     arity: int
     cases: Callable[..., Callable]
+
+
+# The reads a case can name, for a tuple of two probes (x, y), the law's
+# operand d and x' = N(d : x) (module docstring).
+IMAGE_LEFT = "x' y"   # (d : (d:x) y): the left side of (x', y), plus (d:x)'s charge
+IMAGE_RIGHT = "x y'"  # (d : x (d:y)): the left side of (x, y'), plus (d:y)'s charge
+MIRRORED = "y x"      # (d : y x): the case (y, x) is this one with its sides swapped
+IMAGES = "x' y'"      # (d:x) (d:y): x' y', at the charge of both images
+# the reads when d's head definition is strict in B, and when it is not
+STRICT_READS = frozenset((IMAGE_LEFT, IMAGE_RIGHT, MIRRORED, IMAGES))
+LAX_READS = frozenset((MIRRORED, IMAGES))
+
+# a normal form with the steps and nodes its evaluation charged
+Reached = Tuple[Data, int, int]
 
 
 def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
@@ -170,66 +197,171 @@ def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
     One engine per verdict, with a budget window per comparison; the first
     comparison that never agrees refutes, and exhaustion counts as undecided.
 
-    A case (d : P x Q) against (d : P w Q) that names w = (d : x), as
-    associativity's do, takes the module's rule when d's head definition is
-    strict in B and x is its own normal form at no charge and that of w,
-    firing no def (`_fixed_cost`, found once per verdict, in its own
-    window).  The left side is evaluated in the case's window; if it fires
-    d's branch, fires no def, is not exhausted, and twice its charges plus
-    those of w stay strictly inside the window's step and node limits, the
-    right side would hand the branch the same operands and end at the same
-    normal form, so the case is ALWAYS.  Otherwise the right side is
-    evaluated after it, in the same window, as `tri_equal` would.  So no
-    left side is evaluated twice, which would charge it twice."""
+    A case that names a read is judged by the verdict's `_Table`: its left
+    side is evaluated, and the case is ALWAYS when the read finds the right
+    side's normal form equal to it, the left side fired no def and is not
+    exhausted, and its charge plus the charge read stays strictly inside
+    the window's step and node limits (module docstring).  Otherwise the
+    right side is evaluated after it, in the same window, as `tri_equal`
+    would, so no left side is charged twice.  Each probe's image is found
+    once, in its own window, before the case window that reads it.  The
+    associativity reads need d's head definition to be strict in B; without
+    it, the table does no work."""
     cases = law.cases(*operands)
     undecided, checked = False, 0
-    budget = probes.budget
-    eng = Engine(ctx if ctx is not None else prelude(), budget)
-    costs: Dict[int, Tuple[Coda, Optional[Tuple[int, int]]]] = {}
-    for used in itertools.product(probes.probes, repeat=law.arity):
-        for lhs, rhs, w in cases(*used):
-            cost = None
-            if w is not None:
-                # filed under id(w), which the entry keeps alive: no Coda.__hash__ call
-                seen = costs.get(id(w))
-                if seen is None:
-                    seen = costs[id(w)] = (w, _fixed_cost(eng, w))
-                cost = seen[1]
-            eng.begin()
+    eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
+    table = _Table(eng, operands[0], probes.probes)
+    for n, used in enumerate(itertools.product(probes.probes, repeat=law.arity)):
+        for lhs, rhs, read in cases(*used):
             checked += 1
-            if cost is None:
-                t = eng.tri_equal(lhs, rhs)
-            else:
-                steps, nodes = eng.steps, eng.nodes
-                a = eng.eval_data(lhs)
-                # a stuck coda is its own normal form: a != lhs means d's branch fired
-                if (a != lhs and not eng.exhausted and eng.context is eng.base
-                        and 2 * (eng.steps - steps) + cost[0] < budget.max_steps
-                        and 2 * (eng.nodes - nodes) + cost[1] < budget.max_nodes):
-                    continue  # ALWAYS: the right side would normalise to `a`
-                t = eng.tri_compare(a, eng.eval_data(rhs))
-            if eng.exhausted or t is TriBool.UNDECIDED:
+            t = table.judge(n, lhs, rhs, read)
+            if t is TriBool.UNDECIDED:
                 undecided = True
             elif t is TriBool.NEVER:
                 return Verdict(REFUTED, law.name, checked, Witness(used, lhs, rhs))
     return Verdict(UNDECIDED if undecided else HOLDS, law.name, checked)
 
 
-def _fixed_cost(eng: Engine, w: Coda) -> Optional[Tuple[int, int]]:
-    """The steps and nodes that w = (d : x) charges, when d's head
-    definition normalises B before its branch runs, x is its own normal
-    form at no charge, and x is the normal form of w, reached unexhausted
-    and firing no def; else None.  One window of its own."""
-    eng.begin()
-    defn = eng.dispatch(w)
-    if defn is None or "B" not in defn.strict:
-        return None
-    x, steps, nodes = w.right, eng.steps, eng.nodes
-    if eng.eval_data(x) != x or eng.exhausted or (eng.steps, eng.nodes) != (steps, nodes):
-        return None
-    if eng.eval_data((w,)) != x or eng.exhausted or eng.context is not eng.base:
-        return None
-    return eng.steps - steps, eng.nodes - nodes
+class _Table:
+    """What a verdict's evaluations leave for its later cases to read,
+    indexed by probe position; tuples are numbered in product order.  It
+    holds each probe's image x' = N(d : x), found once in its own window,
+    and, for associativity, the left sides that a later case can read: those
+    of the current row and of the rows of probes that are the image of a
+    probe in the current row or a later one, each kept when it fired d's
+    branch and ended unexhausted in the engine's own context, with its
+    charge.  For commutativity it marks each case (y, x) whose mirror
+    (x, y) agreed."""
+
+    __slots__ = ("eng", "d", "probes", "size", "reads", "images", "where", "lefts", "row",
+                 "readers", "last", "mirrored")
+
+    def __init__(self, eng: Engine, d: Data, probes: Tuple[Data, ...]):
+        self.eng, self.d, self.probes, self.size = eng, d, probes, len(probes)
+        defn = eng.dispatch(Coda(d, ()))
+        self.reads = STRICT_READS if defn is not None and "B" in defn.strict else LAX_READS
+        # per probe: None until found; () when not reached unexhausted in the
+        # engine's own context; else x', its charge and, for associativity,
+        # the position of x' as a probe that is its own normal form at no
+        # charge, or None
+        self.images: List[Optional[tuple]] = [None] * self.size
+        self.where: Optional[Dict[Data, int]] = None  # each probe's first position, once needed
+        # associativity left sides by row and column, and the rows that a
+        # later row reads, each with the last row that reads it
+        self.lefts: Dict[int, Dict[int, Reached]] = {0: {}}
+        self.row, self.readers = 0, None
+        # the last left side evaluated that ended unexhausted in the
+        # engine's own context, with what it reached
+        self.last: Tuple[Optional[Data], Optional[Reached]] = (None, None)
+        # the tuples (y, x) whose mirror (x, y) agreed, both sides
+        # unexhausted and firing no def, strictly inside its window; sized
+        # at the first mirrored case
+        self.mirrored = bytearray()
+
+    def judge(self, n: int, lhs: Data, rhs: Data, read: Optional[str]) -> TriBool:
+        """Compare lhs and rhs of a case of tuple n in a fresh window, reading
+        rhs when `read` decides it (see `check`); a window that ends
+        exhausted makes the case UNDECIDED.  A left side that the last case
+        evaluated is not evaluated again unless rhs is: a fresh window in the
+        engine's own context takes it to the same normal form and charge."""
+        eng = self.eng
+        if read not in self.reads:
+            eng.begin()
+            t = eng.tri_equal(lhs, rhs)
+            return TriBool.UNDECIDED if eng.exhausted else t
+        size, images = self.size, self.images
+        i, j = divmod(n, size)
+        if read is MIRRORED:
+            if not self.mirrored:
+                self.mirrored = bytearray(size * size)
+            elif self.mirrored[n]:
+                return TriBool.ALWAYS
+        elif read is IMAGE_LEFT:
+            if images[i] is None:
+                self._image(i, True)
+        elif read is IMAGE_RIGHT:
+            if images[j] is None:
+                self._image(j, True)
+        else:
+            if images[i] is None:
+                self._image(i, False)
+            if images[j] is None:
+                self._image(j, False)
+        last, here = self.last
+        if lhs is not last:
+            eng.begin()
+            steps, nodes = eng.steps, eng.nodes
+            a = eng.eval_data(lhs)
+            if eng.exhausted or eng.context is not eng.base:
+                t = eng.tri_compare(a, eng.eval_data(rhs))
+                return TriBool.UNDECIDED if eng.exhausted else t
+            here = (a, eng.steps - steps, eng.nodes - nodes)
+            self.last = (lhs, here)
+        a, steps, nodes = here
+        if read is IMAGE_LEFT:
+            if i != self.row:
+                self._next_row(i)
+            if a != lhs:  # fired d's branch: a stuck coda is its own normal form
+                self.lefts[i][j] = here
+            image = images[i]
+            row = image and image[3] is not None and self.lefts.get(image[3])
+            there = row and row.get(j)
+        elif read is IMAGE_RIGHT:
+            image = images[j]
+            row = image and image[3] is not None and self.lefts.get(i)
+            there = row and row.get(image[3])
+        elif read is IMAGES:
+            x, image = images[i], images[j]
+            there = x and image and (x[0] + image[0], x[1], x[2])
+        else:
+            there, image = here if i == j else None, (None, 0, 0)
+        budget = eng.budget
+        if (there and there[0] == a and steps + there[1] + image[1] < budget.max_steps
+                and nodes + there[2] + image[2] < budget.max_nodes):
+            return TriBool.ALWAYS  # the right side would normalise to `a`
+        if lhs is last:
+            eng.begin()
+            a = eng.eval_data(lhs)  # charged in this window, before rhs
+        b = eng.eval_data(rhs)
+        if (read is MIRRORED and i < j and a == b and not eng.exhausted and eng.context is eng.base
+                and eng.steps < eng.max_steps and eng.nodes < eng.max_nodes):
+            self.mirrored[j * size + i] = True
+        t = eng.tri_compare(a, b)
+        return TriBool.UNDECIDED if eng.exhausted else t
+
+    def _image(self, k: int, positional: bool) -> None:
+        """Find probe k's image in a window of its own, and, if `positional`,
+        whether it is a probe that is its own normal form at no charge, in
+        another."""
+        eng = self.eng
+        eng.begin()
+        steps, nodes = eng.steps, eng.nodes
+        x = eng.eval_data(apply_to(self.d, self.probes[k]))
+        if eng.exhausted or eng.context is not eng.base:
+            self.images[k] = ()
+            return
+        charge, at = (eng.steps - steps, eng.nodes - nodes), None
+        if positional:
+            if self.where is None:
+                self.where = {p: k for k, p in reversed(tuple(enumerate(self.probes)))}
+            at = self.where.get(x)
+            if at is not None:
+                eng.begin()
+                steps, nodes = eng.steps, eng.nodes
+                if eng.eval_data(x) != x or eng.exhausted or (eng.steps, eng.nodes) != (steps, nodes):
+                    at = None
+        self.images[k] = (x, *charge, at)
+
+    def _next_row(self, i: int) -> None:
+        """Start row i of the associativity tuples, keeping only the rows of
+        probes that are the image of a probe in row i or later.  Every image
+        is found in the first row, whose second cases read each y'."""
+        if self.readers is None:
+            self.readers = {im[3]: k for k, im in enumerate(self.images)
+                            if im and im[3] is not None and im[3] < k}
+        self.lefts = {r: row for r, row in self.lefts.items() if self.readers.get(r, -1) >= i}
+        self.lefts[i] = {}
+        self.row = i
 
 
 def _on_each_probe(lhs: Data, rhs: Data) -> Callable:
@@ -242,20 +374,20 @@ def _associative_cases(d: Data) -> Callable:
 
     def cases(x, y):
         plain, dx, dy = apply_to(d, x + y), at(x), at(y)
-        return ((plain, apply_to(d, dx + y), dx[0]),
-                (plain, apply_to(d, x + dy), dy[0]))
+        return ((plain, apply_to(d, dx + y), IMAGE_LEFT),
+                (plain, apply_to(d, x + dy), IMAGE_RIGHT))
     return cases
 
 
 def _distributive_cases(d: Data) -> Callable:
     at = functools.cache(functools.partial(apply_to, d))
-    return lambda x, y: ((apply_to(d, x + y), at(x) + at(y), None),)
+    return lambda x, y: ((apply_to(d, x + y), at(x) + at(y), IMAGES),)
 
 
 IDEMPOTENT = Law("idempotent", 1, lambda d: _on_each_probe(product(d, d), d))
 ASSOCIATIVE = Law("associative", 2, _associative_cases)
 ALGEBRAIC = Law("algebraic", 2, lambda d: lambda x, y: (
-    (apply_to(d, x + y), apply_to(d, y + x), None),))
+    (apply_to(d, x + y), apply_to(d, y + x), MIRRORED),))
 DISTRIBUTIVE = Law("distributive", 2, _distributive_cases)
 RIGHT_DISTRIBUTIVITY = Law("right-distributivity", 1, lambda a, b, c: _on_each_probe(
     product(sum_data(a, b), c), sum_data(product(a, c), product(b, c))))

@@ -275,39 +275,74 @@ def case_outcomes(law, operands, probes, fresh):
 
 
 # spaces whose head definition normalises B before its branch runs, so
-# that `check` decides their associativity cases from the left side where a
-# probe is its own normal form and theirs; `(= a : a)` resolves its head
-# first and is judged as any other, and `=` and `atoms` leave a coda stuck
-# on a probe they fix
+# that `check` reads their associativity cases' right sides through the
+# images of the probes; `(= a : a)` resolves its head first and is judged
+# as any other, and `=` and `atoms` leave a coda stuck on a probe they fix
 STRICT_SPACES = [parse(src) for src in (
     "sort", "once", "first 2", "is a b", "bool", "rev", "while remove a", "(= a : a)", "=", "atoms", "last 2")]
-# fixed probes, probes that fire a def, `=` probes (a residue, a match, and
-# a match that only the evaluation of B reaches) and a stuck non-atom
+# fixed probes, probes whose image is another listed probe (`b a` is `a b`
+# under sort, `a a b` is `a b` under once, `(:) a` is `a` under is a b,
+# `(:) (:)` is `(:)` under bool), probes that fire a def, `=` probes (a
+# residue, a match, and a match that only the evaluation of B reaches) and
+# a stuck non-atom
 ASSOCIATIVITY_PROBES = [parse(src) for src in (
-    "", "(:)", "a", "b", "a b", "b a", "(:) (:)", "(:a)", "a a b",
+    "", "(:)", "a", "b", "a b", "b a", "(:) (:)", "(:a)", "a a b", "(:) a",
     "(f : a)", "(def f : a) (f : b)", "def f : a b", "(f : b) (def f : rev)",
     "(= a : b)", "(= a : a)", "= a : a", "a (= b : (pass : b))", "(def : a)")]
 ASSOCIATIVITY_BUDGETS = ([Budget(max_steps=n) for n in range(1, 25)]
                          + [Budget(max_steps=40, max_nodes=n) for n in range(1, 16)] + [Budget()])
 
 
+def assert_matches_fresh_engines(law, space, probes, budget):
+    ps = ProbeSet(tuple(probes), budget)
+    got = check(law, (space,), ps, prelude())
+    want = check_by_fresh_engines(law, (space,), ps, prelude())
+    assert (got.status, got.checked, got.witness) == (want.status, want.checked, want.witness)
+
+
 @seed(20261019)
 @settings(max_examples=150, deadline=None)
 # a branch that leaves its coda stuck on a probe it fixes; right sides
 # whose steps or nodes end on the window's limit; a def that the left side
-# fires and the right side then cannot rebind
+# fires and the right side then cannot rebind; an image tuple, read for
+# (sort : b a z) as (sort : a b z), whose left side fires a def; one, read
+# for (= : (= a:a) (:)) as (= : (:)), whose left side is stuck; an image
+# whose nodes take the read's sum onto the node limit; and a second case
+# that cannot be read, whose left side, known from the first, is charged
+# again before its right side
 @example(parse("="), [parse(""), parse("b")], Budget())
 @example(parse("first 2"), [parse(""), parse("(f : a)")], Budget(max_steps=3))
 @example(parse("first 2"), [parse("(f : a)")], Budget(max_steps=40, max_nodes=3))
 @example(parse("last 2"), [parse("b a"), parse("(f : b) (def f : rev)")], Budget())
+@example(parse("sort"), [parse("a b"), parse("b a"), parse("(f : b) (def f : rev)")], Budget(max_steps=10))
+@example(parse("="), [parse(""), parse("(= a : a)"), parse("(:)")], Budget(max_steps=2))
+@example(parse("rev"), [parse("(= a : b)")], Budget(max_steps=40, max_nodes=5))
+@example(parse("rev"), [parse("(:) a"), parse("")], Budget(max_steps=40, max_nodes=6))
 @given(st.sampled_from(STRICT_SPACES),
        st.lists(st.sampled_from(ASSOCIATIVITY_PROBES), min_size=1, max_size=5, unique=True),
        st.sampled_from(ASSOCIATIVITY_BUDGETS))
 def test_associativity_of_strict_spaces_matches_fresh_engines(space, probes, budget):
-    ps = ProbeSet(tuple(probes), budget)
-    got = check(ASSOCIATIVE, (space,), ps, prelude())
-    want = check_by_fresh_engines(ASSOCIATIVE, (space,), ps, prelude())
-    assert (got.status, got.checked, got.witness) == (want.status, want.checked, want.witness)
+    assert_matches_fresh_engines(ASSOCIATIVE, space, probes, budget)
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+# mirrored cases whose summed charges end exactly on the step limit (the
+# diagonal (first 2 : (f:a) (f:a)) reads itself) or on the node limit, an
+# off-diagonal one whose right side, evaluated, still ends unexhausted on
+# the limit, and images whose charges take the sum onto either limit
+@example(ALGEBRAIC, parse("first 2"), [parse("(f : a)")], Budget(max_steps=2))
+@example(ALGEBRAIC, parse("first 2"), [parse(""), parse("(f : a)")], Budget(max_steps=40, max_nodes=4))
+@example(ALGEBRAIC, parse("sort"), [parse(""), parse("(:)")], Budget(max_steps=2))
+@example(DISTRIBUTIVE, parse("first 2"), [parse("(def : a)")], Budget(max_steps=3))
+@example(DISTRIBUTIVE, parse("last 2"), [parse("(def : a)"), parse("(f : a)"), parse("(= a : a)")],
+         Budget(max_steps=40, max_nodes=4))
+@given(st.sampled_from([ALGEBRAIC, DISTRIBUTIVE]),
+       st.sampled_from(STRICT_SPACES + [parse("pass")]),
+       st.lists(st.sampled_from(ASSOCIATIVITY_PROBES), min_size=1, max_size=5, unique=True),
+       st.sampled_from(ASSOCIATIVITY_BUDGETS))
+def test_commutativity_and_distributivity_match_fresh_engines(law, space, probes, budget):
+    assert_matches_fresh_engines(law, space, probes, budget)
 
 
 def counting(name):
@@ -332,6 +367,17 @@ def test_strict_space_evaluates_each_left_side_once():
     ctx, applied = counting("first")
     assert check_associative(parse("first 2"), probes, ctx).holds
     assert applied[0] <= p * p + p  # 25,149 when both sides of every case ran
+    # `is a b` maps most probes to (), another probe: (is a b : (is a b:x) y)
+    # is read from the left side of ((), y)
+    ctx, applied = counting("is")
+    assert check_associative(parse("is a b"), probes, ctx).holds
+    assert applied[0] <= p * p + p  # 24,962 when only fixed probes were read
+    # the case (y, x) is (x, y) with its sides swapped, so it is decided
+    # once (x, y) agreed: only (x, y) with x before y evaluates both sides,
+    # (x, x) its left side, and (y, x) nothing
+    ctx, applied = counting("sort")
+    assert check_algebraic(parse("sort"), probes, ctx).holds
+    assert applied[0] <= p * p  # 12,795 when every case evaluated both sides
     # `pass` is not strict: every case evaluates both sides, as before
     ctx, applied = counting("pass")
     assert check_associative(parse("pass"), probes, ctx).holds
