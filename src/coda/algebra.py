@@ -8,9 +8,13 @@ Product and sum are data-level constructions:
 Both are represented with the prod/sum builtins over structurally wrapped
 operands, so the results are ordinary data.
 
-Each law is one `Law` row: a name, an arity (probes per case) and a case
-builder that maps a tuple of probes to the (lhs, rhs) pairs that must agree,
-each with the read that may find its right side, if any (below).
+Each law is one `Law` row: a name, an arity (probes per case) and the
+builders of its cases over a tuple of probes: one for the left side that
+the tuple's cases share, and one for each case's right side, with the read
+that may find that side's normal form, if any (below).  A side is built
+only when it is evaluated or reported in a witness: a right side that a
+read decides is never built, and a commutativity case (y, x) that its
+mirror decides builds neither side.
 The rows are idempotent, associative, algebraic, distributive and right- and
 left-distributivity; `check` judges any row on every tuple of probes.  A
 "holds" verdict therefore only ever means holds-on-probes; a refutation, on
@@ -165,16 +169,24 @@ class Verdict:
         return out
 
 
+# a law's cases on one probe tuple: the left side's builder, and each
+# case's right-side builder with its read (`Law`)
+Cases = Tuple[Callable, Tuple[Tuple[Callable, Optional[str]], ...]]
+
+
 @dataclass(frozen=True)
 class Law:
-    """A law as a row: `cases(*operands)` returns the function that maps one
-    tuple of `arity` probes to the cases (lhs, rhs, read): lhs and rhs must
-    agree, and `read` names where `check` may find rhs's normal form
-    instead of evaluating it (one of the reads below), or is None."""
+    """A law as a row: `cases(*operands)` returns the builders of the cases
+    on one tuple of `arity` probes, as (left, rights).  `left(*probes)`
+    builds the left side that every case of the tuple shares; `rights`
+    pairs each case's right-side builder with the read that names where
+    `check` may find that side's normal form instead of evaluating it (one
+    of the reads below), or None.  A side is built only when it is
+    evaluated or reported in a witness."""
 
     name: str
     arity: int
-    cases: Callable[..., Callable]
+    cases: Callable[..., Cases]
 
 
 # The reads a case can name, for a tuple of two probes (x, y), the law's
@@ -206,19 +218,24 @@ def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
     would, so no left side is charged twice.  Each probe's image is found
     once, in its own window, before the case window that reads it.  The
     associativity reads need d's head definition to be strict in B; without
-    it, the table does no work."""
-    cases = law.cases(*operands)
+    it, the table does no work.
+
+    A side is built only when it is evaluated or reported in a witness: the
+    cases of a tuple share one left side, a right side that a read decides
+    is never built, and a case (y, x) whose mirror decides it builds
+    neither side."""
+    left, rights = law.cases(*operands)
     undecided, checked = False, 0
     eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
-    table = _Table(eng, operands[0], probes.probes)
+    table = _Table(eng, operands[0], probes.probes, left)
     for n, used in enumerate(itertools.product(probes.probes, repeat=law.arity)):
-        for lhs, rhs, read in cases(*used):
+        for right, read in rights:
             checked += 1
-            t = table.judge(n, lhs, rhs, read)
+            t = table.judge(n, used, right, read)
             if t is TriBool.UNDECIDED:
                 undecided = True
             elif t is TriBool.NEVER:
-                return Verdict(REFUTED, law.name, checked, Witness(used, lhs, rhs))
+                return Verdict(REFUTED, law.name, checked, Witness(used, left(*used), right(*used)))
     return Verdict(UNDECIDED if undecided else HOLDS, law.name, checked)
 
 
@@ -233,11 +250,11 @@ class _Table:
     charge.  For commutativity it marks each case (y, x) whose mirror
     (x, y) agreed."""
 
-    __slots__ = ("eng", "d", "probes", "size", "reads", "images", "where", "lefts", "row",
-                 "readers", "last", "mirrored")
+    __slots__ = ("eng", "d", "probes", "size", "left", "reads", "images", "where", "lefts",
+                 "row", "readers", "last", "mirrored")
 
-    def __init__(self, eng: Engine, d: Data, probes: Tuple[Data, ...]):
-        self.eng, self.d, self.probes, self.size = eng, d, probes, len(probes)
+    def __init__(self, eng: Engine, d: Data, probes: Tuple[Data, ...], left: Callable):
+        self.eng, self.d, self.probes, self.size, self.left = eng, d, probes, len(probes), left
         defn = eng.dispatch(Coda(d, ()))
         self.reads = STRICT_READS if defn is not None and "B" in defn.strict else LAX_READS
         # per probe: None until found; () when not reached unexhausted in the
@@ -250,53 +267,60 @@ class _Table:
         # later row reads, each with the last row that reads it
         self.lefts: Dict[int, Dict[int, Reached]] = {0: {}}
         self.row, self.readers = 0, None
-        # the last left side evaluated that ended unexhausted in the
-        # engine's own context, with what it reached
-        self.last: Tuple[Optional[Data], Optional[Reached]] = (None, None)
+        # the last tuple whose left side was built, that side, and what it
+        # reached if it was evaluated and ended unexhausted in the engine's
+        # own context, else None
+        self.last: Tuple[Optional[int], Optional[Data], Optional[Reached]] = (None, None, None)
         # the tuples (y, x) whose mirror (x, y) agreed, both sides
         # unexhausted and firing no def, strictly inside its window; sized
         # at the first mirrored case
         self.mirrored = bytearray()
 
-    def judge(self, n: int, lhs: Data, rhs: Data, read: Optional[str]) -> TriBool:
-        """Compare lhs and rhs of a case of tuple n in a fresh window, reading
-        rhs when `read` decides it (see `check`); a window that ends
-        exhausted makes the case UNDECIDED.  A left side that the last case
-        evaluated is not evaluated again unless rhs is: a fresh window in the
-        engine's own context takes it to the same normal form and charge."""
-        eng = self.eng
-        if read not in self.reads:
-            eng.begin()
-            t = eng.tri_equal(lhs, rhs)
-            return TriBool.UNDECIDED if eng.exhausted else t
-        size, images = self.size, self.images
-        i, j = divmod(n, size)
+    def judge(self, n: int, used: Tuple[Data, ...], right: Callable, read: Optional[str]) -> TriBool:
+        """Compare the left side of tuple n, the probes `used`, with
+        `right(*used)` in a fresh window, reading the right side when `read`
+        decides it (see `check`); a window that ends exhausted makes the
+        case UNDECIDED.  The tuple's left side is built once, and a left
+        side that the last case evaluated is not evaluated again unless the
+        right side is: a fresh window in the engine's own context takes it
+        to the same normal form and charge."""
+        eng, size = self.eng, self.size
         if read is MIRRORED:
             if not self.mirrored:
                 self.mirrored = bytearray(size * size)
             elif self.mirrored[n]:
                 return TriBool.ALWAYS
-        elif read is IMAGE_LEFT:
+        at, lhs, here = self.last
+        if at != n:
+            lhs, here = self.left(*used), None
+            self.last = (n, lhs, None)
+        if read not in self.reads:
+            eng.begin()
+            t = eng.tri_equal(lhs, right(*used))
+            return TriBool.UNDECIDED if eng.exhausted else t
+        images = self.images
+        i, j = divmod(n, size)
+        if read is IMAGE_LEFT:
             if images[i] is None:
                 self._image(i, True)
         elif read is IMAGE_RIGHT:
             if images[j] is None:
                 self._image(j, True)
-        else:
+        elif read is IMAGES:
             if images[i] is None:
                 self._image(i, False)
             if images[j] is None:
                 self._image(j, False)
-        last, here = self.last
-        if lhs is not last:
+        known = here is not None
+        if not known:
             eng.begin()
             steps, nodes = eng.steps, eng.nodes
             a = eng.eval_data(lhs)
             if eng.exhausted or eng.context is not eng.base:
-                t = eng.tri_compare(a, eng.eval_data(rhs))
+                t = eng.tri_compare(a, eng.eval_data(right(*used)))
                 return TriBool.UNDECIDED if eng.exhausted else t
             here = (a, eng.steps - steps, eng.nodes - nodes)
-            self.last = (lhs, here)
+            self.last = (n, lhs, here)
         a, steps, nodes = here
         if read is IMAGE_LEFT:
             if i != self.row:
@@ -319,10 +343,10 @@ class _Table:
         if (there and there[0] == a and steps + there[1] + image[1] < budget.max_steps
                 and nodes + there[2] + image[2] < budget.max_nodes):
             return TriBool.ALWAYS  # the right side would normalise to `a`
-        if lhs is last:
+        if known:
             eng.begin()
-            a = eng.eval_data(lhs)  # charged in this window, before rhs
-        b = eng.eval_data(rhs)
+            a = eng.eval_data(lhs)  # charged in this window, before the right side
+        b = eng.eval_data(right(*used))
         if (read is MIRRORED and i < j and a == b and not eng.exhausted and eng.context is eng.base
                 and eng.steps < eng.max_steps and eng.nodes < eng.max_nodes):
             self.mirrored[j * size + i] = True
@@ -364,30 +388,31 @@ class _Table:
         self.row = i
 
 
-def _on_each_probe(lhs: Data, rhs: Data) -> Callable:
+def _on_each_probe(lhs: Data, rhs: Data) -> Cases:
     """lhs : X versus rhs : X for a single probe X."""
-    return lambda x: ((apply_to(lhs, x), apply_to(rhs, x), None),)
+    return functools.partial(apply_to, lhs), ((functools.partial(apply_to, rhs), None),)
 
 
-def _associative_cases(d: Data) -> Callable:
+def _on_pairs(d: Data) -> Callable:
+    """The builder of (d : X Y)."""
+    return lambda x, y: apply_to(d, x + y)
+
+
+def _associative_cases(d: Data) -> Cases:
     at = functools.cache(functools.partial(apply_to, d))  # each (d : x) once per verdict
-
-    def cases(x, y):
-        plain, dx, dy = apply_to(d, x + y), at(x), at(y)
-        return ((plain, apply_to(d, dx + y), IMAGE_LEFT),
-                (plain, apply_to(d, x + dy), IMAGE_RIGHT))
-    return cases
+    return _on_pairs(d), ((lambda x, y: apply_to(d, at(x) + y), IMAGE_LEFT),
+                          (lambda x, y: apply_to(d, x + at(y)), IMAGE_RIGHT))
 
 
-def _distributive_cases(d: Data) -> Callable:
+def _distributive_cases(d: Data) -> Cases:
     at = functools.cache(functools.partial(apply_to, d))
-    return lambda x, y: ((apply_to(d, x + y), at(x) + at(y), IMAGES),)
+    return _on_pairs(d), ((lambda x, y: at(x) + at(y), IMAGES),)
 
 
 IDEMPOTENT = Law("idempotent", 1, lambda d: _on_each_probe(product(d, d), d))
 ASSOCIATIVE = Law("associative", 2, _associative_cases)
-ALGEBRAIC = Law("algebraic", 2, lambda d: lambda x, y: (
-    (apply_to(d, x + y), apply_to(d, y + x), MIRRORED),))
+ALGEBRAIC = Law("algebraic", 2, lambda d: (
+    _on_pairs(d), ((lambda x, y: apply_to(d, y + x), MIRRORED),)))
 DISTRIBUTIVE = Law("distributive", 2, _distributive_cases)
 RIGHT_DISTRIBUTIVITY = Law("right-distributivity", 1, lambda a, b, c: _on_each_probe(
     product(sum_data(a, b), c), sum_data(product(a, c), product(b, c))))

@@ -35,7 +35,7 @@ from coda.encoding import word
 from coda.engine import Budget, Context, Engine, TriBool, evaluate
 from coda.lang import parse, render
 from coda.prelude import builtin, prelude
-from coda.terms import COLON
+from coda.terms import COLON, Coda
 
 from conftest import SAFE_WORDS, random_data
 
@@ -218,11 +218,11 @@ def test_every_probe_pair_is_judged():
 
 def check_by_fresh_engines(law, operands, probes, ctx):
     """`check` with a fresh engine for each comparison: the reference for
-    the budget windows of one engine."""
-    cases = law.cases(*operands)
+    the budget windows of one engine, which builds both sides of every case
+    up front."""
     undecided, checked = False, 0
     for used in itertools.product(probes.probes, repeat=law.arity):
-        for lhs, rhs, _ in cases(*used):
+        for lhs, rhs in built_cases(law, operands, used):
             eng = Engine(ctx, probes.budget)
             t = eng.tri_equal(lhs, rhs)
             checked += 1
@@ -231,6 +231,14 @@ def check_by_fresh_engines(law, operands, probes, ctx):
             elif t is TriBool.NEVER:
                 return Verdict(REFUTED, law.name, checked, Witness(used, lhs, rhs))
     return Verdict(UNDECIDED if undecided else HOLDS, law.name, checked)
+
+
+def built_cases(law, operands, used):
+    """The (lhs, rhs) pairs of the cases on the probes `used`, both sides
+    built."""
+    left, rights = law.cases(*operands)
+    lhs = left(*used)
+    return [(lhs, right(*used)) for right, _ in rights]
 
 
 # probes that bind a word, then use it: a def that leaked from one case
@@ -264,7 +272,7 @@ def case_outcomes(law, operands, probes, fresh):
     eng = Engine(prelude(), probes.budget)
     out = []
     for used in itertools.product(probes.probes, repeat=law.arity):
-        for lhs, rhs, _ in law.cases(*operands)(*used):
+        for lhs, rhs in built_cases(law, operands, used):
             if fresh:
                 eng = Engine(prelude(), probes.budget)
             eng.begin()
@@ -382,3 +390,48 @@ def test_strict_space_evaluates_each_left_side_once():
     ctx, applied = counting("pass")
     assert check_associative(parse("pass"), probes, ctx).holds
     assert applied[0] == 25_149
+
+
+def coda_constructions(monkeypatch, verdict):
+    """The verdict `verdict()` gives, and the codas built while it is judged."""
+    count = [0]
+    init = Coda.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Coda, "__init__", counted)
+        v = verdict()
+    return v, count[0]
+
+
+def test_cases_build_only_the_sides_they_use(monkeypatch):
+    # a right side is built only when the table cannot read it; every
+    # associativity case of `is a b` is read, so each tuple builds its
+    # shared left side and each probe its image (d : x) once
+    probes = default_probes()
+    p = len(probes.probes)
+    v, built = coda_constructions(monkeypatch, lambda: check_associative(parse("is a b"), probes))
+    assert v.holds and built <= p * p + 2 * p  # 3P² + 2P + 1 when every right side was built
+    # the case (y, x) that its mirror decides builds neither side, and the
+    # diagonal (x, x) only its left side
+    v, built = coda_constructions(monkeypatch, lambda: check_algebraic(parse("sort"), probes))
+    assert v.holds and built <= p * p + p  # 2P² + 1 when both sides of every case were built
+    # `pass` is not strict: every case evaluates both sides, and the two
+    # cases of a tuple share their left side
+    v, built = coda_constructions(monkeypatch, lambda: check_associative(parse("pass"), probes))
+    assert v.holds and built == 3 * p * p + p + 1
+
+
+def test_witness_built_at_refutation_is_the_evaluated_case():
+    # the right side of the refuting case is built again for its witness:
+    # the same data that was evaluated, here the equation whose left side
+    # binds f before the right side's (def f : rev) can
+    v = check_associative(parse("last 2"), ProbeSet((parse("b a"), parse("(f:b) (def f:rev)"))))
+    assert v.refuted and v.checked == 3
+    assert v.witness.probes == (parse("b a"), parse("(f:b) (def f:rev)"))
+    assert render(v.witness.lhs) == "(last 2:b a (f:b) (def f:rev))"
+    assert render(v.witness.rhs) == "(last 2:(last 2:b a) (f:b) (def f:rev))"
+    assert v.witness.still_violates()
