@@ -9,47 +9,39 @@ Both are represented with the prod/sum builtins over structurally wrapped
 operands, so the results are ordinary data.
 
 Each law is one `Law` row: a name, an arity (probes per case) and the
-builders of its cases over a tuple of probes: one for the left side that
-the tuple's cases share, and one for each case's right side, with the read
-that may find that side's normal form, if any (below).  A side is built
-only when it is evaluated or reported in a witness: a right side that a
-read decides is never built, and a commutativity case (y, x) that its
-mirror decides builds neither side.
-The rows are idempotent, associative, algebraic, distributive and right- and
-left-distributivity; `check` judges any row on every tuple of probes.  A
-"holds" verdict therefore only ever means holds-on-probes; a refutation, on
-the other hand, carries a concrete witness that can be re-checked
-independently.
+builders of its cases over a tuple of probes.  The rows are idempotent,
+associative, algebraic, distributive and right- and left-distributivity;
+`check` judges any row on every tuple of probes.  A "holds" verdict
+therefore only ever means holds-on-probes; a refutation, on the other hand,
+carries a concrete witness that can be re-checked independently.
 
-Most right sides are read, not evaluated.  `check` keeps a table per
-verdict, indexed by probe position: each probe's image x' = N(d : x), and
-the left sides of probe tuples that a later case can read, each kept with
-its charge when it ended unexhausted in the engine's own context.  There
-are three reads:
+`check` judges all the cases of a probe tuple in one pass: the tuple's
+left side is built and evaluated once, in its first case's window.  Most
+right sides are read, not evaluated, from other tuples' left sides and from
+each probe's image x' = N(d : x), found once in a window of its own, all
+kept by probe position; a side is built only when it is evaluated or
+reported in a witness.  The three reads:
 
 - associativity, when d's head definition normalises B before its branch
   runs (`Definition.strict` holds "B"): if x' is a probe that is its own
   normal form at no charge, (d : (d:x) y) hands the branch the operands of
-  (d : x' y), the left side of the tuple (x', y).  If that left side fired
-  d's branch, the right side ends at its normal form, at its charge plus
-  that of (d : x).  (d : x (d:y)) reads the left side of (x, y') the same
-  way, and the tuple's second case takes its left side from the first.
-- commutativity: the case (y, x) is the case (x, y) with its sides
-  swapped, so it holds when (x, y) agreed, both sides unexhausted and
-  firing no def, strictly inside its window.  The case (x, x) reads its own
+  (d : x' y), the left side of the tuple (x', y); if that side fired d's
+  branch, the right side ends at its normal form, at its charge plus that
+  of (d : x).  (d : x (d:y)) reads the left side of (x, y') the same way.
+- commutativity: the case (y, x) is (x, y) with its sides swapped, so it
+  holds, building neither side, when (x, y) agreed, both sides unexhausted
+  and firing no def, strictly inside its window.  (x, x) reads its own
   left side.
-- distributivity: (d:x) (d:y) normalises to x' y', at the charge of both
-  images.
+- distributivity: (d:x) (d:y) normalises to x' y', at both images' charge.
 
 A read decides a case ALWAYS when the case's left side fired no def, is not
 exhausted and equals the value read, and its charge plus the charge read
 stays strictly inside the window's step and node limits: the right side
 would start where the left side ended, so no check of the meters on it
 would find them spent, and it would end, unexhausted, at the value read.
-Otherwise the right side is evaluated as before.  Each condition is read
-off the evaluations it names, so the reads are exact, not heuristics: every
-verdict, case count and witness is the one that evaluating both sides
-gives, under any budget.
+Otherwise the right side is evaluated after the left side, in its window,
+so every verdict, case count and witness is the one that evaluating both
+sides gives, under any budget.
 """
 
 from __future__ import annotations
@@ -57,10 +49,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from .encoding import word
-from .engine import DEFAULT_BUDGET, Budget, Context, Engine, TriBool, equal
+from .engine import DEFAULT_BUDGET, Budget, Context, Definition, Engine, TriBool, equal
 from .lang import render
 from .prelude import prelude
 from .terms import Coda, Data, SizeBound, enumerate_pure_data
@@ -179,28 +171,22 @@ class Law:
     """A law as a row: `cases(*operands)` returns the builders of the cases
     on one tuple of `arity` probes, as (left, rights).  `left(*probes)`
     builds the left side that every case of the tuple shares; `rights`
-    pairs each case's right-side builder with the read that names where
-    `check` may find that side's normal form instead of evaluating it (one
-    of the reads below), or None.  A side is built only when it is
-    evaluated or reported in a witness."""
+    pairs each case's right-side builder with the read that may find that
+    side's normal form instead of evaluating it (below), or None."""
 
     name: str
     arity: int
     cases: Callable[..., Cases]
 
 
-# The reads a case can name, for a tuple of two probes (x, y), the law's
-# operand d and x' = N(d : x) (module docstring).
+# The reads a case can name, for probes (x, y), operand d and x' = N(d : x)
 IMAGE_LEFT = "x' y"   # (d : (d:x) y): the left side of (x', y), plus (d:x)'s charge
 IMAGE_RIGHT = "x y'"  # (d : x (d:y)): the left side of (x, y'), plus (d:y)'s charge
 MIRRORED = "y x"      # (d : y x): the case (y, x) is this one with its sides swapped
 IMAGES = "x' y'"      # (d:x) (d:y): x' y', at the charge of both images
-# the reads when d's head definition is strict in B, and when it is not
-STRICT_READS = frozenset((IMAGE_LEFT, IMAGE_RIGHT, MIRRORED, IMAGES))
-LAX_READS = frozenset((MIRRORED, IMAGES))
 
-# a normal form with the steps and nodes its evaluation charged
-Reached = Tuple[Data, int, int]
+# TriBool's members, read once: each read through the class calls a descriptor
+ALWAYS, NEVER, UNSURE = TriBool.ALWAYS, TriBool.NEVER, TriBool.UNDECIDED
 
 
 def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
@@ -208,184 +194,198 @@ def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
     """Judge `law` on every tuple of `law.arity` probes, in product order.
     One engine per verdict, with a budget window per comparison; the first
     comparison that never agrees refutes, and exhaustion counts as undecided.
-
-    A case that names a read is judged by the verdict's `_Table`: its left
-    side is evaluated, and the case is ALWAYS when the read finds the right
-    side's normal form equal to it, the left side fired no def and is not
-    exhausted, and its charge plus the charge read stays strictly inside
-    the window's step and node limits (module docstring).  Otherwise the
-    right side is evaluated after it, in the same window, as `tri_equal`
-    would, so no left side is charged twice.  Each probe's image is found
-    once, in its own window, before the case window that reads it.  The
-    associativity reads need d's head definition to be strict in B; without
-    it, the table does no work.
-
-    A side is built only when it is evaluated or reported in a witness: the
-    cases of a tuple share one left side, a right side that a read decides
-    is never built, and a case (y, x) whose mirror decides it builds
-    neither side."""
+    The verdict's `_Table` judges each tuple's cases in one call; a case no
+    read decides evaluates its right side after its left, as `tri_equal` would."""
     left, rights = law.cases(*operands)
     undecided, checked = False, 0
     eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
-    table = _Table(eng, operands[0], probes.probes, left)
+    defn = eng.dispatch(Coda(operands[0], ()))
+    reads = tuple(read for _, read in rights)
+    if reads == (IMAGE_LEFT, IMAGE_RIGHT) and (defn is None or "B" not in defn.strict):
+        reads = ()  # associativity's reads need d's head definition to be strict in B
+    judge = _READERS.get(reads, _Table)(eng, operands[0], defn, probes.probes, left, rights).judge
     for n, used in enumerate(itertools.product(probes.probes, repeat=law.arity)):
-        for right, read in rights:
-            checked += 1
-            t = table.judge(n, used, right, read)
-            if t is TriBool.UNDECIDED:
-                undecided = True
-            elif t is TriBool.NEVER:
-                return Verdict(REFUTED, law.name, checked, Witness(used, left(*used), right(*used)))
+        k, t = judge(n, used)
+        checked += k
+        if t is NEVER:
+            right = rights[k - 1][0]
+            return Verdict(REFUTED, law.name, checked, Witness(used, left(*used), right(*used)))
+        undecided = undecided or t is UNSURE
     return Verdict(UNDECIDED if undecided else HOLDS, law.name, checked)
 
 
 class _Table:
-    """What a verdict's evaluations leave for its later cases to read,
-    indexed by probe position; tuples are numbered in product order.  It
-    holds each probe's image x' = N(d : x), found once in its own window,
-    and, for associativity, the left sides that a later case can read: those
-    of the current row and of the rows of probes that are the image of a
-    probe in the current row or a later one, each kept when it fired d's
-    branch and ended unexhausted in the engine's own context, with its
-    charge.  For commutativity it marks each case (y, x) whose mirror
-    (x, y) agreed."""
+    """A verdict's judge.  `judge(n, used)` judges each case of tuple n, the
+    probes `used`, in a fresh window, and returns how many it judged with
+    the first status that is not ALWAYS, or NEVER, which ends the tuple.
+    This class evaluates both sides; its subclasses read right sides, and
+    pass the left side (d : X Y) to `Engine.eval_coda` with d's head
+    definition, as `eval_data` does unless d is empty or its head a fixed
+    point: then the coda is its own normal form."""
 
-    __slots__ = ("eng", "d", "probes", "size", "left", "reads", "images", "where", "lefts",
-                 "row", "readers", "last", "mirrored")
+    __slots__ = ("eng", "d", "defn", "fires", "probes", "size", "left", "rights", "images", "rows")
 
-    def __init__(self, eng: Engine, d: Data, probes: Tuple[Data, ...], left: Callable):
-        self.eng, self.d, self.probes, self.size, self.left = eng, d, probes, len(probes), left
-        defn = eng.dispatch(Coda(d, ()))
-        self.reads = STRICT_READS if defn is not None and "B" in defn.strict else LAX_READS
-        # per probe: None until found; () when not reached unexhausted in the
-        # engine's own context; else x', its charge and, for associativity,
-        # the position of x' as a probe that is its own normal form at no
-        # charge, or None
-        self.images: List[Optional[tuple]] = [None] * self.size
-        self.where: Optional[Dict[Data, int]] = None  # each probe's first position, once needed
-        # associativity left sides by row and column, and the rows that a
-        # later row reads, each with the last row that reads it
-        self.lefts: Dict[int, Dict[int, Reached]] = {0: {}}
-        self.row, self.readers = 0, None
-        # the last tuple whose left side was built, that side, and what it
-        # reached if it was evaluated and ended unexhausted in the engine's
-        # own context, else None
-        self.last: Tuple[Optional[int], Optional[Data], Optional[Reached]] = (None, None, None)
-        # the tuples (y, x) whose mirror (x, y) agreed, both sides
-        # unexhausted and firing no def, strictly inside its window; sized
-        # at the first mirrored case
-        self.mirrored = bytearray()
+    def __init__(self, eng: Engine, d: Data, defn: Optional[Definition], probes: Tuple[Data, ...],
+                 left: Callable, rights: tuple):
+        self.eng, self.d, self.defn, self.probes, self.size = eng, d, defn, probes, len(probes)
+        self.fires = bool(d) and (defn is None or defn.apply is not None)
+        self.left, self.rights = left, tuple(right for right, _ in rights)
+        self.images: List[Optional[tuple]] = [None] * self.size  # per probe; () if unreadable
+        self.rows: Dict[int, MutableSequence] = {}  # per row of tuples, what later cases read
 
-    def judge(self, n: int, used: Tuple[Data, ...], right: Callable, read: Optional[str]) -> TriBool:
-        """Compare the left side of tuple n, the probes `used`, with
-        `right(*used)` in a fresh window, reading the right side when `read`
-        decides it (see `check`); a window that ends exhausted makes the
-        case UNDECIDED.  The tuple's left side is built once, and a left
-        side that the last case evaluated is not evaluated again unless the
-        right side is: a fresh window in the engine's own context takes it
-        to the same normal form and charge."""
-        eng, size = self.eng, self.size
-        if read is MIRRORED:
-            if not self.mirrored:
-                self.mirrored = bytearray(size * size)
-            elif self.mirrored[n]:
-                return TriBool.ALWAYS
-        at, lhs, here = self.last
-        if at != n:
-            lhs, here = self.left(*used), None
-            self.last = (n, lhs, None)
-        if read not in self.reads:
+    def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
+        eng, lhs, t = self.eng, self.left(*used), ALWAYS
+        for k, right in enumerate(self.rights, 1):
             eng.begin()
-            t = eng.tri_equal(lhs, right(*used))
-            return TriBool.UNDECIDED if eng.exhausted else t
-        images = self.images
-        i, j = divmod(n, size)
-        if read is IMAGE_LEFT:
-            if images[i] is None:
-                self._image(i, True)
-        elif read is IMAGE_RIGHT:
-            if images[j] is None:
-                self._image(j, True)
-        elif read is IMAGES:
-            if images[i] is None:
-                self._image(i, False)
-            if images[j] is None:
-                self._image(j, False)
-        known = here is not None
-        if not known:
-            eng.begin()
-            steps, nodes = eng.steps, eng.nodes
-            a = eng.eval_data(lhs)
-            if eng.exhausted or eng.context is not eng.base:
-                t = eng.tri_compare(a, eng.eval_data(right(*used)))
-                return TriBool.UNDECIDED if eng.exhausted else t
-            here = (a, eng.steps - steps, eng.nodes - nodes)
-            self.last = (n, lhs, here)
-        a, steps, nodes = here
-        if read is IMAGE_LEFT:
-            if i != self.row:
-                self._next_row(i)
-            if a != lhs:  # fired d's branch: a stuck coda is its own normal form
-                self.lefts[i][j] = here
-            image = images[i]
-            row = image and image[3] is not None and self.lefts.get(image[3])
-            there = row and row.get(j)
-        elif read is IMAGE_RIGHT:
-            image = images[j]
-            row = image and image[3] is not None and self.lefts.get(i)
-            there = row and row.get(image[3])
-        elif read is IMAGES:
-            x, image = images[i], images[j]
-            there = x and image and (x[0] + image[0], x[1], x[2])
-        else:
-            there, image = here if i == j else None, (None, 0, 0)
-        budget = eng.budget
-        if (there and there[0] == a and steps + there[1] + image[1] < budget.max_steps
-                and nodes + there[2] + image[2] < budget.max_nodes):
-            return TriBool.ALWAYS  # the right side would normalise to `a`
-        if known:
-            eng.begin()
-            a = eng.eval_data(lhs)  # charged in this window, before the right side
-        b = eng.eval_data(right(*used))
-        if (read is MIRRORED and i < j and a == b and not eng.exhausted and eng.context is eng.base
-                and eng.steps < eng.max_steps and eng.nodes < eng.max_nodes):
-            self.mirrored[j * size + i] = True
-        t = eng.tri_compare(a, b)
-        return TriBool.UNDECIDED if eng.exhausted else t
+            u = eng.tri_equal(lhs, right(*used))
+            if u is NEVER and not eng.exhausted:
+                return k, u
+            if u is not ALWAYS or eng.exhausted:
+                t = UNSURE
+        return k, t
 
-    def _image(self, k: int, positional: bool) -> None:
-        """Find probe k's image in a window of its own, and, if `positional`,
-        whether it is a probe that is its own normal form at no charge, in
-        another."""
+    def _open(self, lhs: Data) -> Tuple[Data, Optional[int], Optional[int]]:
+        """The normal form of the left side `lhs` in a fresh window, and its
+        charge, or None, None if it ended exhausted or outside `eng.base`."""
+        eng = self.eng
+        eng.begin()
+        steps, nodes = eng.steps, eng.nodes
+        a = eng.eval_coda(lhs[0], self.defn) if self.fires else lhs
+        if eng.exhausted or eng.context is not eng.base:
+            return a, None, None
+        return a, eng.steps - steps, eng.nodes - nodes
+
+    def _evaluated(self, lhs: Data, a: Optional[Data], right: Callable, used: tuple) -> TriBool:
+        """The case judged by evaluating its right side after the left side's
+        normal form `a`, in its window; if `a` is None, in a fresh one."""
+        eng = self.eng
+        if a is None:
+            a = self._open(lhs)[0]
+        t = eng.tri_compare(a, eng.eval_data(right(*used)))
+        return UNSURE if eng.exhausted else t
+
+    def _image(self, k: int) -> tuple:
+        """Probe k's image x' = N(d : x) and its charge, in a window of its own."""
         eng = self.eng
         eng.begin()
         steps, nodes = eng.steps, eng.nodes
         x = eng.eval_data(apply_to(self.d, self.probes[k]))
-        if eng.exhausted or eng.context is not eng.base:
-            self.images[k] = ()
-            return
-        charge, at = (eng.steps - steps, eng.nodes - nodes), None
-        if positional:
-            if self.where is None:
-                self.where = {p: k for k, p in reversed(tuple(enumerate(self.probes)))}
-            at = self.where.get(x)
-            if at is not None:
-                eng.begin()
-                steps, nodes = eng.steps, eng.nodes
-                if eng.eval_data(x) != x or eng.exhausted or (eng.steps, eng.nodes) != (steps, nodes):
-                    at = None
-        self.images[k] = (x, *charge, at)
+        reached = not eng.exhausted and eng.context is eng.base
+        self.images[k] = image = (x, eng.steps - steps, eng.nodes - nodes) if reached else ()
+        return image
+
+
+class _Associative(_Table):
+    """Associativity's reads.  An image holds the position of x' as a probe
+    that is its own normal form at no charge, and (d : x)'s charge; row i
+    of `rows` lists its tuples' left sides that fired d's branch, charges
+    included.  A left side that ended unexhausted in `eng.base` would end a
+    fresh window there at the same normal form and charge, so a tuple's
+    second case reads both, evaluating it again only before a right side."""
+
+    __slots__ = ("where", "readers")  # each probe's first position; each row's last reader
+
+    def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
+        i, j = divmod(n, self.size)
+        if not j:
+            self._next_row(i)
+        images, rows, budget = self.images, self.rows, self.eng.budget
+        x, lhs = images[i], self.left(*used)
+        a, steps, nodes = here = self._open(lhs)
+        if steps is not None and a != lhs:  # fired d's branch: a stuck coda is its own normal form
+            rows[i][j] = here
+        there = steps is not None and x and rows.get(x[0])
+        there = there and there[j]
+        t = ALWAYS
+        if not (there and there[0] == a and steps + there[1] + x[1] < budget.max_steps
+                and nodes + there[2] + x[2] < budget.max_nodes):
+            t = self._evaluated(lhs, a, self.rights[0], used)
+            if t is NEVER:
+                return 1, t
+        y = images[j]
+        if y is None:
+            y = self._image(j)
+        known = steps is not None
+        if not known:
+            a, steps, nodes = self._open(lhs)
+        there = y and steps is not None and rows[i][y[0]]
+        if (there and there[0] == a and steps + there[1] + y[1] < budget.max_steps
+                and nodes + there[2] + y[2] < budget.max_nodes):
+            return 2, t
+        u = self._evaluated(lhs, None if known else a, self.rights[1], used)
+        return 2, u if u is NEVER or t is ALWAYS else t
+
+    def _image(self, k: int) -> tuple:
+        image = _Table._image(self, k)
+        at = self.where.get(image[0]) if image else None
+        if at is not None:  # is x' a probe that is its own normal form at no charge?
+            eng, x = self.eng, image[0]
+            eng.begin()
+            steps, nodes = eng.steps, eng.nodes
+            if eng.eval_data(x) != x or eng.exhausted or (eng.steps, eng.nodes) != (steps, nodes):
+                at = None
+        self.images[k] = image = () if at is None else (at, image[1], image[2])
+        return image
 
     def _next_row(self, i: int) -> None:
-        """Start row i of the associativity tuples, keeping only the rows of
-        probes that are the image of a probe in row i or later.  Every image
-        is found in the first row, whose second cases read each y'."""
-        if self.readers is None:
-            self.readers = {im[3]: k for k, im in enumerate(self.images)
-                            if im and im[3] is not None and im[3] < k}
-        self.lefts = {r: row for r, row in self.lefts.items() if self.readers.get(r, -1) >= i}
-        self.lefts[i] = {}
-        self.row = i
+        """Start row i, dropping the rows that neither it nor a later row
+        reads.  Row 0 finds every image, each before its first case."""
+        if not i:
+            self.where = {p: k for k, p in reversed(tuple(enumerate(self.probes)))}
+            self._image(0)
+        else:
+            if i == 1:
+                self.readers = {im[0]: k for k, im in enumerate(self.images) if im and im[0] < k}
+            self.rows = {r: row for r, row in self.rows.items() if self.readers.get(r, -1) >= i}
+        self.rows[i] = [None] * self.size
+
+
+class _Mirrored(_Table):
+    """Commutativity's reads: row x of `rows` marks each (x, y) that decides (y, x)."""
+
+    __slots__ = ()
+
+    def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
+        i, j = divmod(n, self.size)
+        eng, rows, budget = self.eng, self.rows, self.eng.budget
+        if not j:
+            rows[i] = bytearray(self.size)
+        if i > j and rows[j][i]:
+            return 1, ALWAYS
+        a, steps, nodes = self._open(self.left(*used))
+        if (i == j and steps is not None and 2 * steps < budget.max_steps
+                and 2 * nodes < budget.max_nodes):
+            return 1, ALWAYS
+        b = eng.eval_data(self.rights[0](*used))
+        if (i < j and a == b and not eng.exhausted and eng.context is eng.base
+                and eng.steps < eng.max_steps and eng.nodes < eng.max_nodes):
+            rows[i][j] = True
+        t = eng.tri_compare(a, b)
+        return 1, UNSURE if eng.exhausted else t
+
+
+class _Images(_Table):
+    """Distributivity's read."""
+
+    __slots__ = ()
+
+    def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
+        i, j = divmod(n, self.size)
+        images, budget = self.images, self.eng.budget
+        y = images[j]
+        if y is None:  # each image is found in row 0, image 0 first
+            y = self._image(j)
+        x, lhs = images[i], self.left(*used)
+        a, steps, nodes = self._open(lhs)
+        if (steps is not None and x and y and x[0] + y[0] == a
+                and steps + x[1] + y[1] < budget.max_steps
+                and nodes + x[2] + y[2] < budget.max_nodes):
+            return 1, ALWAYS
+        return 1, self._evaluated(lhs, a, self.rights[0], used)
+
+
+# the tables that read, by the reads of the cases they judge
+_READERS = {(IMAGE_LEFT, IMAGE_RIGHT): _Associative, (MIRRORED,): _Mirrored, (IMAGES,): _Images}
 
 
 def _on_each_probe(lhs: Data, rhs: Data) -> Cases:

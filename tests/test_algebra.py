@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from coda import algebra
 from coda.algebra import (
     ALGEBRAIC,
     ASSOCIATIVE,
@@ -326,6 +327,10 @@ def assert_matches_fresh_engines(law, space, probes, budget):
 @example(parse("="), [parse(""), parse("(= a : a)"), parse("(:)")], Budget(max_steps=2))
 @example(parse("rev"), [parse("(= a : b)")], Budget(max_steps=40, max_nodes=5))
 @example(parse("rev"), [parse("(:) a"), parse("")], Budget(max_steps=40, max_nodes=6))
+# tuples whose first case is undecided and whose second refutes, in a
+# space not strict in B and in one that is
+@example(parse("{B B}"), [parse("(:) a"), parse("a a"), parse("(= a:b)")], Budget(max_steps=4, max_nodes=17))
+@example(parse("sort"), [parse("(f:b) (def f:rev)"), parse("(= a:b)")], Budget(max_steps=40, max_nodes=11))
 @given(st.sampled_from(STRICT_SPACES),
        st.lists(st.sampled_from(ASSOCIATIVITY_PROBES), min_size=1, max_size=5, unique=True),
        st.sampled_from(ASSOCIATIVITY_BUDGETS))
@@ -351,6 +356,48 @@ def test_associativity_of_strict_spaces_matches_fresh_engines(space, probes, bud
        st.sampled_from(ASSOCIATIVITY_BUDGETS))
 def test_commutativity_and_distributivity_match_fresh_engines(law, space, probes, budget):
     assert_matches_fresh_engines(law, space, probes, budget)
+
+
+def test_undecided_case_then_refuting_case_count_both():
+    # tuple 7's first case, case 13, ends exhausted; its second refutes
+    probes = ProbeSet((parse("(:) a"), parse("a a"), parse("(= a:b)")), Budget(max_steps=4, max_nodes=17))
+    outcomes = case_outcomes(ASSOCIATIVE, (parse("{B B}"),), probes, True)
+    assert outcomes[12][3] and not outcomes[13][3] and outcomes[13][2] is TriBool.NEVER
+    v = check_associative(parse("{B B}"), probes)
+    assert v.refuted and v.checked == 14
+    assert render(v.witness.lhs) == "({B B}:(= a:b) (:) a)"
+    assert render(v.witness.rhs) == "({B B}:(= a:b) ({B B}:(:) a))"
+
+
+# each verdict's status, cases and its engine's final meters on the default
+# probes with the alphabet a, b, zq (P = 94), under the default budget
+VERDICT_WORK = [
+    (check_associative, "sort", HOLDS, 17672, 8930, 32886),
+    (check_associative, "is a b", HOLDS, 17672, 8930, 378),
+    (check_associative, "first 2", HOLDS, 17672, 8930, 17820),
+    (check_associative, "pass", HOLDS, 17672, 53016, 148520),
+    (check_associative, "rev", REFUTED, 24, 27, 32),
+    (check_algebraic, "sort", HOLDS, 8836, 8836, 32712),
+    (check_distributive, "is a b", HOLDS, 8836, 8930, 378),
+    (check_idempotent, "bool", HOLDS, 94, 376, 373),
+]
+
+
+@pytest.mark.parametrize("verdict, space, status, checked, steps, nodes", VERDICT_WORK)
+def test_each_verdict_does_the_same_work(monkeypatch, verdict, space, status, checked, steps, nodes):
+    # the engine's final meters pin what the verdict evaluated and charged:
+    # reads, and a left side handed on within its tuple, must not move them
+    made = []
+
+    class Recorded(Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(algebra, "Engine", Recorded)
+    v = verdict(parse(space), default_probes(("a", "b", "zq")))
+    [eng] = made
+    assert (v.status, v.checked, eng.steps, eng.nodes) == (status, checked, steps, nodes)
 
 
 def counting(name):
