@@ -8,40 +8,43 @@ Product and sum are data-level constructions:
 Both are represented with the prod/sum builtins over structurally wrapped
 operands, so the results are ordinary data.
 
-Each law is one `Law` row: a name, an arity (probes per case) and the
-builders of its cases over a tuple of probes.  The rows are idempotent,
-associative, algebraic, distributive and right- and left-distributivity;
-`check` judges any row on every tuple of probes.  A "holds" verdict
-therefore only ever means holds-on-probes; a refutation, on the other hand,
-carries a concrete witness that can be re-checked independently.
+Each law is one `Law` row: a name, an arity (probes per case), the
+builders of its cases over a tuple of probes, and the table that judges
+them.  The rows are idempotent, associative, algebraic, distributive and
+right- and left-distributivity; `check` judges any row on every tuple of
+probes.  A "holds" verdict therefore only ever means holds-on-probes; a
+refutation, on the other hand, carries a concrete witness that can be
+re-checked independently.
 
-`check` judges all the cases of a probe tuple in one pass: the tuple's
-left side is built and evaluated once, in its first case's window.  Most
-right sides are read, not evaluated, from other tuples' left sides and from
-each probe's image x' = N(d : x), found once in a window of its own, all
-kept by probe position; a side is built only when it is evaluated or
-reported in a witness.  The three reads:
+A table judges all the cases of a probe tuple in one pass: the tuple's
+left side is built and evaluated once, in its first case's window.
+`_Table` evaluates every right side after it.  The other tables read most
+right sides instead, from other tuples' left sides and from each probe's
+image x' = N(d : x), found once in a window of its own, all kept by probe
+position.  A side is built only when it is evaluated or reported in a
+witness.  The three reads:
 
-- associativity, when d's head definition normalises B before its branch
+- `_Associative`, when d's head definition normalises B before its branch
   runs (`Definition.strict` holds "B"): if x' is a probe that is its own
   normal form at no charge, (d : (d:x) y) hands the branch the operands of
   (d : x' y), the left side of the tuple (x', y); if that side fired d's
   branch, the right side ends at its normal form, at its charge plus that
   of (d : x).  (d : x (d:y)) reads the left side of (x, y') the same way.
-- commutativity: the case (y, x) is (x, y) with its sides swapped, so it
-  holds, building neither side, when (x, y) agreed, both sides unexhausted
-  and firing no def, strictly inside its window.  (x, x) reads its own
-  left side.
-- distributivity: (d:x) (d:y) normalises to x' y', at both images' charge.
+- `_Mirrored`, commutativity: the case (y, x) is (x, y) with its sides
+  swapped, so it holds, building neither side, when (x, y) agreed, both
+  sides unexhausted and firing no def, strictly inside its window.  (x, x)
+  reads its own left side.
+- `_Images`, distributivity: (d:x) (d:y) normalises to x' y', at both
+  images' charge.
 
-A read decides a case ALWAYS when the case's left side fired no def, is not
-exhausted and equals the value read, and its charge plus the charge read
-stays strictly inside the window's step and node limits: the right side
-would start where the left side ended, so no check of the meters on it
-would find them spent, and it would end, unexhausted, at the value read.
-Otherwise the right side is evaluated after the left side, in its window,
-so every verdict, case count and witness is the one that evaluating both
-sides gives, under any budget.
+A read decides a case ALWAYS (`_Table._reads`) when the case's left side
+fired no def, is not exhausted and equals the value read, and its charge
+plus the charge read stays strictly inside the window's step and node
+limits: the right side would start where the left side ended, so no check
+of the meters on it would find them spent, and it would end, unexhausted,
+at the value read.  Otherwise the right side is evaluated after the left
+side, in its window, so every verdict, case count and witness is the one
+that evaluating both sides gives, under any budget.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from .encoding import word
-from .engine import DEFAULT_BUDGET, Budget, Context, Definition, Engine, TriBool, equal
+from .engine import ALWAYS, DEFAULT_BUDGET, NEVER, Budget, Context, Definition, Engine, TriBool, equal
+from .engine import UNDECIDED as UNSURE  # UNDECIDED here is the verdict status
 from .lang import render
 from .prelude import prelude
 from .terms import Coda, Data, SizeBound, enumerate_pure_data
@@ -136,7 +140,7 @@ class Witness:
 
     def still_violates(self, ctx: Optional[Context] = None,
                        budget: Budget = DEFAULT_BUDGET) -> bool:
-        return equal(self.lhs, self.rhs, ctx or prelude(), budget) is TriBool.NEVER
+        return equal(self.lhs, self.rhs, ctx or prelude(), budget) is NEVER
 
 
 @dataclass
@@ -162,31 +166,22 @@ class Verdict:
 
 
 # a law's cases on one probe tuple: the left side's builder, and each
-# case's right-side builder with its read (`Law`)
-Cases = Tuple[Callable, Tuple[Tuple[Callable, Optional[str]], ...]]
+# case's right-side builder
+Cases = Tuple[Callable, Tuple[Callable, ...]]
 
 
 @dataclass(frozen=True)
 class Law:
     """A law as a row: `cases(*operands)` returns the builders of the cases
     on one tuple of `arity` probes, as (left, rights).  `left(*probes)`
-    builds the left side that every case of the tuple shares; `rights`
-    pairs each case's right-side builder with the read that may find that
-    side's normal form instead of evaluating it (below), or None."""
+    builds the left side that every case of the tuple shares, and each of
+    `rights` one case's right side.  `table` is the `_Table` class that
+    judges the cases, reading what right sides it can."""
 
     name: str
     arity: int
     cases: Callable[..., Cases]
-
-
-# The reads a case can name, for probes (x, y), operand d and x' = N(d : x)
-IMAGE_LEFT = "x' y"   # (d : (d:x) y): the left side of (x', y), plus (d:x)'s charge
-IMAGE_RIGHT = "x y'"  # (d : x (d:y)): the left side of (x, y'), plus (d:y)'s charge
-MIRRORED = "y x"      # (d : y x): the case (y, x) is this one with its sides swapped
-IMAGES = "x' y'"      # (d:x) (d:y): x' y', at the charge of both images
-
-# TriBool's members, read once: each read through the class calls a descriptor
-ALWAYS, NEVER, UNSURE = TriBool.ALWAYS, TriBool.NEVER, TriBool.UNDECIDED
+    table: type
 
 
 def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
@@ -194,59 +189,61 @@ def check(law: Law, operands: Sequence[Data], probes: ProbeSet,
     """Judge `law` on every tuple of `law.arity` probes, in product order.
     One engine per verdict, with a budget window per comparison; the first
     comparison that never agrees refutes, and exhaustion counts as undecided.
-    The verdict's `_Table` judges each tuple's cases in one call; a case no
-    read decides evaluates its right side after its left, as `tri_equal` would."""
+    The row's table judges each tuple's cases in one call, given the head
+    definition of the left sides; associativity's reads need it to be strict
+    in B, and without that `_Table` judges the cases."""
     left, rights = law.cases(*operands)
     undecided, checked = False, 0
     eng = Engine(ctx if ctx is not None else prelude(), probes.budget)
-    defn = eng.dispatch(Coda(operands[0], ()))
-    reads = tuple(read for _, read in rights)
-    if reads == (IMAGE_LEFT, IMAGE_RIGHT) and (defn is None or "B" not in defn.strict):
-        reads = ()  # associativity's reads need d's head definition to be strict in B
-    judge = _READERS.get(reads, _Table)(eng, operands[0], defn, probes.probes, left, rights).judge
+    lead = left(*probes.probes[:1] * law.arity)[0]  # every left side has this coda's head
+    defn = eng.dispatch(lead)
+    table = law.table
+    if table is _Associative and (defn is None or "B" not in defn.strict):
+        table = _Table
+    judge = table(eng, lead, defn, probes.probes, left, rights).judge
     for n, used in enumerate(itertools.product(probes.probes, repeat=law.arity)):
         k, t = judge(n, used)
         checked += k
         if t is NEVER:
-            right = rights[k - 1][0]
-            return Verdict(REFUTED, law.name, checked, Witness(used, left(*used), right(*used)))
+            return Verdict(REFUTED, law.name, checked, Witness(used, left(*used), rights[k - 1](*used)))
         undecided = undecided or t is UNSURE
     return Verdict(UNDECIDED if undecided else HOLDS, law.name, checked)
 
 
 class _Table:
     """A verdict's judge.  `judge(n, used)` judges each case of tuple n, the
-    probes `used`, in a fresh window, and returns how many it judged with
-    the first status that is not ALWAYS, or NEVER, which ends the tuple.
-    This class evaluates both sides; its subclasses read right sides, and
-    pass the left side (d : X Y) to `Engine.eval_coda` with d's head
-    definition, as `eval_data` does unless d is empty or its head a fixed
-    point: then the coda is its own normal form."""
+    probes `used`, and returns how many it judged with the first status
+    that is not ALWAYS, or NEVER, which ends the tuple.  Every left side is
+    a coda (d : X) whose d is that of `lead`.  `_open` evaluates one in a
+    fresh window, passing it to `Engine.eval_coda` with d's head definition
+    `defn`, as `eval_data` does unless d is empty or its head a fixed point:
+    then the coda is its own normal form.  This class evaluates each right
+    side after it (`_evaluated`); its subclasses first try to read it
+    (`_reads`)."""
 
     __slots__ = ("eng", "d", "defn", "fires", "probes", "size", "left", "rights", "images", "rows")
 
-    def __init__(self, eng: Engine, d: Data, defn: Optional[Definition], probes: Tuple[Data, ...],
-                 left: Callable, rights: tuple):
-        self.eng, self.d, self.defn, self.probes, self.size = eng, d, defn, probes, len(probes)
-        self.fires = bool(d) and (defn is None or defn.apply is not None)
-        self.left, self.rights = left, tuple(right for right, _ in rights)
+    def __init__(self, eng: Engine, lead: Coda, defn: Optional[Definition],
+                 probes: Tuple[Data, ...], left: Callable, rights: Tuple[Callable, ...]):
+        self.eng, self.d, self.defn, self.probes, self.size = eng, lead.left, defn, probes, len(probes)
+        self.fires = bool(lead.left) and (defn is None or defn.apply is not None)
+        self.left, self.rights = left, rights
         self.images: List[Optional[tuple]] = [None] * self.size  # per probe; () if unreadable
         self.rows: Dict[int, MutableSequence] = {}  # per row of tuples, what later cases read
 
     def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
-        eng, lhs, t = self.eng, self.left(*used), ALWAYS
+        lhs, t = self.left(*used), ALWAYS
         for k, right in enumerate(self.rights, 1):
-            eng.begin()
-            u = eng.tri_equal(lhs, right(*used))
-            if u is NEVER and not eng.exhausted:
+            u = self._evaluated(self._open(lhs)[0], right, used)
+            if u is NEVER:
                 return k, u
-            if u is not ALWAYS or eng.exhausted:
+            if u is not ALWAYS:
                 t = UNSURE
         return k, t
 
     def _open(self, lhs: Data) -> Tuple[Data, Optional[int], Optional[int]]:
         """The normal form of the left side `lhs` in a fresh window, and its
-        charge, or None, None if it ended exhausted or outside `eng.base`."""
+        charge, or None, None if it ended exhausted or after a def fired."""
         eng = self.eng
         eng.begin()
         steps, nodes = eng.steps, eng.nodes
@@ -255,23 +252,25 @@ class _Table:
             return a, None, None
         return a, eng.steps - steps, eng.nodes - nodes
 
-    def _evaluated(self, lhs: Data, a: Optional[Data], right: Callable, used: tuple) -> TriBool:
-        """The case judged by evaluating its right side after the left side's
-        normal form `a`, in its window; if `a` is None, in a fresh one."""
+    def _reads(self, here: tuple, b: Data, steps: int, nodes: int) -> bool:
+        """Whether reading the value `b` at the charge `steps`, `nodes`
+        decides ALWAYS the case whose left side `_open` gave `here`."""
+        a, s, n = here
+        budget = self.eng.budget
+        return s is not None and a == b and s + steps < budget.max_steps and n + nodes < budget.max_nodes
+
+    def _evaluated(self, a: Data, right: Callable, used: tuple) -> TriBool:
+        """The case judged by evaluating its right side after the left
+        side's normal form `a`, in its window."""
         eng = self.eng
-        if a is None:
-            a = self._open(lhs)[0]
         t = eng.tri_compare(a, eng.eval_data(right(*used)))
         return UNSURE if eng.exhausted else t
 
     def _image(self, k: int) -> tuple:
-        """Probe k's image x' = N(d : x) and its charge, in a window of its own."""
-        eng = self.eng
-        eng.begin()
-        steps, nodes = eng.steps, eng.nodes
-        x = eng.eval_data(apply_to(self.d, self.probes[k]))
-        reached = not eng.exhausted and eng.context is eng.base
-        self.images[k] = image = (x, eng.steps - steps, eng.nodes - nodes) if reached else ()
+        """Probe k's image x' = N(d : x) and its charge, in a window of its
+        own, or () if it cannot be read."""
+        image = self._open(apply_to(self.d, self.probes[k]))
+        self.images[k] = image = () if image[1] is None else image
         return image
 
 
@@ -280,8 +279,10 @@ class _Associative(_Table):
     that is its own normal form at no charge, and (d : x)'s charge; row i
     of `rows` lists its tuples' left sides that fired d's branch, charges
     included.  A left side that ended unexhausted in `eng.base` would end a
-    fresh window there at the same normal form and charge, so a tuple's
-    second case reads both, evaluating it again only before a right side."""
+    fresh window there at the same normal form and charge, so both cases of
+    a tuple read the first window's; a case that cannot read evaluates its
+    right side after the left side, the second case in a window opened
+    again."""
 
     __slots__ = ("where", "readers")  # each probe's first position; each row's last reader
 
@@ -289,30 +290,26 @@ class _Associative(_Table):
         i, j = divmod(n, self.size)
         if not j:
             self._next_row(i)
-        images, rows, budget = self.images, self.rows, self.eng.budget
+        images, rows = self.images, self.rows
         x, lhs = images[i], self.left(*used)
-        a, steps, nodes = here = self._open(lhs)
-        if steps is not None and a != lhs:  # fired d's branch: a stuck coda is its own normal form
+        here = self._open(lhs)
+        # a left side that moved fired d's branch: a stuck coda is its own normal form
+        if here[1] is not None and here[0] != lhs:
             rows[i][j] = here
-        there = steps is not None and x and rows.get(x[0])
+        there = x and rows.get(x[0])
         there = there and there[j]
         t = ALWAYS
-        if not (there and there[0] == a and steps + there[1] + x[1] < budget.max_steps
-                and nodes + there[2] + x[2] < budget.max_nodes):
-            t = self._evaluated(lhs, a, self.rights[0], used)
+        if not (there and self._reads(here, there[0], there[1] + x[1], there[2] + x[2])):
+            t = self._evaluated(here[0], self.rights[0], used)
             if t is NEVER:
                 return 1, t
         y = images[j]
         if y is None:
             y = self._image(j)
-        known = steps is not None
-        if not known:
-            a, steps, nodes = self._open(lhs)
-        there = y and steps is not None and rows[i][y[0]]
-        if (there and there[0] == a and steps + there[1] + y[1] < budget.max_steps
-                and nodes + there[2] + y[2] < budget.max_nodes):
+        there = y and rows[i][y[0]]
+        if there and self._reads(here, there[0], there[1] + y[1], there[2] + y[2]):
             return 2, t
-        u = self._evaluated(lhs, None if known else a, self.rights[1], used)
+        u = self._evaluated(self._open(lhs)[0], self.rights[1], used)
         return 2, u if u is NEVER or t is ALWAYS else t
 
     def _image(self, k: int) -> tuple:
@@ -347,21 +344,19 @@ class _Mirrored(_Table):
 
     def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
         i, j = divmod(n, self.size)
-        eng, rows, budget = self.eng, self.rows, self.eng.budget
+        eng, rows = self.eng, self.rows
         if not j:
             rows[i] = bytearray(self.size)
         if i > j and rows[j][i]:
             return 1, ALWAYS
-        a, steps, nodes = self._open(self.left(*used))
-        if (i == j and steps is not None and 2 * steps < budget.max_steps
-                and 2 * nodes < budget.max_nodes):
+        here = self._open(self.left(*used))
+        if i == j and self._reads(here, *here):
             return 1, ALWAYS
-        b = eng.eval_data(self.rights[0](*used))
-        if (i < j and a == b and not eng.exhausted and eng.context is eng.base
+        t = self._evaluated(here[0], self.rights[0], used)  # ALWAYS: equal and unexhausted
+        if (i < j and t is ALWAYS and eng.context is eng.base
                 and eng.steps < eng.max_steps and eng.nodes < eng.max_nodes):
             rows[i][j] = True
-        t = eng.tri_compare(a, b)
-        return 1, UNSURE if eng.exhausted else t
+        return 1, t
 
 
 class _Images(_Table):
@@ -371,26 +366,19 @@ class _Images(_Table):
 
     def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
         i, j = divmod(n, self.size)
-        images, budget = self.images, self.eng.budget
+        images = self.images
         y = images[j]
         if y is None:  # each image is found in row 0, image 0 first
             y = self._image(j)
-        x, lhs = images[i], self.left(*used)
-        a, steps, nodes = self._open(lhs)
-        if (steps is not None and x and y and x[0] + y[0] == a
-                and steps + x[1] + y[1] < budget.max_steps
-                and nodes + x[2] + y[2] < budget.max_nodes):
+        x, here = images[i], self._open(self.left(*used))
+        if x and y and self._reads(here, x[0] + y[0], x[1] + y[1], x[2] + y[2]):
             return 1, ALWAYS
-        return 1, self._evaluated(lhs, a, self.rights[0], used)
-
-
-# the tables that read, by the reads of the cases they judge
-_READERS = {(IMAGE_LEFT, IMAGE_RIGHT): _Associative, (MIRRORED,): _Mirrored, (IMAGES,): _Images}
+        return 1, self._evaluated(here[0], self.rights[0], used)
 
 
 def _on_each_probe(lhs: Data, rhs: Data) -> Cases:
     """lhs : X versus rhs : X for a single probe X."""
-    return functools.partial(apply_to, lhs), ((functools.partial(apply_to, rhs), None),)
+    return functools.partial(apply_to, lhs), (functools.partial(apply_to, rhs),)
 
 
 def _on_pairs(d: Data) -> Callable:
@@ -400,24 +388,22 @@ def _on_pairs(d: Data) -> Callable:
 
 def _associative_cases(d: Data) -> Cases:
     at = functools.cache(functools.partial(apply_to, d))  # each (d : x) once per verdict
-    return _on_pairs(d), ((lambda x, y: apply_to(d, at(x) + y), IMAGE_LEFT),
-                          (lambda x, y: apply_to(d, x + at(y)), IMAGE_RIGHT))
+    return _on_pairs(d), (lambda x, y: apply_to(d, at(x) + y), lambda x, y: apply_to(d, x + at(y)))
 
 
 def _distributive_cases(d: Data) -> Cases:
     at = functools.cache(functools.partial(apply_to, d))
-    return _on_pairs(d), ((lambda x, y: at(x) + at(y), IMAGES),)
+    return _on_pairs(d), (lambda x, y: at(x) + at(y),)
 
 
-IDEMPOTENT = Law("idempotent", 1, lambda d: _on_each_probe(product(d, d), d))
-ASSOCIATIVE = Law("associative", 2, _associative_cases)
-ALGEBRAIC = Law("algebraic", 2, lambda d: (
-    _on_pairs(d), ((lambda x, y: apply_to(d, y + x), MIRRORED),)))
-DISTRIBUTIVE = Law("distributive", 2, _distributive_cases)
+IDEMPOTENT = Law("idempotent", 1, lambda d: _on_each_probe(product(d, d), d), _Table)
+ASSOCIATIVE = Law("associative", 2, _associative_cases, _Associative)
+ALGEBRAIC = Law("algebraic", 2, lambda d: (_on_pairs(d), (lambda x, y: apply_to(d, y + x),)), _Mirrored)
+DISTRIBUTIVE = Law("distributive", 2, _distributive_cases, _Images)
 RIGHT_DISTRIBUTIVITY = Law("right-distributivity", 1, lambda a, b, c: _on_each_probe(
-    product(sum_data(a, b), c), sum_data(product(a, c), product(b, c))))
+    product(sum_data(a, b), c), sum_data(product(a, c), product(b, c))), _Table)
 LEFT_DISTRIBUTIVITY = Law("left-distributivity", 1, lambda a, b, c: _on_each_probe(
-    product(c, sum_data(a, b)), sum_data(product(c, a), product(c, b))))
+    product(c, sum_data(a, b)), sum_data(product(c, a), product(c, b))), _Table)
 
 
 def check_right_distributivity(a: Data, b: Data, c: Data, probes: ProbeSet,

@@ -82,6 +82,10 @@ class TriBool(enum.Enum):
     UNDECIDED = "undecided"
 
 
+# the members, read once: each read through the class calls a descriptor
+ALWAYS, NEVER, UNDECIDED = TriBool.ALWAYS, TriBool.NEVER, TriBool.UNDECIDED
+
+
 # a memoised normal form, filed under the coda's hash: the coda, its normal
 # form and the steps and nodes its evaluation charged
 MemoEntry = Tuple[Coda, Data, int, int]
@@ -283,7 +287,7 @@ class Engine:
         if found is True or found is False:
             return found
         # a fully peeled mismatch (= a : b) is its own fixed point
-        return self.tri_equal(found.left[1:], found.right) is TriBool.NEVER
+        return self.tri_equal(found.left[1:], found.right) is NEVER
 
     def atom_or_eq(self, c: Coda) -> "bool | Coda":
         """`is_atom(c)` when it is decided without evaluating anything, else
@@ -331,7 +335,7 @@ class Engine:
     def tri_compare(self, a: Data, b: Data) -> TriBool:
         """Three-valued equality of two (normalized) data."""
         if a == b:
-            return TriBool.ALWAYS
+            return ALWAYS
         # peel structurally identical ends
         lo = 0
         hi_a, hi_b = len(a), len(b)
@@ -344,13 +348,13 @@ class Engine:
         if not ra or not rb:
             rest = ra or rb
             if any(self.is_atom(c) for c in rest):
-                return TriBool.NEVER  # empty vs atomic
-            return TriBool.UNDECIDED
+                return NEVER  # empty vs atomic
+            return UNDECIDED
         if self.is_atom(ra[0]) and self.is_atom(rb[0]):
-            return TriBool.NEVER  # distinct atoms at the front
+            return NEVER  # distinct atoms at the front
         if self.is_atom(ra[-1]) and self.is_atom(rb[-1]):
-            return TriBool.NEVER  # distinct atoms at the back
-        return TriBool.UNDECIDED
+            return NEVER  # distinct atoms at the back
+        return UNDECIDED
 
 
 @lru_cache(maxsize=_TEXT_CAP)

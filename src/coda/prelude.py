@@ -24,10 +24,11 @@ from .encoding import (
     word_text,
 )
 from .engine import (
+    ALWAYS,
+    NEVER,
     Context,
     Definition,
     Engine,
-    TriBool,
     add_definition,
 )
 from .terms import COLON, Coda, Data, coda_key, data_key
@@ -111,7 +112,7 @@ def _b_atoms(eng, a, b):
 
 
 def _b_eq(eng, a, b):
-    if eng.tri_compare(a, b) is TriBool.ALWAYS:
+    if eng.tri_compare(a, b) is ALWAYS:
         return ()
     return None  # a mismatch residue is its own fixed point
 
@@ -204,9 +205,9 @@ def _switch(operand: str, empty: str, atomic: str):
 
     def branch(eng, a, b):
         e = eng.emptiness(a if operand == "A" else b)
-        if e is TriBool.ALWAYS:
+        if e is ALWAYS:
             return on_empty(b)
-        if e is TriBool.NEVER:
+        if e is NEVER:
             return on_atomic(b)
         return None
 
@@ -240,9 +241,9 @@ def _is(keep_equal: bool):
                 equal = False
             else:
                 verdicts = [eng.tri_compare((x,), (c,)) for x in a]
-                if any(v is TriBool.ALWAYS for v in verdicts):
+                if any(v is ALWAYS for v in verdicts):
                     equal = True
-                elif all(v is TriBool.NEVER for v in verdicts):
+                elif all(v is NEVER for v in verdicts):
                     equal = False
                 else:
                     return None  # an undecided comparison blocks the whole filter

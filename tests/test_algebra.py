@@ -239,7 +239,7 @@ def built_cases(law, operands, used):
     built."""
     left, rights = law.cases(*operands)
     lhs = left(*used)
-    return [(lhs, right(*used)) for right, _ in rights]
+    return [(lhs, right(*used)) for right in rights]
 
 
 # probes that bind a word, then use it: a def that leaked from one case
@@ -370,7 +370,8 @@ def test_undecided_case_then_refuting_case_count_both():
 
 
 # each verdict's status, cases and its engine's final meters on the default
-# probes with the alphabet a, b, zq (P = 94), under the default budget
+# probes with the alphabet a, b, zq (P = 94), under the default budget; a
+# ternary row's operands are separated by ", "
 VERDICT_WORK = [
     (check_associative, "sort", HOLDS, 17672, 8930, 32886),
     (check_associative, "is a b", HOLDS, 17672, 8930, 378),
@@ -380,6 +381,13 @@ VERDICT_WORK = [
     (check_algebraic, "sort", HOLDS, 8836, 8836, 32712),
     (check_distributive, "is a b", HOLDS, 8836, 8930, 378),
     (check_idempotent, "bool", HOLDS, 94, 376, 373),
+    (check_distributive, "pass", HOLDS, 8836, 8930, 32886),
+    (check_algebraic, "is a b", REFUTED, 8647, 8830, 370),
+    (check_algebraic, "not", HOLDS, 8836, 8836, 1),
+    (check_distributive, "sort", REFUTED, 190, 286, 621),
+    (check_associative, "{B B}", REFUTED, 4, 16, 18),
+    (check_idempotent, "rev", REFUTED, 12, 48, 51),
+    (check_right_distributivity, "pass, bool, sort", HOLDS, 94, 1222, 1728),
 ]
 
 
@@ -395,7 +403,7 @@ def test_each_verdict_does_the_same_work(monkeypatch, verdict, space, status, ch
             made.append(self)
 
     monkeypatch.setattr(algebra, "Engine", Recorded)
-    v = verdict(parse(space), default_probes(("a", "b", "zq")))
+    v = verdict(*map(parse, space.split(", ")), default_probes(("a", "b", "zq")))
     [eng] = made
     assert (v.status, v.checked, eng.steps, eng.nodes) == (status, checked, steps, nodes)
 
