@@ -4,10 +4,11 @@ A space S induces a monoid on the normal forms (S:X): the carrier.  Once the
 carrier is finite (or truncated), endomorphisms become plain endofunctions of
 the element set.  The classification (constants, homomorphisms, units,
 central maps, idempotents, subspaces) is decided by exhaustive checks over
-the tables.  The product and sum tables are filled a row at a time: the
-images of f with every listed g are computed by one byte translation per
-position, down the list's columns, and looked up by their packed bytes, so
-`classify` takes carriers of at most 255 elements.  The homomorphism and
+the maps.  The product and sum tables hold no grid: a row is filled when it
+is first read, the results of f with every listed g computed by byte
+translations of the list's packed images and looked up by their packed
+bytes, so `classify` takes carriers of at most 255 elements.  A rendered
+table is printed straight from each row's fill.  The homomorphism and
 subspace laws are each stated once, as equations over a partial map.
 Settled on one complete map they decide the law; propagated over partial
 maps in one depth-first search under one work bound, they list the maps that
@@ -42,11 +43,12 @@ cannot tell apart, fail nothing.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import ProbeSet, Witness, apply_to, default_probes
 from .encoding import word
@@ -511,15 +513,45 @@ class EndoFlags:
     subspace: bool
 
 
+class _Rows(collections.abc.Sequence):
+    """One operation table of a semiring report, read by rows: row i holds,
+    for every listed g, the index of endos[i] . g (or + g), or None where the
+    result is not listed or a sum is undefined.  A row is filled when it is
+    first read, and then kept: `keys(endos[i])` gives the keys of its results
+    in list order, and `index` the position of the listed endo with each key."""
+
+    def __init__(self, endos: List[Endo], keys: Callable[[Endo], Iterable], index: Dict):
+        self.endos, self.keys, self.index = endos, keys, index
+        self._rows: List[Optional[Tuple[Optional[int], ...]]] = [None] * len(endos)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = tuple(map(self.index.get, self.keys(self.endos[i])))
+        return row
+
+
 @dataclass
 class SemiringReport:
+    """The semiring of a list of endos.  `product_table[i][j]` is the index
+    of endos[i] . endos[j] and `sum_table[i][j]` that of endos[i] + endos[j],
+    or None when it is not listed; each table is a read-only sequence of rows,
+    a row filled when first read, so a report holds no N x N grid until all
+    its rows are read.  The tables follow from the carrier and the endos, so
+    they take no part in comparing reports."""
+
     carrier: CarrierTable
     endos: List[Endo]
     flags: List[EndoFlags]
     identity: int
     zero: int
-    product_table: List[List[Optional[int]]]
-    sum_table: List[List[Optional[int]]]
+    product_table: Sequence[Sequence[Optional[int]]] = field(compare=False, repr=False)
+    sum_table: Sequence[Sequence[Optional[int]]] = field(compare=False, repr=False)
     neutral_space: bool
     algebraic: bool
     semilattice: bool
@@ -537,17 +569,16 @@ class SemiringReport:
     def subspaces(self) -> List[int]:
         return [i for i, f in enumerate(self.flags) if f.subspace]
 
-    def endo_name(self, i: int) -> str:
-        return "".join(self.carrier.label(v) for v in self.endos[i])
-
 
 def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
-    """The semiring of the listed endos: its product (composition) and sum
-    (pointwise) tables, None where a result is not listed or a sum is
-    undefined, with each endo's flags and the carrier's.  The list holds
-    distinct endos, the identity and the zero map among them.  An image is
-    one byte in the tables' fill, so a carrier of more than 255 elements
-    raises CarrierOverflow.
+    """The semiring of the listed endos: each endo's flags and the carrier's,
+    and its product (composition) and sum (pointwise) tables, None where a
+    result is not listed or a sum is undefined.  The list holds distinct
+    endos, the identity and the zero map among them.  Only the flags and the
+    key index of the listed endos are computed here; a table row is filled
+    when first read, and `render_table` prints each row straight from its
+    fill.  An image is one byte in that fill, so a carrier of more than 255
+    elements raises CarrierOverflow.
     """
     endos = list(endos)
     n = c.size
@@ -565,28 +596,48 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     if ident not in pos or zero not in pos:
         raise ValueError("endo list must contain the identity and zero maps")
 
-    # An endo's key is its n images as bytes, padded to k whole 8-byte
-    # words.  The keys of f.g for every listed g are filled at once: one
-    # bytes.translate per position sends column i (every g's g[i]) through
-    # f, and strided slices interleave the columns into one buffer, which
-    # reads as one key per g: its word, or the tuple of its k words.  For
-    # f+g, column i goes through row f[i] of the sum table instead, where
-    # byte 255 stands for an undefined sum, so that key matches no endo.
+    # An endo's key is its n images as bytes, padded with byte 255 to k whole
+    # 8-byte words, read as its word or the tuple of its k words.  `pack`
+    # interleaves n columns of bytes, one per position, into one key per
+    # listed endo, so `listed` packs the listed endos' keys in list order.
+    # The keys of f.g for every listed g are one bytes.translate of `listed`
+    # through f, which keeps the padding.  Those of f+g send position i
+    # through row f[i] of the sum table, where byte 255 stands for an
+    # undefined sum, so that such a key matches no endo.  While n * n < 256
+    # that too is one translate, of `coded`, whose byte i*n + v is image v at
+    # position i; past it, one translate per position, of column i.
     k = -(-n // 8)
     columns = [bytes(col) for col in zip(*endos)]
-    buf = bytearray(8 * k * len(endos))
-    words = memoryview(buf).cast("Q")
-    keys = [words[j::k] for j in range(k)]
+    sums = [bytes(255 if s is None else s for s in r) for r in c.add]
 
-    def fill(tables):
-        for i, (col, table) in enumerate(zip(columns, tables)):
-            buf[i::8 * k] = col.translate(table)
-        return keys[0] if k == 1 else zip(*keys)
+    def pack(cols):
+        buf = bytearray(b"\xff") * (8 * k * len(endos))
+        for i, col in enumerate(cols):
+            buf[i::8 * k] = col
+        return bytes(buf)
 
-    at = {key: i for i, key in enumerate(fill([bytes(range(256))] * n))}.get
-    sums = [bytes(255 if s is None else s for s in r).ljust(256, b"\xff") for r in c.add]
-    product_table = [list(map(at, fill([bytes(f).ljust(256, b"\xff")] * n))) for f in endos]
-    sum_table = [list(map(at, fill(list(map(sums.__getitem__, f))))) for f in endos]
+    def keys(fill):
+        words = memoryview(fill).cast("Q")
+        return words if k == 1 else zip(*(words[j::k] for j in range(k)))
+
+    listed = pack(columns)
+    index = {key: i for i, key in enumerate(keys(listed))}
+
+    def product_keys(f):
+        return keys(listed.translate(bytes(f).ljust(256, b"\xff")))
+
+    if n * n < 256:
+        coded = pack(col.translate(bytes(range(i * n, i * n + n)).ljust(256, b"\xff"))
+                     for i, col in enumerate(columns))
+
+        def sum_keys(f):
+            return keys(coded.translate(b"".join(map(sums.__getitem__, f)).ljust(256, b"\xff")))
+    else:
+        def sum_keys(f):
+            fill = bytearray(listed)
+            for i, (col, v) in enumerate(zip(columns, f)):
+                fill[i::8 * k] = col.translate(sums[v].ljust(256, b"\xff"))
+            return keys(fill)
 
     is_unit = [inverse_of(f) in pos for f in endos]
     units = [f for f, unit in zip(endos, is_unit) if unit]
@@ -616,8 +667,8 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
         flags=flags,
         identity=pos[ident],
         zero=pos[zero],
-        product_table=product_table,
-        sum_table=sum_table,
+        product_table=_Rows(endos, product_keys, index),
+        sum_table=_Rows(endos, sum_keys, index),
         neutral_space=is_cancellative(c),
         algebraic=algebraic,
         semilattice=semilattice,
@@ -669,38 +720,72 @@ def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[Endo]:
 # ---------------------------------------------------------------------------
 # Rendering
 
+TABLE_PRINT_CAP = 4 ** 4  # the most endos a 4-element carrier lists
+
+
+def _names(report: SemiringReport) -> Tuple[List[str], List[str]]:
+    """The carrier's element labels, each read once, and each endo's name:
+    the labels of its images."""
+    c = report.carrier
+    labels = [c.label(i) for i in range(c.size)]
+    return labels, ["".join(map(labels.__getitem__, f)) for f in report.endos]
+
+
 def render_table(
     report: SemiringReport,
     which: str = "product",
     names: Optional[Sequence[str]] = None,
     fmt: str = "text",
 ) -> str:
-    """One operation table, header row and column, aligned text or TSV."""
+    """One operation table, header row and column, aligned text or TSV.
+    Each row is printed straight from its fill, by one lookup per cell from
+    a result's key to its name, or "?" for a result not listed.  When every
+    name has one width, that is every column's but the first, and no cell
+    needs padding but "?"."""
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
-        names = [report.endo_name(i) for i in range(len(report.endos))]
-    label = {None: "?", **dict(enumerate(names))}
-    cells = [[corner, *names]]
-    for name, row in zip(names, table):
-        cells.append([name, *map(label.__getitem__, row)])
+        names = _names(report)[1]
+    widths = set(map(len, names))
+    w = widths.pop() if fmt == "text" and len(widths) == 1 and 0 not in widths else None
+    miss = "?".ljust(w or 0)
+    name_of = collections.defaultdict(lambda: miss, {key: names[i] for key, i in table.index.items()})
+    rows = ((name, map(name_of.__getitem__, table.keys(f))) for name, f in zip(names, report.endos))
     if fmt == "tsv":
-        return "\n".join("\t".join(r) for r in cells)
-    widths = [max(map(len, col)) for col in zip(*cells)]
+        return "\n".join(["\t".join([corner, *names]), *(name + "\t" + "\t".join(cells) for name, cells in rows)])
+    if w is not None:
+        first = max(w, len(corner))
+        lines = [corner.ljust(first) + " | " + " | ".join(names),
+                 "-" * first + ("-+-" + "-" * w) * len(names)]
+        lines += [name.ljust(first) + " | " + " | ".join(cells) for name, cells in rows]
+        return "\n".join(lines)
+    cells = [[corner, *names], *([name, *cells] for name, cells in rows)]
+    widths = [0] * len(cells[0])
+    for row in cells:
+        widths = list(map(max, widths, map(len, row)))
     lines = [" | ".join(map(str.ljust, row, widths)) for row in cells]
     lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
 def render_report(report: SemiringReport, fmt: str = "text") -> str:
+    """The carrier, the flags and both tables, as text or TSV.  Past
+    TABLE_PRINT_CAP endos each table is one line giving its size."""
     c = report.carrier
-    names = [report.endo_name(i) for i in range(len(report.endos))]
+    labels, names = _names(report)
+    size = len(report.endos)
+    if size > TABLE_PRINT_CAP:
+        cut = (f"\t{size} x {size}" if fmt == "tsv"
+               else f": {size} x {size}, not shown past {TABLE_PRINT_CAP} endos")
+        tables = [f"{which} table{cut}" for which in ("product", "sum")]
+    else:
+        tables = [render_table(report, which, names, fmt) for which in ("product", "sum")]
     if fmt == "tsv":
         rows = [
-            ["elements", *(c.label(i) for i in range(c.size))],
-            ["neutral", c.label(c.neutral)],
+            ["elements", *labels],
+            ["neutral", labels[c.neutral]],
             ["closed", str(c.closed)],
-            ["endos", str(len(report.endos))],
+            ["endos", str(size)],
             ["units", *(names[i] for i in report.units())],
             ["constants", *(names[i] for i in report.constants())],
             ["homomorphisms", *(names[i] for i in report.homomorphisms())],
@@ -710,14 +795,11 @@ def render_report(report: SemiringReport, fmt: str = "text") -> str:
             ["semilattice", str(report.semilattice)],
             ["field", *map(str, report.field or [None])],
         ]
-        out = ["\n".join("\t".join(r) for r in rows)]
-        out.append(render_table(report, "product", names, fmt))
-        out.append(render_table(report, "sum", names, fmt))
-        return "\n".join(out)
+        return "\n".join(["\n".join("\t".join(r) for r in rows), *tables])
     lines = [
-        "elements: " + " ".join(c.label(i) for i in range(c.size)),
-        f"neutral: {c.label(c.neutral)}    closed: {c.closed}",
-        f"endomorphisms: {len(report.endos)}",
+        "elements: " + " ".join(labels),
+        f"neutral: {labels[c.neutral]}    closed: {c.closed}",
+        f"endomorphisms: {size}",
         "units: " + " ".join(names[i] for i in report.units()),
         "constants: " + " ".join(names[i] for i in report.constants()),
         "homomorphisms: " + " ".join(names[i] for i in report.homomorphisms()),
@@ -726,8 +808,8 @@ def render_report(report: SemiringReport, fmt: str = "text") -> str:
         f"    semilattice: {report.semilattice}",
         f"field (subspace criterion, unit criterion): {report.field}",
         "",
-        render_table(report, "product", names),
+        tables[0],
         "",
-        render_table(report, "sum", names),
+        tables[1],
     ]
     return "\n".join(lines)

@@ -219,6 +219,24 @@ def test_space_analyze(capsys):
     assert "field" in out
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_space_analyze_prints_tables_up_to_256_endos(capsys, monkeypatch, n):
+    # a 4-element carrier lists 4^4 = 256 endos, whose tables are printed;
+    # past that each table is one line giving its size, in both formats
+    monkeypatch.setattr(coda.cli, "extract_carrier", lambda *args, **kwargs: zn_carrier(n))
+    code, out, _ = run(capsys, "space", "analyze", "bool")
+    lines = out.split("\n")
+    assert code == 0 and f"endomorphisms: {n ** n}" in lines
+    code, tsv, _ = run(capsys, "space", "analyze", "bool", "--format", "tsv")
+    assert code == 0 and f"endos\t{n ** n}" in tsv.split("\n")
+    if n == 4:
+        assert len(lines) == 2 * 256 + 16 and len(tsv.split("\n")) == 2 * 257 + 13
+    else:
+        assert lines[-5:] == ["", "product table: 3125 x 3125, not shown past 256 endos",
+                              "", "sum table: 3125 x 3125, not shown past 256 endos", ""]
+        assert tsv.split("\n")[-3:] == ["product table\t3125 x 3125", "sum table\t3125 x 3125", ""]
+
+
 def test_space_analyze_overflow(capsys):
     code, _, err = run(capsys, "space", "analyze", "pass", "--cap", "3")
     assert code == 2 and err.startswith("CarrierOverflow: ")

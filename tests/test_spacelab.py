@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -672,6 +673,11 @@ def fill_by_entry(c, endos):
     return product, sums
 
 
+def rows_of(rep):
+    """A report's tables read row by row, each row as a list."""
+    return [list(row) for row in rep.product_table], [list(row) for row in rep.sum_table]
+
+
 @seed(7)
 @settings(max_examples=40, deadline=None)
 @given(small_tables().filter(lambda c: c.size <= 4), st.randoms(use_true_random=False))
@@ -683,29 +689,40 @@ def test_classify_fills_tables_as_by_entry(c, rng):
         sub.insert(rng.randint(0, len(sub)), f)
     for endos in (full, sub):
         rep = classify(c, endos)
-        assert (rep.product_table, rep.sum_table) == fill_by_entry(c, endos)
+        want = fill_by_entry(c, endos)
+        # a row read first, by index from either end or in a slice, is the
+        # row that a later read in order finds
+        i = rng.randrange(len(endos))
+        assert list(rep.sum_table[i - len(endos)]) == want[1][i]
+        assert [list(row) for row in rep.product_table[i:]] == want[0][i:]
+        assert rows_of(rep) == want
+
+
+def open_maps(size, rng):
+    """An open carrier, in which a sum of `size` or more is undefined, and
+    maps of small images with their sums and composites listed, so that both
+    tables hold hits and misses."""
+    c = carrier_from_function(range(size), lambda x, y: x + y, 0)
+    small = [tuple(rng.randrange(4) for _ in range(size)) for _ in range(12)]
+    listed = set(small) | {identity_endo(c), zero_endo(c)}
+    listed |= {oplus(f, g, c) for f in small for g in small}
+    listed |= {compose(f, g) for f in small for g in small}
+    listed.add(constant_endo(c, size - 1))  # its sum with itself is undefined everywhere
+    return c, sorted(listed)
 
 
 def test_classify_fills_tables_past_one_word():
-    # past 8 elements an endo's packed key spans two 8-byte words
+    # past 8 elements an endo's packed key spans two 8-byte words, and past
+    # 16 three; from 16 elements on, a sum row takes one translate per position
     l3 = extract_carrier(bool_seq_truncated(3), _bool_probes(), cap=64)
     homs = list(homomorphisms(l3, l3))
     assert (l3.size, len(homs)) == (15, 205)
-    # an open carrier: a sum of 10 or more is undefined; small maps, their
-    # sums and composites are listed, so both tables hold hits and misses
-    open10 = carrier_from_function(range(10), lambda x, y: x + y, 0)
     rng = random.Random(11)
-    small = [tuple(rng.randrange(4) for _ in range(10)) for _ in range(12)]
-    listed = set(small) | {identity_endo(open10), zero_endo(open10)}
-    listed |= {oplus(f, g, open10) for f in small for g in small}
-    listed |= {compose(f, g) for f in small for g in small}
-    listed.add(constant_endo(open10, 9))  # 9 + 9 is undefined everywhere
-    endos = sorted(listed)
-    for c, maps in ((l3, homs), (open10, endos)):
-        rep = classify(c, maps)
-        assert (rep.product_table, rep.sum_table) == fill_by_entry(c, maps)
-    cells = [v for row in rep.product_table + rep.sum_table for v in row]
-    assert None in cells and any(v is not None for v in cells)
+    for c, maps in ((l3, homs), open_maps(10, rng), open_maps(17, rng)):
+        product, sums = rows_of(classify(c, maps))
+        assert (product, sums) == fill_by_entry(c, maps)
+        cells = [v for row in product + sums for v in row]
+        assert None in cells and any(v is not None for v in cells)
 
 
 def test_classify_reads_matrices_on_the_homomorphisms_of_z2_cubed():
@@ -852,7 +869,7 @@ def render_table_by_cell(report, which="product", names=None, fmt="text"):
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
-        names = [report.endo_name(i) for i in range(len(report.endos))]
+        names = ["".join(report.carrier.label(v) for v in f) for f in report.endos]
     order = range(len(report.endos))
     cells = [[corner] + [names[i] for i in order]]
     for i in order:
@@ -870,9 +887,17 @@ def render_table_by_cell(report, which="product", names=None, fmt="text"):
 
 def test_render_table_matches_by_cell():
     open3 = carrier_from_function(range(3), lambda x, y: x + y, 0)
-    for c in (zn_carrier(4), saturation_carrier(4), open3):
-        endos = enumerate_endos(c)
+    l3 = extract_carrier(bool_seq_truncated(3), _bool_probes(), cap=64)
+    rng = random.Random(5)
+    # keys of one word, and of two: L3's elements render as data of unequal
+    # widths, open10's as one digit each
+    lists = [(c, enumerate_endos(c)) for c in (zn_carrier(4), saturation_carrier(4), open3)]
+    lists += [(l3, list(homomorphisms(l3, l3))), open_maps(10, rng)]
+    for c, endos in lists:
         rep = classify(c, endos)
+        # rows read by index before rendering change nothing that is printed
+        for i in rng.sample(range(len(endos)), 3):
+            assert rep.product_table[i] and rep.sum_table[i]
         # names of unequal widths, the widest one last
         numbers = [str(i) for i in range(len(endos) - 1)] + ["widest"]
         for which, names, fmt in itertools.product(
@@ -880,8 +905,22 @@ def test_render_table_matches_by_cell():
         ):
             args = (rep, which, names, fmt)
             same = render_table(*args) == render_table_by_cell(*args)
-            assert same, (which, names is None, fmt)  # not a diff of the text
+            assert same, (c.size, which, names is None, fmt)  # not a diff of the text
     assert "?" in render_table(classify(open3, enumerate_endos(open3)), "sum")
+
+
+def test_classify_z5_keeps_no_grid():
+    # 3125 endos: the flags and the key index are all that classify computes
+    c = zn_carrier(5)
+    endos = enumerate_endos(c)
+    tracemalloc.start()
+    try:
+        rep = classify(c, endos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    assert (len(rep.units()), len(rep.constants()), rep.field) == (120, 5, (True, True))
 
 
 def test_render_report_tsv_without_field_verdict(monkeypatch):
