@@ -535,6 +535,13 @@ class _Rows(collections.abc.Sequence):
             row = self._rows[i] = tuple(map(self.index.get, self.keys(self.endos[i])))
         return row
 
+    def named(self, names: Sequence[str], miss: str = "?") -> Iterator[Iterator[str]]:
+        """Each row's results by name, or `miss` for a result not listed,
+        read straight from the row's fill by one lookup per cell; no row is
+        kept."""
+        name_of = collections.defaultdict(lambda: miss, {key: names[i] for key, i in self.index.items()})
+        return (map(name_of.__getitem__, self.keys(f)) for f in self.endos)
+
 
 @dataclass
 class SemiringReport:
@@ -543,15 +550,16 @@ class SemiringReport:
     or None when it is not listed; each table is a read-only sequence of rows,
     a row filled when first read, so a report holds no N x N grid until all
     its rows are read.  The tables follow from the carrier and the endos, so
-    they take no part in comparing reports."""
+    they take no part in comparing reports.  They hold classify's fill
+    functions, so a report does not pickle."""
 
     carrier: CarrierTable
     endos: List[Endo]
     flags: List[EndoFlags]
     identity: int
     zero: int
-    product_table: Sequence[Sequence[Optional[int]]] = field(compare=False, repr=False)
-    sum_table: Sequence[Sequence[Optional[int]]] = field(compare=False, repr=False)
+    product_table: _Rows = field(compare=False, repr=False)
+    sum_table: _Rows = field(compare=False, repr=False)
     neutral_space: bool
     algebraic: bool
     semilattice: bool
@@ -601,20 +609,18 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     # interleaves n columns of bytes, one per position, into one key per
     # listed endo, so `listed` packs the listed endos' keys in list order.
     # The keys of f.g for every listed g are one bytes.translate of `listed`
-    # through f, which keeps the padding.  Those of f+g send position i
+    # through f, which keeps the padding.  Those of f+g pack column i sent
     # through row f[i] of the sum table, where byte 255 stands for an
-    # undefined sum, so that such a key matches no endo.  While n * n < 256
-    # that too is one translate, of `coded`, whose byte i*n + v is image v at
-    # position i; past it, one translate per position, of column i.
+    # undefined sum, so that such a key matches no endo.
     k = -(-n // 8)
     columns = [bytes(col) for col in zip(*endos)]
-    sums = [bytes(255 if s is None else s for s in r) for r in c.add]
+    sums = [bytes(255 if s is None else s for s in r).ljust(256, b"\xff") for r in c.add]
 
     def pack(cols):
         buf = bytearray(b"\xff") * (8 * k * len(endos))
         for i, col in enumerate(cols):
             buf[i::8 * k] = col
-        return bytes(buf)
+        return buf
 
     def keys(fill):
         words = memoryview(fill).cast("Q")
@@ -626,18 +632,8 @@ def classify(c: CarrierTable, endos: Sequence[Endo]) -> SemiringReport:
     def product_keys(f):
         return keys(listed.translate(bytes(f).ljust(256, b"\xff")))
 
-    if n * n < 256:
-        coded = pack(col.translate(bytes(range(i * n, i * n + n)).ljust(256, b"\xff"))
-                     for i, col in enumerate(columns))
-
-        def sum_keys(f):
-            return keys(coded.translate(b"".join(map(sums.__getitem__, f)).ljust(256, b"\xff")))
-    else:
-        def sum_keys(f):
-            fill = bytearray(listed)
-            for i, (col, v) in enumerate(zip(columns, f)):
-                fill[i::8 * k] = col.translate(sums[v].ljust(256, b"\xff"))
-            return keys(fill)
+    def sum_keys(f):
+        return keys(pack(col.translate(sums[v]) for col, v in zip(columns, f)))
 
     is_unit = [inverse_of(f) in pos for f in endos]
     units = [f for f, unit in zip(endos, is_unit) if unit]
@@ -738,19 +734,17 @@ def render_table(
     fmt: str = "text",
 ) -> str:
     """One operation table, header row and column, aligned text or TSV.
-    Each row is printed straight from its fill, by one lookup per cell from
-    a result's key to its name, or "?" for a result not listed.  When every
-    name has one width, that is every column's but the first, and no cell
-    needs padding but "?"."""
+    Each row is printed straight from its fill (`_Rows.named`), by one
+    lookup per cell from a result's key to its name, or "?" for a result not
+    listed.  When every name has one width, that is every column's but the
+    first, and no cell needs padding but "?"."""
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
         names = _names(report)[1]
     widths = set(map(len, names))
     w = widths.pop() if fmt == "text" and len(widths) == 1 and 0 not in widths else None
-    miss = "?".ljust(w or 0)
-    name_of = collections.defaultdict(lambda: miss, {key: names[i] for key, i in table.index.items()})
-    rows = ((name, map(name_of.__getitem__, table.keys(f))) for name, f in zip(names, report.endos))
+    rows = zip(names, table.named(names, "?".ljust(w or 0)))
     if fmt == "tsv":
         return "\n".join(["\t".join([corner, *names]), *(name + "\t" + "\t".join(cells) for name, cells in rows)])
     if w is not None:
@@ -760,9 +754,8 @@ def render_table(
         lines += [name.ljust(first) + " | " + " | ".join(cells) for name, cells in rows]
         return "\n".join(lines)
     cells = [[corner, *names], *([name, *cells] for name, cells in rows)]
-    widths = [0] * len(cells[0])
-    for row in cells:
-        widths = list(map(max, widths, map(len, row)))
+    # a column's width is its longest cell's, read column by column
+    widths = list(map(max, *(map(len, row) for row in cells)))
     lines = [" | ".join(map(str.ljust, row, widths)) for row in cells]
     lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines)

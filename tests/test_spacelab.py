@@ -713,7 +713,7 @@ def open_maps(size, rng):
 
 def test_classify_fills_tables_past_one_word():
     # past 8 elements an endo's packed key spans two 8-byte words, and past
-    # 16 three; from 16 elements on, a sum row takes one translate per position
+    # 16 three
     l3 = extract_carrier(bool_seq_truncated(3), _bool_probes(), cap=64)
     homs = list(homomorphisms(l3, l3))
     assert (l3.size, len(homs)) == (15, 205)
