@@ -42,7 +42,10 @@ fired no def, is not exhausted and equals the value read, and its charge
 plus the charge read stays strictly inside the window's step and node
 limits: the right side would start where the left side ended, so no check
 of the meters on it would find them spent, and it would end, unexhausted,
-at the value read.  Otherwise the right side is evaluated after the left
+at the value read.  The right side runs in the context the left side
+ended in (rule 2 of `engine`'s docstring), and the value read was found
+in the engine's own context, so the two agree only when the left side
+fired no def.  Otherwise the right side is evaluated after the left
 side, in its window, so every verdict, case count and witness is the one
 that evaluating both sides gives, under any budget.
 """

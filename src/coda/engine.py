@@ -9,6 +9,11 @@ compiles the atom's source once into a splice plan and keeps it, with the
 borderline rule, in one cache.  It always applies, and `eval_coda`, `step`
 and the decision helpers treat it as any other.
 
+`Engine.atom_or_eq` is the one static rule for what an atom is: (:X), a
+coda whose definition, or whose head's when it has none, is a fixed point
+or missing.  `is_atom` adds only the check of an `=` residue, and
+`is_invariant` and `classify_atom` decide atomhood through these two.
+
 Evaluation strategy: repeated outermost rewriting, left to right.  A coda's
 head is evaluated just far enough to resolve dispatch.  A guard's operand is
 normalised in `_rewrite`, under the shared budget, when the definition
@@ -27,6 +32,30 @@ meeting one past the limit refuses nothing: under Budget(max_steps=1),
 `a (null:x)`, `(null:x) a` and `a (null:x) b` are normalized with
 steps_used 1, while `(null:x) (zzz:a)` is not, since finding out whether a
 coda needs a step is itself work.
+
+Which context an answer is relative to.  Two rules, which the engine
+keeps and the law checks rely on:
+
+(1) An ALWAYS or NEVER, and so an atom, is relative to the context at the
+moment it is decided.  A `def` later in the same data may bind a word
+that was unbound then, so a normal form is normal in the context its
+evaluation started in, and `EvalOutcome.context` may rewrite it.
+`(= (zzz:a) : (zzz:b)) (def zzz : const c) (zzz:a) (zzz:b)` normalizes
+to `(= (zzz:a):(zzz:b)) c c`: the `=` coda was decided NEVER while zzz
+was unbound, and stays as its own fixed point.  Evaluated again in the
+outcome's context, where zzz is bound, it gives `c c`; in the context
+it started in, it gives itself.
+
+(2) A comparison evaluates its right side in the context its left side
+ended in.  This is the order `_rewrite` normalises the `=` builtin's
+strict `AB` operands in, and `tri_equal` keeps it.  So `last 2 : b a
+(f:b) (def f:rev)` and `last 2 : (last 2 : b a) (f:b) (def f:rev)`
+compare NEVER in either order, though each alone normalizes to `a b`:
+the right side runs with f bound by the left side's `def`.
+`algebra.check` follows from this rule when it reads a right side's
+value instead of evaluating it: it does so only when the left side fired
+no `def`, since only then does the right side start in the engine's own
+context, where the value read was found.
 
 Normalising is not idempotent in cost: a builtin's result is walked again
 in full, also where it holds operands already normalised, and a stuck `=`
@@ -94,7 +123,9 @@ MemoEntry = Tuple[Coda, Data, int, int]
 @dataclass
 class EvalOutcome:
     """`context` is the one the evaluation ended in: the given context
-    plus every word a `def` in it bound."""
+    plus every word a `def` in it bound.  `result` is normal in the given
+    context, where each of its ALWAYS and NEVER answers was decided, but
+    `context` may rewrite it (rule 1 of the module docstring)."""
 
     result: Data
     normalized: bool
@@ -282,7 +313,8 @@ class Engine:
 
     def is_atom(self, c: Coda) -> bool:
         """True when a (normalized) coda is an atom: a fixed point of the
-        context, or permanently out of its domain."""
+        context, or out of its domain in the context as it is now (rule 1
+        of the module docstring)."""
         found = self.atom_or_eq(c)
         if found is True or found is False:
             return found
@@ -304,23 +336,17 @@ class Engine:
         return c if defn.name == "=" else False
 
     def is_invariant(self, c: Coda) -> bool:
-        """True when `c` and every coda inside it are atoms: (:X), a fixed
-        point's coda, or a coda whose head is out of every domain.  One walk,
-        which visits each shared coda once."""
+        """True when `c` and every coda inside it are atoms by `atom_or_eq`'s
+        rule, which decides each without evaluating: an `=` residue is not
+        one.  One walk, which visits each shared coda once."""
         stack, seen = [c], set()
         while stack:
             c = stack.pop()
-            if id(c) in seen:
-                continue
-            seen.add(id(c))
-            if c.left:
-                defn = self.dispatch(c)
-                if defn is None:
-                    if self.dispatch(c.left[0]) is not None:
-                        return False
-                elif defn.apply is not None:
+            if id(c) not in seen:
+                if self.atom_or_eq(c) is not True:
                     return False
-            stack += c.left + c.right
+                seen.add(id(c))
+                stack += c.left + c.right
         return True
 
     def emptiness(self, d: Data) -> TriBool:
@@ -330,6 +356,10 @@ class Engine:
         return self.tri_compare((), d)
 
     def tri_equal(self, a: Data, b: Data) -> TriBool:
+        """Three-valued equality of two data: `a` is normalized first, then
+        `b` in the context `a` ended in (rule 2 of the module docstring),
+        and each ALWAYS or NEVER is relative to the context as it is then
+        (rule 1)."""
         return self.tri_compare(self.eval_data(a), self.eval_data(b))
 
     def tri_compare(self, a: Data, b: Data) -> TriBool:
@@ -406,26 +436,28 @@ def equal(a: Data, b: Data, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> Tr
 
 def classify_atom(c: Coda, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> str:
     """One of invariant_atom, defined_fixed_point, reducible, undecided.
-    The head is resolved under the one budget; spending it is undecided."""
+    The head is resolved under the one budget; spending it is undecided.
+    The resolved coda is then an invariant atom when `is_invariant` accepts
+    it, reducible when its definition rewrites it, and a defined fixed
+    point when it is an atom by `is_atom` that holds a coda that is not."""
     eng = Engine(ctx, budget)
-    while True:
-        if not c.left:
-            return "invariant_atom"
+    defn = None
+    while c.left:
         defn = eng.dispatch(c)
         if defn is not None:
             break
         head = c.left[0]
         hv = eng.eval_data((head,))
-        if hv == (head,):
-            return "invariant_atom" if not eng.exhausted and eng.is_atom(c) else "undecided"
-        if eng.spent():
-            return "undecided"
+        if hv == (head,) or eng.spent():
+            break
         c = Coda(hv + c.left[1:], c.right)
-    if defn.apply is None:
-        return "invariant_atom" if eng.is_invariant(c) else "defined_fixed_point"
-    if eng._rewrite(c, defn) is not None:
+    if eng.exhausted:
+        return "undecided"
+    if eng.is_invariant(c):
+        return "invariant_atom"
+    if defn is not None and eng._rewrite(c, defn) is not None:
         return "reducible"
-    return "undecided"
+    return "defined_fixed_point" if eng.is_atom(c) and not eng.exhausted else "undecided"
 
 
 def add_definition(ctx: Context, name, body: Data) -> Context:

@@ -737,7 +737,10 @@ def render_table(
     Each row is printed straight from its fill (`_Rows.named`), by one
     lookup per cell from a result's key to its name, or "?" for a result not
     listed.  When every name has one width, that is every column's but the
-    first, and no cell needs padding but "?"."""
+    first, and no cell needs padding but "?".  `which` is "product" or
+    "sum"; any other value is a ValueError."""
+    if which not in ("product", "sum"):
+        raise ValueError(f"which must be 'product' or 'sum', not {which!r}")
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:

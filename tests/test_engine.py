@@ -1,6 +1,6 @@
 import pytest
 
-from coda.algebra import apply_to, small_probes
+from coda.algebra import ProbeSet, apply_to, check_associative, small_probes
 from coda.encoding import word
 from coda.engine import (
     Budget,
@@ -180,19 +180,51 @@ def test_step_is_one_pass():
 
 
 def test_is_atom_and_is_invariant():
+    # one rule: is_invariant holds when atom_or_eq decides c and every coda
+    # inside it an atom, so an inert coda headed by a word or a marker coda
+    # is invariant alone and inside a fixed point alike
     eng = Engine(prelude())
     cases = {
         "(:)": (True, True),
         "a": (True, True),
         "(n:a)": (True, True),
         "(n:(pass:a))": (True, False),
-        "(zzz:a)": (True, False),
+        "(zzz:a)": (True, True),
+        "(n:(zzz:a))": (True, True),
+        "((n:a) x:y)": (True, True),
+        "(n:((n:a) x:y))": (True, True),
+        "(b:(foo x:y))": (True, True),
+        # a mismatch residue is an atom only by the check atom_or_eq leaves
+        "(= a:b)": (True, False),
         "(pass:a)": (False, False),
         "({B B}:a)": (False, False),
     }
     for src, want in cases.items():
         c = parse(src)[0]
         assert (eng.is_atom(c), eng.is_invariant(c)) == want, src
+
+
+def test_is_invariant_and_classify_atom_read_atom_or_eq(rng):
+    # on every coda of random normal forms, at any depth: is_invariant is
+    # atom_or_eq's rule asked of each coda inside, and an invariant atom is
+    # an atom
+    eng = Engine(prelude())
+    words = SAFE_WORDS + DECIDING_WORDS + ("n", "zzz")
+
+    def codas(d):
+        for c in d:
+            yield c
+            yield from codas(c.left + c.right)
+
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        d = evaluate(random_data(rng, 3, words=words), prelude(), Budget(2000, 50_000)).result
+        for c in codas(d):
+            want = all(eng.atom_or_eq(x) is True for x in codas((c,)))
+            assert eng.is_invariant(c) is want, render((c,))
+            assert classify_atom(c, prelude()) != "invariant_atom" or eng.is_atom(c), render((c,))
+            seen[want] += 1
+    assert seen[True] and seen[False]
 
 
 def test_add_definition_and_monotonicity():
@@ -228,10 +260,15 @@ def test_classify_atom():
     assert classify_atom(COLON, ctx) == "invariant_atom"
     assert classify_atom(parse("(pass:a)")[0], ctx) == "reducible"
     assert classify_atom(parse("({B B}:a)")[0], ctx) == "reducible"
-    assert classify_atom(parse("(zzz:a)")[0], ctx) == "invariant_atom"
     assert classify_atom(Coda((word("b"),), (word("x"),)), ctx) == "invariant_atom"
-    assert classify_atom(parse("(b:(pass:x))")[0], ctx) == "defined_fixed_point"
-    assert classify_atom(parse("(b:({B}:x))")[0], ctx) == "defined_fixed_point"
+    # is_invariant's one rule: an inert coda is an invariant atom alone and
+    # inside a fixed point alike
+    for src in ("(zzz:a)", "(n:(zzz:a))", "((n:a) x:y)", "(n:((n:a) x:y))", "(b:(foo x:y))"):
+        assert classify_atom(parse(src)[0], ctx) == "invariant_atom", src
+    # an atom by is_atom that holds a coda that is not one: a fixed point's
+    # coda, (:X), an inert coda, and a mismatch residue, its own fixed point
+    for src in ("(n:(pass:a))", "(b:(pass:x))", "(b:({B}:x))", "(:(pass:a))", "(zzz:(pass:a))", "(= a:b)"):
+        assert classify_atom(parse(src)[0], ctx) == "defined_fixed_point", src
     # def with no name is out of its builtin's domain
     assert classify_atom(parse("(def:)")[0], ctx) == "undecided"
 
@@ -290,6 +327,34 @@ def test_atom_or_eq_reads_c_or_its_head(monkeypatch, src, want):
     want = parse(want)[0] if isinstance(want, str) else want
     assert type(found) is type(want) and found == want
     assert calls <= (0 if src == "(:a)" else 2)
+
+
+def test_an_answer_is_relative_to_the_context_it_was_decided_in():
+    # rule 1: the = coda is decided NEVER while zzz is unbound, and stays as
+    # its own fixed point; the def after it binds zzz, so the normal form is
+    # normal in the context the evaluation started in, and the outcome's
+    # context rewrites it
+    out = evaluate(parse("(= (zzz:a) : (zzz:b)) (def zzz : const c) (zzz:a) (zzz:b)"), prelude())
+    assert (render(out.result), out.normalized) == ("(= (zzz:a):(zzz:b)) c c", True)
+    again = evaluate(out.result, out.context)
+    assert (render(again.result), again.normalized) == ("c c", True)
+    again = evaluate(out.result, prelude())
+    assert (again.result, again.normalized) == (out.result, True)
+
+
+def test_a_comparison_runs_its_right_side_where_its_left_side_ended():
+    # rule 2: the right side runs with f bound by the left side's def, so
+    # the sides compare NEVER in either order, though each alone normalizes
+    # to a b; a law verdict and its witness compare the same way
+    lhs = parse("last 2 : b a (f:b) (def f:rev)")
+    rhs = parse("last 2 : (last 2 : b a) (f:b) (def f:rev)")
+    assert [render(evaluate(d, prelude()).result) for d in (lhs, rhs)] == ["a b", "a b"]
+    assert equal(lhs, rhs, prelude()) is TriBool.NEVER
+    assert equal(rhs, lhs, prelude()) is TriBool.NEVER
+    verdict = check_associative(parse("last 2"), ProbeSet((parse("b a"), parse("(f:b) (def f:rev)"))))
+    assert (verdict.refuted, verdict.checked) == (True, 3)
+    assert (verdict.witness.lhs, verdict.witness.rhs) == (lhs, rhs)
+    assert verdict.witness.still_violates()
 
 
 def test_determinism():

@@ -862,6 +862,10 @@ def test_render_table_and_report():
     full = render_report(rep)
     assert "endomorphisms: 4" in full
     assert "field" in full
+    # a misspelt table is refused, not printed as the sum table
+    for which in ("prod", "Sum", ""):
+        with pytest.raises(ValueError, match=f"^which must be 'product' or 'sum', not '{which}'$"):
+            render_table(rep, which)
 
 
 def render_table_by_cell(report, which="product", names=None, fmt="text"):
