@@ -12,7 +12,9 @@ and the decision helpers treat it as any other.
 `Engine.atom_or_eq` is the one static rule for what an atom is: (:X), a
 coda whose definition, or whose head's when it has none, is a fixed point
 or missing.  `is_atom` adds only the check of an `=` residue, and
-`is_invariant` and `classify_atom` decide atomhood through these two.
+`is_invariant` asks `atom_or_eq` of every coda inside.  `classify_atom`
+reads a coda's class from these and from its evaluation: a coda that is
+not invariant is reducible exactly when evaluating it changes it.
 
 Evaluation strategy: repeated outermost rewriting, left to right.  A coda's
 head is evaluated just far enough to resolve dispatch.  A guard's operand is
@@ -436,27 +438,17 @@ def equal(a: Data, b: Data, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> Tr
 
 def classify_atom(c: Coda, ctx: Context, budget: Budget = DEFAULT_BUDGET) -> str:
     """One of invariant_atom, defined_fixed_point, reducible, undecided.
-    The head is resolved under the one budget; spending it is undecided.
-    The resolved coda is then an invariant atom when `is_invariant` accepts
-    it, reducible when its definition rewrites it, and a defined fixed
-    point when it is an atom by `is_atom` that holds a coda that is not."""
+    An invariant atom is one `is_invariant` accepts, decided without
+    evaluating.  Any other coda is reducible exactly when evaluating (c,)
+    under the budget changes it; when it does not, it is undecided if that
+    spent the budget, else a defined fixed point when `is_atom` holds."""
     eng = Engine(ctx, budget)
-    defn = None
-    while c.left:
-        defn = eng.dispatch(c)
-        if defn is not None:
-            break
-        head = c.left[0]
-        hv = eng.eval_data((head,))
-        if hv == (head,) or eng.spent():
-            break
-        c = Coda(hv + c.left[1:], c.right)
-    if eng.exhausted:
-        return "undecided"
     if eng.is_invariant(c):
         return "invariant_atom"
-    if defn is not None and eng._rewrite(c, defn) is not None:
+    if eng.eval_data((c,)) != (c,):
         return "reducible"
+    if eng.exhausted:
+        return "undecided"
     return "defined_fixed_point" if eng.is_atom(c) and not eng.exhausted else "undecided"
 
 

@@ -44,6 +44,7 @@ from .spacelab import (
     CarrierTable,
     Endo,
     TooManyEndos,
+    _check_fmt,
     carrier_from_function,
     classify,
     enumerate_endos,
@@ -118,6 +119,8 @@ class DemoReport:
         return all(a.passed for a in self.assertions)
 
     def render(self, fmt: str = "text") -> str:
+        """The assertions as text or TSV; any other `fmt` is a ValueError."""
+        _check_fmt(fmt)
         if fmt == "tsv":
             return "\n".join(
                 "\t".join([self.name, "ok" if a.passed else "FAIL", a.description,

@@ -727,6 +727,13 @@ def _names(report: SemiringReport) -> Tuple[List[str], List[str]]:
     return labels, ["".join(map(labels.__getitem__, f)) for f in report.endos]
 
 
+def _check_fmt(fmt: str) -> None:
+    """Refuse an output format other than "text" or "tsv", rather than
+    print text for it."""
+    if fmt not in ("text", "tsv"):
+        raise ValueError(f"fmt must be 'text' or 'tsv', not {fmt!r}")
+
+
 def render_table(
     report: SemiringReport,
     which: str = "product",
@@ -738,9 +745,10 @@ def render_table(
     lookup per cell from a result's key to its name, or "?" for a result not
     listed.  When every name has one width, that is every column's but the
     first, and no cell needs padding but "?".  `which` is "product" or
-    "sum"; any other value is a ValueError."""
+    "sum", and `fmt` "text" or "tsv"; any other value is a ValueError."""
     if which not in ("product", "sum"):
         raise ValueError(f"which must be 'product' or 'sum', not {which!r}")
+    _check_fmt(fmt)
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
@@ -766,7 +774,9 @@ def render_table(
 
 def render_report(report: SemiringReport, fmt: str = "text") -> str:
     """The carrier, the flags and both tables, as text or TSV.  Past
-    TABLE_PRINT_CAP endos each table is one line giving its size."""
+    TABLE_PRINT_CAP endos each table is one line giving its size.  Any
+    other `fmt` is a ValueError."""
+    _check_fmt(fmt)
     c = report.carrier
     labels, names = _names(report)
     size = len(report.endos)

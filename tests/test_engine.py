@@ -258,31 +258,71 @@ def test_a_definition_without_a_branch_is_a_fixed_point():
 def test_classify_atom():
     ctx = prelude()
     assert classify_atom(COLON, ctx) == "invariant_atom"
-    assert classify_atom(parse("(pass:a)")[0], ctx) == "reducible"
-    assert classify_atom(parse("({B B}:a)")[0], ctx) == "reducible"
+    # evaluation changes each of these, also when only a component or the
+    # head is rewritten
+    for src in ("(pass:a)", "({B B}:a)", "((pass:a):x)", "(zzz:(pass:a))"):
+        assert classify_atom(parse(src)[0], ctx) == "reducible", src
     assert classify_atom(Coda((word("b"),), (word("x"),)), ctx) == "invariant_atom"
     # is_invariant's one rule: an inert coda is an invariant atom alone and
     # inside a fixed point alike
     for src in ("(zzz:a)", "(n:(zzz:a))", "((n:a) x:y)", "(n:((n:a) x:y))", "(b:(foo x:y))"):
         assert classify_atom(parse(src)[0], ctx) == "invariant_atom", src
-    # an atom by is_atom that holds a coda that is not one: a fixed point's
-    # coda, (:X), an inert coda, and a mismatch residue, its own fixed point
-    for src in ("(n:(pass:a))", "(b:(pass:x))", "(b:({B}:x))", "(:(pass:a))", "(zzz:(pass:a))", "(= a:b)"):
+    # an atom by is_atom that evaluation leaves as it is, though it holds a
+    # coda that is not one: a fixed point's coda, (:X), and a mismatch
+    # residue, its own fixed point
+    for src in ("(n:(pass:a))", "(b:(pass:x))", "(b:({B}:x))", "(:(pass:a))", "(= a:b)"):
         assert classify_atom(parse(src)[0], ctx) == "defined_fixed_point", src
     # def with no name is out of its builtin's domain
     assert classify_atom(parse("(def:)")[0], ctx) == "undecided"
 
 
-def test_classify_atom_resolves_the_head_under_one_budget():
-    # the head takes two steps to resolve, and a third is left for the rewrite
+def test_classify_atom_reads_evaluation_under_one_budget():
+    # the first step already rewrites the head; with no step, nothing is
+    # known
     c = parse("((pass:(pass:pass)):x)")[0]
-    assert classify_atom(c, prelude(), Budget(max_steps=1)) == "undecided"
-    assert classify_atom(c, prelude(), Budget(max_steps=3)) == "reducible"
+    got = [classify_atom(c, prelude(), Budget(max_steps=k)) for k in range(4)]
+    assert got == ["undecided", "reducible", "reducible", "reducible"]
 
 
 def test_classify_atom_of_a_deep_chain():
-    c = parse("(n:" * 10_000 + ")" * 10_000)[0]
-    assert classify_atom(c, prelude()) == "invariant_atom"
+    # decided statically, with no evaluation to recurse
+    for w in ("n", "zzz"):
+        c = parse(f"({w}:" * 10_000 + ")" * 10_000)[0]
+        assert classify_atom(c, prelude()) == "invariant_atom", w
+
+
+def test_classify_atom_reads_evaluation(rng):
+    # an invariant coda is its own normal form at no charge, no coda of a
+    # normal form is reducible, and reducible is exactly "evaluation under
+    # the budget changes it"
+    ctx = prelude()
+    eng = Engine(ctx)
+    words = SAFE_WORDS + DECIDING_WORDS + ("n", "zzz", "b", "while", "ap", "def")
+    budget = Budget(2000, 50_000)
+
+    def codas(d):
+        for c in d:
+            yield c
+            yield from codas(c.left + c.right)
+
+    invariant = changed = 0
+    for _ in range(2000):
+        d = random_data(rng, 3, words=words)
+        out = evaluate(d, ctx, budget)
+        for c in codas(d + out.result):
+            if eng.is_invariant(c):
+                got = evaluate((c,), ctx, budget)
+                assert (got.result, got.normalized, got.steps_used) == ((c,), True, 0), render((c,))
+                invariant += 1
+        if out.normalized:
+            for c in out.result:
+                assert classify_atom(c, ctx, budget) != "reducible", render((c,))
+        for c in d:
+            small = Budget(max_steps=rng.randrange(6))
+            moved = evaluate((c,), ctx, small).result != (c,)
+            assert (classify_atom(c, ctx, small) == "reducible") is moved, render((c,))
+            changed += moved
+    assert invariant and changed
 
 
 def test_is_invariant_reads_a_shared_coda_once(monkeypatch):

@@ -62,6 +62,10 @@ def test_report_render_formats():
     assert failing.render().splitlines()[1] == (
         "  FAIL all n below 5 are even (expected 0, got 2 failing, first 1)")
     assert failing.render("tsv") == "x\tFAIL\tall n below 5 are even\t0\t2 failing, first 1"
+    # a misspelt format is refused, not printed as text
+    for fmt in ("TSV", "tsvv", ""):
+        with pytest.raises(ValueError, match=f"^fmt must be 'text' or 'tsv', not '{fmt}'$"):
+            rep.render(fmt)
 
 
 def test_rem_values():

@@ -866,6 +866,13 @@ def test_render_table_and_report():
     for which in ("prod", "Sum", ""):
         with pytest.raises(ValueError, match=f"^which must be 'product' or 'sum', not '{which}'$"):
             render_table(rep, which)
+    # so is a misspelt format, not printed as text
+    for fmt in ("TSV", "tsvv", ""):
+        match = f"^fmt must be 'text' or 'tsv', not '{fmt}'$"
+        with pytest.raises(ValueError, match=match):
+            render_table(rep, "product", fmt=fmt)
+        with pytest.raises(ValueError, match=match):
+            render_report(rep, fmt)
 
 
 def render_table_by_cell(report, which="product", names=None, fmt="text"):
