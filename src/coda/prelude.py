@@ -281,7 +281,7 @@ def _b_sort(eng, a, b):
 def _b_min(eng, a, b):
     if a:
         return min(a, b, key=data_key)
-    return _word_order(b)[:1]
+    return (min(b, key=_sort_key),) if b else ()
 
 
 # each builtin's branch function, and the operands ("A", "B" or "AB") it

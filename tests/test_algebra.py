@@ -391,10 +391,8 @@ VERDICT_WORK = [
 ]
 
 
-@pytest.mark.parametrize("verdict, space, status, checked, steps, nodes", VERDICT_WORK)
-def test_each_verdict_does_the_same_work(monkeypatch, verdict, space, status, checked, steps, nodes):
-    # the engine's final meters pin what the verdict evaluated and charged:
-    # reads, and a left side handed on within its tuple, must not move them
+def recorded_engines(monkeypatch):
+    """The list that each engine `algebra` makes from now on is added to."""
     made = []
 
     class Recorded(Engine):
@@ -403,9 +401,36 @@ def test_each_verdict_does_the_same_work(monkeypatch, verdict, space, status, ch
             made.append(self)
 
     monkeypatch.setattr(algebra, "Engine", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("verdict, space, status, checked, steps, nodes", VERDICT_WORK)
+def test_each_verdict_does_the_same_work(monkeypatch, verdict, space, status, checked, steps, nodes):
+    # the engine's final meters pin what the verdict evaluated and charged:
+    # reads, and a left side handed on within its tuple, must not move them
+    made = recorded_engines(monkeypatch)
     v = verdict(*map(parse, space.split(", ")), default_probes(("a", "b", "zq")))
     [eng] = made
     assert (v.status, v.checked, eng.steps, eng.nodes) == (status, checked, steps, nodes)
+
+
+@pytest.mark.parametrize("extra, budget, status, checked, steps, nodes", [
+    ((), Budget(), HOLDS, 8, 49, 51),
+    ((), Budget(max_steps=3), UNDECIDED, 8, 29, 24),
+    (("a",), Budget(), HOLDS, 18, 72, 80),
+])
+def test_image_that_charges_again_is_not_read(monkeypatch, extra, budget, status, checked, steps, nodes):
+    # (sort : (def (pass:pass) : y)) is the probe itself, but its stuck
+    # def's computed name costs a step each time it is evaluated, so the
+    # image is not read as that probe: the cases it would decide are
+    # evaluated, as the engine's final meters show
+    probes = ProbeSet(((), parse("(def (pass:pass) : y)")) + tuple(map(parse, extra)), budget)
+    want = check_by_fresh_engines(ASSOCIATIVE, (parse("sort"),), probes, prelude())
+    made = recorded_engines(monkeypatch)
+    v = check_associative(parse("sort"), probes)
+    [eng] = made
+    assert (v.status, v.checked, eng.steps, eng.nodes) == (status, checked, steps, nodes)
+    assert (v.status, v.checked, v.witness) == (want.status, want.checked, want.witness)
 
 
 def counting(name):

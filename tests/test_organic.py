@@ -127,10 +127,11 @@ def test_reduce_int_on_unsorted_input():
     assert reduce_int(()) == 0
 
 
-def test_arithmetic_runs_in_the_engine(monkeypatch):
-    def refuse(self, d):
-        raise RuntimeError("engine called")
+def refuse(self, d):
+    raise RuntimeError("engine called")
 
+
+def test_arithmetic_runs_in_the_engine(monkeypatch):
     c2 = extract_carrier(bool_seq_truncated(2), _bool_probes(), cap=16)
     monkeypatch.setattr(Engine, "eval_data", refuse)
     with pytest.raises(RuntimeError):
@@ -143,6 +144,19 @@ def test_arithmetic_runs_in_the_engine(monkeypatch):
         mediant((1, 2), (1, 3))
     with pytest.raises(RuntimeError):
         inner_bool_endos(c2)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_every_demo_asks_the_engine_before_it_decides(monkeypatch, name):
+    # with the engine refusing and no assertion allowed, each demo raises
+    # the engine's error: none decides an assertion in Python alone first
+    def decided(self, *args):
+        raise AssertionError("an assertion was decided before the engine ran")
+
+    monkeypatch.setattr(Engine, "eval_data", refuse)
+    monkeypatch.setattr(DemoReport, "check", decided)
+    with pytest.raises(RuntimeError, match="^engine called$"):
+        DEMOS[name]()
 
 
 # each inner map sends an element to T when its rule holds on the
