@@ -217,36 +217,26 @@ def _switch(operand: str, empty: str, atomic: str):
 def _is(keep_equal: bool):
     """is/isnt: keep the codas of B equal (or unequal) to some atom of A.
 
-    Each coda of B is decided in turn.  When `atom_or_eq` decides every
-    member of A (read once, when B is non-empty), a coda that is a member is
-    a match, and one is not when A is empty or when it and every member are
-    atoms.  Any other coda is compared with each member by `tri_compare`;
-    one undecided comparison blocks the whole filter.  The comparisons
-    evaluate an `=` residue in a coda or its head, so they charge steps,
-    while the cases decided without them charge nothing: the steps and
-    their order are those of comparing every pair."""
+    One rule decides each coda c of B, the one `tri_compare((x,), (c,))`
+    applies to one coda each: ALWAYS when x == c, NEVER when they differ
+    and both are atoms, else UNDECIDED.  So c matches when it is a member
+    of A, and does not when A is empty or when c and every member of A are
+    atoms; otherwise the whole filter blocks.  A's atomhood is read once,
+    in its order and up to its first non-atom, when the first non-member
+    needs it, and then each non-member's.  An `=` residue's check may
+    charge steps, once per coda asked, so the work is linear in A and B."""
 
     def branch(eng, a, b):
-        if not b:
-            return ()
-        kinds = [eng.atom_or_eq(x) for x in a]
-        decided = all(k is True or k is False for k in kinds)
-        atomic_a = decided and all(kinds)
         members = set(a)
+        atomic_a = None
         out: list = []
         for c in b:
-            if decided and c in members:
-                equal = True
-            elif not a or atomic_a and eng.atom_or_eq(c) is True:
-                equal = False
-            else:
-                verdicts = [eng.tri_compare((x,), (c,)) for x in a]
-                if any(v is ALWAYS for v in verdicts):
-                    equal = True
-                elif all(v is NEVER for v in verdicts):
-                    equal = False
-                else:
-                    return None  # an undecided comparison blocks the whole filter
+            equal = c in members
+            if not equal and a:
+                if atomic_a is None:
+                    atomic_a = all(eng.is_atom(x) for x in a)
+                if not (atomic_a and eng.is_atom(c)):
+                    return None  # an undecided coda blocks the whole filter
             if equal is keep_equal:
                 out.append(c)
         return tuple(out)

@@ -18,6 +18,7 @@ from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
 from conftest import SAFE_WORDS, random_data
+from test_prelude import MEMBERS
 
 # builtins that decide by comparing or ordering, and the guards that pass B
 # on, which the budget test adds to the safe words
@@ -72,6 +73,28 @@ def test_tri_equal():
     assert equal(parse("(def:) a"), parse("(def:b) b"), ctx) is TriBool.NEVER
     assert equal(parse("a"), parse(""), ctx) is TriBool.NEVER
     assert equal(parse(""), parse(""), ctx) is TriBool.ALWAYS
+
+
+def test_tri_compare_of_one_coda_each(rng):
+    # the rule prelude's is/isnt decide each coda by: the same coda is
+    # ALWAYS, two atoms are NEVER, anything else is UNDECIDED; the rule and
+    # the comparison each in a fresh engine, as a residue check can bind a word
+    words = SAFE_WORDS + DECIDING_WORDS + ("zzz", "def")
+    codas = [c for d in MEMBERS for c in d]
+    codas += [c for _ in range(40) for c in random_data(rng, 2, words=words)]
+    seen = set()
+    for x in codas:
+        for c in codas:
+            eng = Engine(prelude())
+            if x == c:
+                want = TriBool.ALWAYS
+            elif eng.is_atom(x) and eng.is_atom(c):
+                want = TriBool.NEVER
+            else:
+                want = TriBool.UNDECIDED
+            assert Engine(prelude()).tri_compare((x,), (c,)) is want, render((x, c))
+            seen.add(want)
+    assert len(seen) == 3
 
 
 def test_emptiness_is_equality_with_the_empty_sequence(rng):

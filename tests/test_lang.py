@@ -234,6 +234,7 @@ def test_splice_plan_matches_the_scan(src, a, b):
     assert applied(src, b, a) == expand_by_scan(src, b, a, engine)
 
 
+@settings(deadline=None)
 @given(st.text(any_char, max_size=60))
 def test_parser_is_total(src):
     d = parse(src)
@@ -273,6 +274,7 @@ def carried_text_matches_the_decoder(t):
             assert parse(render((c,))) == (c,)
 
 
+@settings(deadline=None)
 @given(any_text)
 def test_carried_text_matches_the_decoder(t):
     carried_text_matches_the_decoder(t)

@@ -5,7 +5,7 @@ from operator import itemgetter
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coda.encoding import word, word_text
 from coda import terms
@@ -138,6 +138,7 @@ mixed = st.lists(st.one_of(
 )).map(tuple)
 
 
+@settings(deadline=None)
 @given(mixed)
 def test_word_order_matches_the_two_list_reference(d):
     assert _word_order(d) == word_order_by_two_lists(d)
