@@ -165,9 +165,9 @@ class Context:
         return word(name) in self.defs
 
     def bind(self, definition: Definition) -> "Context":
-        new = dict(self.defs)
-        new[definition.trigger] = definition
-        return Context(new)
+        new = Context(self.defs)
+        new.defs[definition.trigger] = definition
+        return new
 
     def names(self):
         return sorted(d.name for d in self.defs.values())

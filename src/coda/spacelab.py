@@ -741,11 +741,14 @@ def render_table(
     fmt: str = "text",
 ) -> str:
     """One operation table, header row and column, aligned text or TSV.
-    Each row is printed straight from its fill (`_Rows.named`), by one
-    lookup per cell from a result's key to its name, or "?" for a result not
-    listed.  When every name has one width, that is every column's but the
-    first, and no cell needs padding but "?".  `which` is "product" or
-    "sum", and `fmt` "text" or "tsv"; any other value is a ValueError."""
+    Text and TSV print the same rows: the header, then each row straight
+    from its fill (`_Rows.named`), by one lookup per cell from a result's key
+    to its name, or "?" for a result not listed.  TSV joins the cells with a
+    tab and pads none.  Text joins them with " | ", pads every cell but the
+    first to the widest name (at least one character) and the first to that
+    or the corner's width, and rules a line under the header.  `which` is
+    "product" or "sum", and `fmt` "text" or "tsv"; any other value is a
+    ValueError."""
     if which not in ("product", "sum"):
         raise ValueError(f"which must be 'product' or 'sum', not {which!r}")
     _check_fmt(fmt)
@@ -753,22 +756,14 @@ def render_table(
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
         names = _names(report)[1]
-    widths = set(map(len, names))
-    w = widths.pop() if fmt == "text" and len(widths) == 1 and 0 not in widths else None
-    rows = zip(names, table.named(names, "?".ljust(w or 0)))
-    if fmt == "tsv":
-        return "\n".join(["\t".join([corner, *names]), *(name + "\t" + "\t".join(cells) for name, cells in rows)])
-    if w is not None:
-        first = max(w, len(corner))
-        lines = [corner.ljust(first) + " | " + " | ".join(names),
-                 "-" * first + ("-+-" + "-" * w) * len(names)]
-        lines += [name.ljust(first) + " | " + " | ".join(cells) for name, cells in rows]
-        return "\n".join(lines)
-    cells = [[corner, *names], *([name, *cells] for name, cells in rows)]
-    # a column's width is its longest cell's, read column by column
-    widths = list(map(max, *(map(len, row) for row in cells)))
-    lines = [" | ".join(map(str.ljust, row, widths)) for row in cells]
-    lines.insert(1, "-+-".join("-" * w for w in widths))
+    tsv = fmt == "tsv"
+    w = 0 if tsv else max([1, *map(len, names)])
+    first, sep = (0, "\t") if tsv else (max(w, len(corner)), " | ")
+    cols = [name.ljust(w) for name in names]
+    rows = zip([corner, *names], itertools.chain([cols], table.named(cols, "?".ljust(w))))
+    lines = [sep.join([head.ljust(first), *cells]) for head, cells in rows]
+    if not tsv:
+        lines.insert(1, "-" * first + ("-+-" + "-" * w) * len(names))
     return "\n".join(lines)
 
 

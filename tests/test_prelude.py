@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,8 @@ from coda.engine import Budget, Context, Engine, TriBool, evaluate
 from coda.lang import parse, render
 from coda.prelude import _BRANCHES, _FIXED_POINTS, UnknownBuiltin, builtin, prelude
 from coda.terms import COLON, Coda
+
+from conftest import SAFE_WORDS, random_data
 
 
 def ev(src):
@@ -369,3 +372,34 @@ def test_builtin_pins(name):
     for budget, want in ((Budget(), default), (Budget(max_steps=steps), tight)):
         out = evaluate(parse(src), prelude(), budget)
         assert (render(out.result), out.normalized, out.steps_used) == want
+
+
+# Builtins that other builtins derive: each program, applied to A : B, is
+# the builtin (ROADMAP item 29).  min's program takes no A.
+DERIVATIONS = {
+    "last": "{rev : first A : rev : B}",
+    "nif": "{if (not : A) : B}",
+    "not": "{if B : (:)}",
+    "bool": "{nif B : (:)}",
+    "min": "{first 1 : sort : B}",
+}
+WORDS_AND_COUNTS = SAFE_WORDS + ("0", "2")  # so that first and last take counts
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIONS))
+def test_derived_builtins_match_their_programs(name):
+    # under an ample budget the same result and verdict; under a tight one,
+    # wherever the program normalizes the builtin does too, to the same
+    # result.  Steps are not compared: the program takes more.
+    program = parse(DERIVATIONS[name])[0]
+    rng = random.Random(20261020)
+    for _ in range(600):
+        a = () if name == "min" else random_data(rng, 2, 3, words=WORDS_AND_COUNTS)
+        b = random_data(rng, 2, 3, words=WORDS_AND_COUNTS)
+        got, want = ((Coda((head,) + a, b),) for head in (word(name), program))
+        g, w = (evaluate(d, prelude(), Budget(2000, 50000)) for d in (got, want))
+        assert (render(g.result), g.normalized) == (render(w.result), w.normalized)
+        for k in range(1, 13):
+            g, w = (evaluate(d, prelude(), Budget(max_steps=k)) for d in (got, want))
+            if w.normalized:
+                assert g.normalized and render(g.result) == render(w.result)

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import operator
@@ -876,7 +877,9 @@ def test_render_table_and_report():
 
 
 def render_table_by_cell(report, which="product", names=None, fmt="text"):
-    """Reference for render_table: widths and padding one cell at a time."""
+    """Reference for render_table: padding one cell at a time.  Every column
+    but the first is as wide as the widest name (at least one character),
+    and the first as that or the corner."""
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
@@ -890,7 +893,8 @@ def render_table_by_cell(report, which="product", names=None, fmt="text"):
         )
     if fmt == "tsv":
         return "\n".join("\t".join(r) for r in cells)
-    widths = [max(len(r[k]) for r in cells) for k in range(len(cells[0]))]
+    widest = max([1] + [len(name) for name in names])
+    widths = [max(widest, len(corner))] + [widest] * len(order)
     lines = [" | ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in cells]
     lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines)
@@ -918,6 +922,28 @@ def test_render_table_matches_by_cell():
             same = render_table(*args) == render_table_by_cell(*args)
             assert same, (c.size, which, names is None, fmt)  # not a diff of the text
     assert "?" in render_table(classify(open3, enumerate_endos(open3)), "sum")
+
+
+REPORT_PINS = {
+    # carriers whose endo names differ in width, and whose every column holds
+    # the widest name: sha256 of the report and a newline, text then TSV
+    "L1": ("4138baad9544ff2b19fd7d469104386764e6430248e9f3bfbf767d7b36a87d16",
+           "044b0786cd9284fcc8911b9e68908b17062c09e25fb31eef7acef8ea84f88db7"),
+    "min a a a": ("29b470f9b1dba8f563e06ed9e1d0060ed1c98948f2a218a37484cfeb4399f388",
+                  "1a9d09850657ad6992eb39e0a094731f51576e874136f67d8f981833aa1ed9da"),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_PINS)
+def test_unequal_width_reports_are_pinned(name):
+    if name == "L1":
+        c = extract_carrier(bool_seq_truncated(1), _bool_probes(), cap=8)
+    else:
+        c = extract_carrier(parse(name), ProbeSet(((), (word("a"),))))
+    rep = classify(c, enumerate_endos(c))
+    digests = tuple(hashlib.sha256((render_report(rep, fmt) + "\n").encode()).hexdigest()
+                    for fmt in ("text", "tsv"))
+    assert digests == REPORT_PINS[name]
 
 
 def test_classify_z5_keeps_no_grid():
