@@ -717,13 +717,16 @@ def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[Endo]:
 # Rendering
 
 TABLE_PRINT_CAP = 4 ** 4  # the most endos a 4-element carrier lists
+_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
 def _names(report: SemiringReport) -> Tuple[List[str], List[str]]:
     """The carrier's element labels, each read once, and each endo's name:
-    the labels of its images."""
+    the labels of its images.  A label's tabs, carriage returns and line
+    feeds are written as \\t, \\r and \\n, so that each keeps to one TSV cell
+    and one text line."""
     c = report.carrier
-    labels = [c.label(i) for i in range(c.size)]
+    labels = [c.label(i).translate(_ESCAPES) for i in range(c.size)]
     return labels, ["".join(map(labels.__getitem__, f)) for f in report.endos]
 
 
@@ -768,49 +771,40 @@ def render_table(
 
 
 def render_report(report: SemiringReport, fmt: str = "text") -> str:
-    """The carrier, the flags and both tables, as text or TSV.  Past
-    TABLE_PRINT_CAP endos each table is one line giving its size.  Any
-    other `fmt` is a ValueError."""
+    """The carrier, the flags and both tables, as text or TSV, from one list
+    of the header's text lines.  Each line is a list of fields, and each
+    field is (TSV name, text name, cells).  TSV prints one row per field, its
+    name and its cells joined by tabs; text prints one line per list, each
+    field as "name: cells" with the cells joined by spaces, and the fields
+    joined by four spaces.  The field verdict is (True, True) in text and
+    True<tab>True in TSV.  Past TABLE_PRINT_CAP endos each table is one line
+    giving its size.  Any other `fmt` is a ValueError."""
     _check_fmt(fmt)
+    tsv = fmt == "tsv"
     c = report.carrier
     labels, names = _names(report)
     size = len(report.endos)
+    head = [
+        [("elements", "elements", labels)],
+        [("neutral", "neutral", [labels[c.neutral]]), ("closed", "closed", [c.closed])],
+        [("endos", "endomorphisms", [size])],
+        *([(flag, flag, [names[i] for i in getattr(report, flag)()])]
+          for flag in ("units", "constants", "homomorphisms", "subspaces")),
+        [("neutral_space", "neutral space", [report.neutral_space]),
+         ("algebraic", "algebraic", [report.algebraic]),
+         ("semilattice", "semilattice", [report.semilattice])],
+        [("field", "field (subspace criterion, unit criterion)",
+          (report.field or [None]) if tsv else [report.field])],
+    ]
     if size > TABLE_PRINT_CAP:
-        cut = (f"\t{size} x {size}" if fmt == "tsv"
+        cut = (f"\t{size} x {size}" if tsv
                else f": {size} x {size}, not shown past {TABLE_PRINT_CAP} endos")
         tables = [f"{which} table{cut}" for which in ("product", "sum")]
     else:
         tables = [render_table(report, which, names, fmt) for which in ("product", "sum")]
-    if fmt == "tsv":
-        rows = [
-            ["elements", *labels],
-            ["neutral", labels[c.neutral]],
-            ["closed", str(c.closed)],
-            ["endos", str(size)],
-            ["units", *(names[i] for i in report.units())],
-            ["constants", *(names[i] for i in report.constants())],
-            ["homomorphisms", *(names[i] for i in report.homomorphisms())],
-            ["subspaces", *(names[i] for i in report.subspaces())],
-            ["neutral_space", str(report.neutral_space)],
-            ["algebraic", str(report.algebraic)],
-            ["semilattice", str(report.semilattice)],
-            ["field", *map(str, report.field or [None])],
-        ]
-        return "\n".join(["\n".join("\t".join(r) for r in rows), *tables])
-    lines = [
-        "elements: " + " ".join(labels),
-        f"neutral: {labels[c.neutral]}    closed: {c.closed}",
-        f"endomorphisms: {size}",
-        "units: " + " ".join(names[i] for i in report.units()),
-        "constants: " + " ".join(names[i] for i in report.constants()),
-        "homomorphisms: " + " ".join(names[i] for i in report.homomorphisms()),
-        "subspaces: " + " ".join(names[i] for i in report.subspaces()),
-        f"neutral space: {report.neutral_space}    algebraic: {report.algebraic}"
-        f"    semilattice: {report.semilattice}",
-        f"field (subspace criterion, unit criterion): {report.field}",
-        "",
-        tables[0],
-        "",
-        tables[1],
-    ]
-    return "\n".join(lines)
+    if tsv:
+        rows = ["\t".join([name, *map(str, cells)]) for line in head for name, _, cells in line]
+        return "\n".join([*rows, *tables])
+    lines = ["    ".join(f"{name}: {' '.join(map(str, cells))}" for _, name, cells in line)
+             for line in head]
+    return "\n".join([*lines, "", tables[0], "", tables[1]])
