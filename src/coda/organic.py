@@ -82,10 +82,15 @@ def ev_apply(f: Data, x: Data, ctx: Optional[Context] = None,
 
 @dataclass
 class Assertion:
+    """What a demo expected and what it got, as text; it passes when the two
+    texts are equal."""
     description: str
     expected: str
     actual: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
 
 
 @dataclass
@@ -94,27 +99,21 @@ class DemoReport:
     assertions: List[Assertion] = field(default_factory=list)
 
     def check(self, description: str, expected, actual) -> bool:
-        e, a = str(expected), str(actual)
-        ok = e == a
-        self.assertions.append(Assertion(description, e, a, ok))
-        return ok
+        self.assertions.append(Assertion(description, str(expected), str(actual)))
+        return self.assertions[-1].passed
 
     def check_true(self, description: str, condition) -> bool:
         return self.check(description, True, bool(condition))
 
     def check_none(self, description: str, failures: Iterable) -> bool:
         """A quantified assertion: `failures` yields the failing cases.  It
-        passes when there are none; otherwise it reports how many there were
-        and the first."""
+        passes when there are none, and its actual text is 0; otherwise that
+        text says how many there were and the first."""
         count = 0
-        for case in failures:
-            if not count:
+        for count, case in enumerate(failures, 1):
+            if count == 1:
                 first = case
-            count += 1
-        if self.check(description, 0, count):
-            return True
-        self.assertions[-1].actual = f"{count} failing, first {first}"
-        return False
+        return self.check(description, 0, f"{count} failing, first {first}" if count else 0)
 
     @property
     def passed(self) -> bool:
@@ -129,16 +128,12 @@ class DemoReport:
                            a.expected, a.actual])
                 for a in self.assertions
             )
-        lines = [f"demo {self.name}"]
-        for a in self.assertions:
-            mark = "ok  " if a.passed else "FAIL"
-            line = f"  {mark} {a.description}"
-            if not a.passed:
-                line += f" (expected {a.expected}, got {a.actual})"
-            lines.append(line)
-        n_ok = len([a for a in self.assertions if a.passed])
-        lines.append(f"  {n_ok}/{len(self.assertions)} assertions passed")
-        return "\n".join(lines)
+        lines = [f"  ok   {a.description}" if a.passed
+                 else f"  FAIL {a.description} (expected {a.expected}, got {a.actual})"
+                 for a in self.assertions]
+        n_ok = sum(a.passed for a in self.assertions)
+        return "\n".join([f"demo {self.name}", *lines,
+                          f"  {n_ok}/{len(self.assertions)} assertions passed"])
 
 
 # ---------------------------------------------------------------------------

@@ -717,14 +717,15 @@ def iso_check(c1: CarrierTable, c2: CarrierTable) -> Optional[Endo]:
 # Rendering
 
 TABLE_PRINT_CAP = 4 ** 4  # the most endos a 4-element carrier lists
-_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
 def _names(report: SemiringReport) -> Tuple[List[str], List[str]]:
     """The carrier's element labels, each read once, and each endo's name:
     the labels of its images.  A label's tabs, carriage returns and line
     feeds are written as \\t, \\r and \\n, so that each keeps to one TSV cell
-    and one text line."""
+    and one text line, and its backslashes as \\\\, so that each escape reads
+    back as one label."""
     c = report.carrier
     labels = [c.label(i).translate(_ESCAPES) for i in range(c.size)]
     return labels, ["".join(map(labels.__getitem__, f)) for f in report.endos]
@@ -749,17 +750,24 @@ def render_table(
     to its name, or "?" for a result not listed.  TSV joins the cells with a
     tab and pads none.  Text joins them with " | ", pads every cell but the
     first to the widest name (at least one character) and the first to that
-    or the corner's width, and rules a line under the header.  `which` is
-    "product" or "sum", and `fmt` "text" or "tsv"; any other value is a
+    or the corner's width, and rules a line under the header.  Past
+    TABLE_PRINT_CAP endos the table is one line giving its size instead,
+    "<which> table: N x N, not shown past <TABLE_PRINT_CAP> endos" in text
+    and "<which> table<tab>N x N" in TSV, and no name is computed.  `which`
+    is "product" or "sum", and `fmt` "text" or "tsv"; any other value is a
     ValueError."""
     if which not in ("product", "sum"):
         raise ValueError(f"which must be 'product' or 'sum', not {which!r}")
     _check_fmt(fmt)
+    tsv = fmt == "tsv"
+    size = len(report.endos)
+    if size > TABLE_PRINT_CAP:
+        return (f"{which} table\t{size} x {size}" if tsv
+                else f"{which} table: {size} x {size}, not shown past {TABLE_PRINT_CAP} endos")
     table = report.product_table if which == "product" else report.sum_table
     corner = "f.g" if which == "product" else "f+g"
     if names is None:
         names = _names(report)[1]
-    tsv = fmt == "tsv"
     w = 0 if tsv else max([1, *map(len, names)])
     first, sep = (0, "\t") if tsv else (max(w, len(corner)), " | ")
     cols = [name.ljust(w) for name in names]
@@ -777,17 +785,17 @@ def render_report(report: SemiringReport, fmt: str = "text") -> str:
     name and its cells joined by tabs; text prints one line per list, each
     field as "name: cells" with the cells joined by spaces, and the fields
     joined by four spaces.  The field verdict is (True, True) in text and
-    True<tab>True in TSV.  Past TABLE_PRINT_CAP endos each table is one line
-    giving its size.  Any other `fmt` is a ValueError."""
+    True<tab>True in TSV.  The tables are `render_table`'s, so past
+    TABLE_PRINT_CAP endos each is one line giving its size.  Any other `fmt`
+    is a ValueError."""
     _check_fmt(fmt)
     tsv = fmt == "tsv"
     c = report.carrier
     labels, names = _names(report)
-    size = len(report.endos)
     head = [
         [("elements", "elements", labels)],
         [("neutral", "neutral", [labels[c.neutral]]), ("closed", "closed", [c.closed])],
-        [("endos", "endomorphisms", [size])],
+        [("endos", "endomorphisms", [len(report.endos)])],
         *([(flag, flag, [names[i] for i in getattr(report, flag)()])]
           for flag in ("units", "constants", "homomorphisms", "subspaces")),
         [("neutral_space", "neutral space", [report.neutral_space]),
@@ -796,12 +804,7 @@ def render_report(report: SemiringReport, fmt: str = "text") -> str:
         [("field", "field (subspace criterion, unit criterion)",
           (report.field or [None]) if tsv else [report.field])],
     ]
-    if size > TABLE_PRINT_CAP:
-        cut = (f"\t{size} x {size}" if tsv
-               else f": {size} x {size}, not shown past {TABLE_PRINT_CAP} endos")
-        tables = [f"{which} table{cut}" for which in ("product", "sum")]
-    else:
-        tables = [render_table(report, which, names, fmt) for which in ("product", "sum")]
+    tables = [render_table(report, which, names, fmt) for which in ("product", "sum")]
     if tsv:
         rows = ["\t".join([name, *map(str, cells)]) for line in head for name, _, cells in line]
         return "\n".join([*rows, *tables])

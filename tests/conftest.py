@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -25,3 +26,13 @@ def random_data(rng: random.Random, depth: int = 2, max_width: int = 3, words=SA
 @pytest.fixture
 def rng():
     return random.Random(20230823)
+
+
+@contextlib.contextmanager
+def shallow_recursion_error():
+    """Re-raise a RecursionError without its frames.  pytest takes about 2 s
+    to format the thousand frames of one, even for an expected failure."""
+    try:
+        yield
+    except RecursionError as e:
+        raise RecursionError(str(e)) from None

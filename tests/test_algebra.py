@@ -38,7 +38,7 @@ from coda.lang import parse, render
 from coda.prelude import builtin, prelude
 from coda.terms import COLON, Coda
 
-from conftest import SAFE_WORDS, random_data
+from conftest import SAFE_WORDS, random_data, shallow_recursion_error
 
 
 def ev(d):
@@ -515,3 +515,11 @@ def test_witness_built_at_refutation_is_the_evaluated_case():
     assert render(v.witness.lhs) == "(last 2:b a (f:b) (def f:rev))"
     assert render(v.witness.rhs) == "(last 2:(last 2:b a) (f:b) (def f:rev))"
     assert v.witness.still_violates()
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 3: while's loop recurses once per iteration")
+def test_a_loop_that_never_settles_is_undecided():
+    with shallow_recursion_error():
+        verdict = check_idempotent(parse("while {(B:B)}"), default_probes(("a", "b")))
+    assert verdict.status == UNDECIDED

@@ -14,6 +14,8 @@ from coda.engine import DEFAULT_BUDGET, evaluate
 from coda.organic import DEMOS
 from coda.spacelab import enumerate_endos, zn_carrier
 
+from conftest import shallow_recursion_error
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -267,6 +269,14 @@ def test_space_analyze_escapes_labels(capsys, char, escaped):
     assert code == 0 and text.count("\n") == 2 * 1 + 15 and not {"\t", "\r"} & set(text)
 
 
+def test_space_analyze_labels_read_back(capsys):
+    # a backslash is escaped too, so a label that holds a backslash and a t
+    # and one that holds a tab print different rows
+    rows = [run(capsys, "space", "analyze", f"const {{x{s}y}}", "--format", "tsv")[1].split("\n")[0]
+            for s in ("\\t", "\t")]
+    assert rows == ["elements\t{x\\\\ty}", "elements\t{x\\ty}"]
+
+
 # stdout's sha256, as `sha256sum` prints it.  A search's verdicts are exact:
 # its lines are the same under every hash seed and however the law checks
 # reach them; the second search's candidates include language atoms of
@@ -389,6 +399,15 @@ def test_prelude_lines_run_under_the_command_budget(capsys, monkeypatch, tmp_pat
     code, out, err = run(capsys, "repl", "--prelude", str(f))
     assert (code, out, steps) == (0, "y y\n", [40, 40, 40])
     assert "budget exhausted; ignored line: while {(B:B)} : a\n" in err
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 3: a deep prelude line recurses past the limit")
+def test_a_deep_prelude_line_loads(capsys, tmp_path):
+    f = tmp_path / "defs.coda"
+    f.write_text("pass : " * 600 + "a\n")
+    with shallow_recursion_error():
+        assert run(capsys, "eval", "a", "--prelude", str(f))[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from coda.lang import parse, render
 from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
-from conftest import SAFE_WORDS, random_data
+from conftest import SAFE_WORDS, random_data, shallow_recursion_error
 from test_prelude import MEMBERS
 
 # builtins that decide by comparing or ordering, and the guards that pass B
@@ -312,6 +312,26 @@ def test_classify_atom_of_a_deep_chain():
     for w in ("n", "zzz"):
         c = parse(f"({w}:" * 10_000 + ")" * 10_000)[0]
         assert classify_atom(c, prelude()) == "invariant_atom", w
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 3: evaluation recurses once per level of a pass: chain")
+def test_a_deep_pass_chain_evaluates():
+    # 2,000 levels, well past the limit wherever the caller's stack starts:
+    # 498 levels pass at top level, and fewer one helper deeper
+    with shallow_recursion_error():
+        out = evaluate(parse("pass:" * 2000 + "a"), prelude())
+    assert (render(out.result), out.normalized) == ("a", True)
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 3: classify_atom evaluates the coda, which recurses")
+def test_classify_atom_of_a_deep_reducible_chain():
+    # the innermost (pass:a) is rewritten, at 100 levels and at 600 alike
+    for depth in (100, 600):
+        c = parse("(zzz:" * depth + "(pass:a)" + ")" * depth)[0]
+        with shallow_recursion_error():
+            assert classify_atom(c, prelude()) == "reducible", depth
 
 
 def test_classify_atom_reads_evaluation(rng):

@@ -4,6 +4,8 @@ from math import gcd
 import pytest
 
 from coda import organic
+from coda.algebra import REFUTED, ProbeSet, check_associative, small_probes
+from coda.encoding import word
 from coda.engine import Budget, Engine
 from coda.lang import parse
 from coda.organic import (
@@ -222,3 +224,17 @@ def test_search_screens_each_word_once():
         return [(r.source, r.verdict.checked) for r in search_spaces(words, 1)]
 
     assert found(["a", "a"]) == found(["a"]) == [("{a}", 32)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 25: when every search word is bound, the "
+                          "screen's probes hold no word, so rev passes")
+def test_search_survivors_are_associative_on_words():
+    # the screen's probes and budget, plus the six words of length 1-2 over
+    # a and c (the prelude binds b): 28 of the 168 survivors, each headed by
+    # rev or {rev}, are refuted with a witness that re-checks
+    words = [tuple(map(word, w)) for k in (1, 2) for w in itertools.product("ac", repeat=k)]
+    probes = ProbeSet(small_probes(()).probes + tuple(words), Budget(max_steps=2_000, max_nodes=50_000))
+    survivors = search_spaces(["first", "last", "rev", "min", "null", "pass"], 2)
+    refuted = [r.source for r in survivors if check_associative(r.candidate, probes).status == REFUTED]
+    assert refuted == []

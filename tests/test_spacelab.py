@@ -890,6 +890,22 @@ def test_render_table_and_report():
             render_report(rep, fmt)
 
 
+def test_render_table_prints_the_size_line_past_the_cap(monkeypatch):
+    # render_table owns the cap: past it, it prints one size line and reads
+    # no name, and render_report prints that line as each table
+    c = bool_carrier()
+    rep = classify(c, enumerate_endos(c))
+    monkeypatch.setattr(spacelab, "TABLE_PRINT_CAP", 3)
+    text = [f"{which} table: 4 x 4, not shown past 3 endos" for which in ("product", "sum")]
+    tsv = [f"{which} table\t4 x 4" for which in ("product", "sum")]
+    assert render_report(rep).split("\n")[-3:] == [text[0], "", text[1]]
+    assert render_report(rep, "tsv").split("\n")[-2:] == tsv
+    monkeypatch.setattr(spacelab, "_names", lambda report: pytest.fail("a name was computed"))
+    for names in (None, ["f1", "f2", "f3", "f4"]):
+        assert [render_table(rep, which, names) for which in ("product", "sum")] == text
+        assert [render_table(rep, which, names, "tsv") for which in ("product", "sum")] == tsv
+
+
 def render_table_by_cell(report, which="product", names=None, fmt="text"):
     """Reference for render_table: padding one cell at a time.  Every column
     but the first is as wide as the widest name (at least one character),
