@@ -218,7 +218,7 @@ class Engine:
         if not c.left:
             return None  # structural atom (:X)
         head = c.left[0]
-        # no trigger is a language atom: def binds words, markers are fixed
+        # no trigger is a language atom: def binds words, atom makers are fixed
         defn = self.context.defs.get(head)
         if defn is None and is_lang_atom(head):
             return _lang_definition(head)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -163,8 +164,9 @@ def search_spaces(
     Tokens are the given words, each once, a brace-quoted variant of each
     word, and the literal atom (:).  With no words at all only the literal
     candidates remain.  Counted one length at a time, more than `cap`
-    candidates raise CapExceeded.  Only candidates whose associativity check
-    holds on the probes are reported, in canonical order: shortest first.
+    candidates raise CapExceeded.  The probes are `small_probes` over the free
+    words, or the first two free letters if none, plus their words of length 2;
+    candidates associative on them are reported in canonical order, shortest first.
     """
     ctx = ctx if ctx is not None else prelude()
     words = list(dict.fromkeys(words))
@@ -175,7 +177,9 @@ def search_spaces(
     if any(total > cap for total in totals):
         raise CapExceeded(f"more than {cap} candidates")
     free = [w for w in words if not ctx.has_name(w)]
-    probes = small_probes(tuple(free), Budget(max_steps=2_000, max_nodes=50_000))
+    free = free or [x for x in string.ascii_lowercase if not ctx.has_name(x)][:2]
+    pairs = tuple(itertools.product(map(word, free), repeat=2))
+    probes = ProbeSet(small_probes(free).probes + pairs, Budget(max_steps=2_000, max_nodes=50_000))
     results: List[SearchResult] = []
     for k in range(max_len + 1):
         for combo in itertools.product(pool, repeat=k):
@@ -564,14 +568,14 @@ def rationals() -> DemoReport:
 # Sequence spaces
 
 def seq(space: Data, marker: str) -> Data:
-    """The space of `space`-values stored one per marker atom."""
+    """The space of `space`-values stored one per coda `(marker:value)`."""
     m = word(marker)
     chain = product_chain((word("put"), m), tuple(space), (word("get"), m))
     return (word("ap"),) + chain
 
 
 def inner(space: Data, marker: str, f: Data) -> Data:
-    """Let f act on the concatenated contents, returning one marker atom."""
+    """Let f act on the concatenated contents, returning one `(marker:...)` coda."""
     m = word(marker)
     return product_chain(
         tuple(space), (word("put"), m), tuple(f), (word("get"), m), tuple(space)

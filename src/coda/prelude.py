@@ -1,5 +1,5 @@
 """The base context: one table, built at import, of the definitions of the
-marker atoms and the combinatoric builtins, which `builtin(name)` reads.
+four atom makers and the combinatoric builtins, which `builtin(name)` reads.
 
 Each builtin implements its rewrite branches natively; the branch function
 receives the engine, the left-data tail A and the right data B of the coda
@@ -86,8 +86,8 @@ def _b_right(eng, a, b):
 
 
 def _b_put(eng, a, b):
-    # normalized before wrapping: marker codas are fixed points, so whatever
-    # ends up inside would otherwise stay frozen unevaluated
+    # normalized before wrapping: a coda whose head is bound without a branch
+    # is a fixed point, so whatever ends up inside would stay unevaluated
     return (Coda(a, b),)
 
 
@@ -318,9 +318,6 @@ _FIXED_POINTS = {
     "byte-marker": BYTE_MARKER,
     "word-marker": WORD_MARKER,
     "{}": kept_word("{}"),
-    "q": kept_word("q"),
-    "n": kept_word("n"),
-    "b": kept_word("b"),
 }
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,11 @@ def random_coda(rng: random.Random, depth: int, words=SAFE_WORDS) -> Coda:
 
 def random_data(rng: random.Random, depth: int = 2, max_width: int = 3, words=SAFE_WORDS):
     return tuple(random_coda(rng, depth, words) for _ in range(rng.randrange(max_width + 1)))
+
+
+def words_over(letters, max_len):
+    """Every word of length 1 to max_len over `letters`, shortest first."""
+    return tuple(w for k in range(1, max_len + 1) for w in itertools.product(map(word, letters), repeat=k))
 
 
 @pytest.fixture

@@ -213,12 +213,13 @@ def test_search(capsys):
                        "--max-len", "1")
     assert code == 0
     assert "pass" in out and "bool" in out
-    # a verdict counts cases: 2 * 3 * 3 associativity forms over 3 probes
-    assert "bool  [holds_on_probes, 18 cases]" in out
+    # a verdict counts cases: 2 * 9 * 9 associativity forms over 9 probes,
+    # the pure data (), (:) and (:) (:) and the six words of length 1-2 over a b
+    assert "bool  [holds_on_probes, 162 cases]" in out
     # TSV gives each survivor as its source, status and case count
     code, tsv, _ = run(capsys, "search", "--words", "pass", "bool",
                        "--max-len", "1", "--format", "tsv")
-    assert code == 0 and tsv == "".join(f"{src}\tholds_on_probes\t18\n"
+    assert code == 0 and tsv == "".join(f"{src}\tholds_on_probes\t162\n"
                                         for src in ("bool", "pass", "{bool}", "{pass}"))
 
 
@@ -285,9 +286,9 @@ def test_space_analyze_labels_read_back(capsys):
 # which Z4 does not reach; Z4's 256 endos print both tables straight from
 # their byte fill, the same on every Python version.
 OUTPUT_PINS = {
-    "search-pass-bool": (None, "ccf0faf6344458e3a2368ea170c501c6aa18ab599b84c3e1adc94d88c8e79f3c",
+    "search-pass-bool": (None, "6e87a97fd94df0a50b6ea844af40311fec4af24f34a79701cb25ea24432c76ed",
                          "search --words pass bool not sort once is a b --max-len 2"),
-    "search-first-last": (None, "fc70b576ef53be41a025016854ef445f993c382771aae0b16c51e90b4698370b",
+    "search-first-last": (None, "970fdedbb626d98d837b9e39bade42ecf0b323bfed02b3e28889d3b6058437d1",
                           "search --words first last rev min null pass --max-len 2"),
     "bool-text": (None, "c362310b78cecfb4e5c33535beef882b13fadade56d19bf537972e22e11fe959",
                   "space analyze bool"),

@@ -18,7 +18,7 @@ from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
 from conftest import SAFE_WORDS, random_data, shallow_recursion_error
-from test_prelude import MEMBERS
+from test_prelude import MARKED, MEMBERS
 
 # builtins that decide by comparing or ordering, and the guards that pass B
 # on, which the budget test adds to the safe words
@@ -279,7 +279,7 @@ def test_a_definition_without_a_branch_is_a_fixed_point():
 
 
 def test_classify_atom():
-    ctx = prelude()
+    ctx = MARKED
     assert classify_atom(COLON, ctx) == "invariant_atom"
     # evaluation changes each of these, also when only a component or the
     # head is rewritten
@@ -295,6 +295,9 @@ def test_classify_atom():
     # residue, its own fixed point
     for src in ("(n:(pass:a))", "(b:(pass:x))", "(b:({B}:x))", "(:(pass:a))", "(= a:b)"):
         assert classify_atom(parse(src)[0], ctx) == "defined_fixed_point", src
+    # in the prelude, which binds no n, evaluation normalises the inert coda's
+    # components
+    assert classify_atom(parse("(n:(pass:a))")[0], prelude()) == "reducible"
     # def with no name is out of its builtin's domain
     assert classify_atom(parse("(def:)")[0], ctx) == "undecided"
 
@@ -369,8 +372,8 @@ def test_classify_atom_reads_evaluation(rng):
 
 
 def test_is_invariant_reads_a_shared_coda_once(monkeypatch):
-    # each level holds the one below twice, so a walk that unfolds the
-    # sharing dispatches 2^d times
+    # each level, headed by MARKED's fixed point n, holds the one below
+    # twice, so a walk that unfolds the sharing dispatches 2^d times
     calls = 0
     dispatch = Engine.dispatch
 
@@ -383,7 +386,7 @@ def test_is_invariant_reads_a_shared_coda_once(monkeypatch):
     d, c = 16, COLON
     for _ in range(d):
         c = Coda((word("n"), c), (c,))
-    assert classify_atom(c, prelude()) == "invariant_atom"
+    assert classify_atom(c, MARKED) == "invariant_atom"
     assert calls <= 2 * d
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from coda import organic
 from coda.algebra import REFUTED, ProbeSet, check_associative, small_probes
-from coda.encoding import word
 from coda.engine import Budget, Engine
 from coda.lang import parse
 from coda.organic import (
@@ -34,6 +33,8 @@ from coda.organic import (
 )
 from coda.spacelab import extract_carrier
 from coda.terms import CapExceeded
+
+from conftest import words_over
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -223,18 +224,15 @@ def test_search_screens_each_word_once():
     def found(words):
         return [(r.source, r.verdict.checked) for r in search_spaces(words, 1)]
 
-    assert found(["a", "a"]) == found(["a"]) == [("{a}", 32)]
+    assert found(["a", "a"]) == found(["a"]) == [("{a}", 50)]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 25: when every search word is bound, the "
-                          "screen's probes hold no word, so rev passes")
 def test_search_survivors_are_associative_on_words():
-    # the screen's probes and budget, plus the six words of length 1-2 over
-    # a and c (the prelude binds b): 28 of the 168 survivors, each headed by
-    # rev or {rev}, are refuted with a witness that re-checks
-    words = [tuple(map(word, w)) for k in (1, 2) for w in itertools.product("ac", repeat=k)]
-    probes = ProbeSet(small_probes(()).probes + tuple(words), Budget(max_steps=2_000, max_nodes=50_000))
-    survivors = search_spaces(["first", "last", "rev", "min", "null", "pass"], 2)
-    refuted = [r.source for r in survivors if check_associative(r.candidate, probes).status == REFUTED]
-    assert refuted == []
+    # the screen's pure data and budget, plus the 14 words of length 1-3 over
+    # a and b, refute none of either pinned search's survivors
+    probes = ProbeSet(small_probes(()).probes + words_over("ab", 3), Budget(max_steps=2_000, max_nodes=50_000))
+    for words in (["pass", "bool", "not", "sort", "once", "is", "a", "b"],
+                  ["first", "last", "rev", "min", "null", "pass"]):
+        survivors = search_spaces(words, 2)
+        refuted = [r.source for r in survivors if check_associative(r.candidate, probes).status == REFUTED]
+        assert refuted == [], words

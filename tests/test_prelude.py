@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from coda.encoding import word
-from coda.engine import Budget, Context, Engine, TriBool, evaluate
+from coda.engine import Budget, Context, Definition, Engine, TriBool, evaluate
 from coda.lang import parse, render
 from coda.prelude import _BRANCHES, _FIXED_POINTS, UnknownBuiltin, builtin, prelude
 from coda.terms import COLON, Coda
@@ -13,8 +13,13 @@ from coda.terms import COLON, Coda
 from conftest import SAFE_WORDS, random_data
 
 
-def ev(src):
-    return render(evaluate(parse(src), prelude()).result)
+# the prelude with three fixed points of the test's own: codas headed by n,
+# q or b are atoms, with their triggers visible to domain, has and hasnt
+MARKED = Context({**prelude().defs, **{word(m): Definition(name=m, trigger=word(m)) for m in "nqb"}})
+
+
+def ev(src, ctx=None):
+    return render(evaluate(parse(src), ctx or prelude()).result)
 
 
 def test_unknown_builtin():
@@ -30,10 +35,19 @@ def test_each_builtin_is_the_preludes_own_definition():
     assert set(prelude().defs) == {builtin(name).trigger for name in names}
 
 
+def test_the_prelude_binds_only_builtins_and_atom_makers():
+    atom_makers = ["bit-marker", "byte-marker", "word-marker", "{}"]
+    assert prelude().names() == sorted([*_BRANCHES, *atom_makers])
+
+
 def test_markers_are_fixed_points():
-    assert ev("(n : pass : a)") == "(n:(pass:a))"
-    assert ev("(b : x)") == "(b:x)"
-    assert ev("(q a : a)") == "(q a:a)"
+    assert ev("(n : pass : a)", MARKED) == "(n:(pass:a))"
+    assert ev("(b : x)", MARKED) == "(b:x)"
+    assert ev("(q a : a)", MARKED) == "(q a:a)"
+    # an atom maker's coda is one too; an unbound head leaves its coda inert,
+    # so its components are normalised
+    assert ev("((:) : pass : a)") == "((:):(pass:a))"
+    assert ev("(n : pass : a)") == "(n:a)"
 
 
 def test_put_get():
@@ -90,9 +104,12 @@ def test_prod_and_sum():
 
 def test_domain_has_hasnt():
     # marker codas survive evaluation, so their triggers are visible
-    assert ev("domain : (n:x) (q a:y) (zzz:w)") == "n q"
-    assert ev("has n : (n:x) (b:y)") == "(n:x)"
-    assert ev("hasnt n : (n:x) (b:y)") == "(b:y)"
+    assert ev("domain : (n:x) (q a:y) (zzz:w)", MARKED) == "n q"
+    assert ev("has n : (n:x) (b:y)", MARKED) == "(n:x)"
+    assert ev("hasnt n : (n:x) (b:y)", MARKED) == "(b:y)"
+    # the prelude binds neither n nor q, and an atom maker's trigger is visible
+    assert ev("domain : (n:x) (q a:y) (zzz:w)") == "()"
+    assert ev("domain : ((:):x) (zzz:w)") == "(:)"
 
 
 def test_ap_aq_ar():
@@ -291,7 +308,8 @@ def test_def_word():
 # that each pin shows which operands the builtin normalises and in what
 # order.  Each entry: the program, a step budget that runs out inside the
 # operands (nothing to run out in for null), and (render(result),
-# normalized, steps_used) under the default budget and under that one.
+# normalized, steps_used) under the default budget and under that one, in
+# MARKED, whose fixed points the pins of domain, has and hasnt read.
 PINS = {
     "pass": ("pass (pass:x) : (pass:a) (pass:b)", 2,
         ("a b", True, 3), ("a (pass:b)", False, 2)),
@@ -370,7 +388,7 @@ def test_every_builtin_is_pinned():
 def test_builtin_pins(name):
     src, steps, default, tight = PINS[name]
     for budget, want in ((Budget(), default), (Budget(max_steps=steps), tight)):
-        out = evaluate(parse(src), prelude(), budget)
+        out = evaluate(parse(src), MARKED, budget)
         assert (render(out.result), out.normalized, out.steps_used) == want
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from coda.algebra import ProbeSet, default_probes, product, product_chain
+from coda.algebra import REFUTED, ProbeSet, check_associative, default_probes, product, product_chain
 from coda.encoding import word
 from coda.engine import Budget, Engine, TriBool, equal
 from coda.lang import parse
@@ -57,7 +57,7 @@ from coda.spacelab import (
 )
 from coda.terms import COLON, CapExceeded, Coda, data_key
 
-from conftest import SAFE_WORDS, random_data
+from conftest import SAFE_WORDS, random_data, words_over
 
 
 SETS_PROBES = ProbeSet(((), (word("a"),), (word("b"),), (word("c"),), parse("a b c")))
@@ -425,6 +425,15 @@ def test_compositions_with_wrong_sums_are_refused(parts):
     # a fresh engine's sum, where the reference table is no monoid
     space = product_chain(*map(parse, parts))
     assert matches_fresh_engines(space, ProbeSet(((), (word("a"),), (word("b"),))), 30)
+
+
+@pytest.mark.parametrize("parts", ITEM_22_COMPOSITIONS, ids=["/".join(p) for p in ITEM_22_COMPOSITIONS])
+def test_compositions_with_wrong_sums_are_refuted_on_words(parts):
+    # default_probes(("a", "b")) holds no word of two letters, and first 2 /
+    # last 3 and last 2 / first 3 hold on it; () and the 14 words of length
+    # 1-3 over a and b refute all six, with a witness that re-checks
+    verdict = check_associative(product_chain(*map(parse, parts)), ProbeSet(((),) + words_over("ab", 3)))
+    assert verdict.status == REFUTED and verdict.witness.still_violates()
 
 
 def monoid_by_loop(c):
