@@ -17,12 +17,15 @@ refutation, on the other hand, carries a concrete witness that can be
 re-checked independently.
 
 A table judges all the cases of a probe tuple in one pass: the tuple's
-left side is built and evaluated once, in its first case's window.
-`_Table` evaluates every right side after it.  The other tables read most
-right sides instead, from other tuples' left sides and from each probe's
-image x' = N(d : x), found once in a window of its own, all kept by probe
-position.  A side is built only when it is evaluated or reported in a
-witness.  The three reads:
+left side is built and evaluated once, in its first case's window.  A
+later case opens a fresh window charged the left side's steps and nodes,
+as evaluating it again under the same budget would charge them, and
+evaluates it again only when the first window was exhausted or fired a
+def (`_Table._again`).  `_Table` evaluates every right side after it.
+The other tables read most right sides instead, from other tuples' left
+sides and from each probe's image x' = N(d : x), found once in a window
+of its own, all kept by probe position.  A side is built only when it is
+evaluated or reported in a witness.  The three reads:
 
 - `_Associative`, when d's head definition normalises B before its branch
   runs (`Definition.strict` holds "B"): if x' is a probe that is its own
@@ -236,8 +239,9 @@ class _Table:
 
     def judge(self, n: int, used: Tuple[Data, ...]) -> Tuple[int, TriBool]:
         lhs, t = self.left(*used), ALWAYS
+        here = self._open(lhs)
         for k, right in enumerate(self.rights, 1):
-            u = self._evaluated(self._open(lhs)[0], right, used)
+            u = self._evaluated(here[0] if k == 1 else self._again(lhs, here), right, used)
             if u is NEVER:
                 return k, u
             if u is not ALWAYS:
@@ -254,6 +258,21 @@ class _Table:
         if eng.exhausted or eng.context is not eng.base:
             return a, None, None
         return a, eng.steps - steps, eng.nodes - nodes
+
+    def _again(self, lhs: Data, here: tuple) -> Data:
+        """The normal form of the left side `lhs` in a fresh window, given
+        `here`, what `_open` gave for it: the window is charged its steps
+        and nodes, as evaluating it again would be, since the budget is the
+        same and evaluation deterministic.  It is evaluated again only when
+        `here` ended exhausted or after a def fired."""
+        a, steps, nodes = here
+        if steps is None:
+            return self._open(lhs)[0]
+        eng = self.eng
+        eng.begin()
+        eng.steps += steps
+        eng.nodes += nodes
+        return a
 
     def _reads(self, here: tuple, b: Data, steps: int, nodes: int) -> bool:
         """Whether reading the value `b` at the charge `steps`, `nodes`
@@ -284,8 +303,8 @@ class _Associative(_Table):
     included.  A left side that ended unexhausted in `eng.base` would end a
     fresh window there at the same normal form and charge, so both cases of
     a tuple read the first window's; a case that cannot read evaluates its
-    right side after the left side, the second case in a window opened
-    again."""
+    right side after the left side, the second case in a fresh window
+    charged from the first (`_again`)."""
 
     __slots__ = ("where", "readers")  # each probe's first position; each row's last reader
 
@@ -312,7 +331,7 @@ class _Associative(_Table):
         there = y and rows[i][y[0]]
         if there and self._reads(here, there[0], there[1] + y[1], there[2] + y[2]):
             return 2, t
-        u = self._evaluated(self._open(lhs)[0], self.rights[1], used)
+        u = self._evaluated(self._again(lhs, here), self.rights[1], used)
         return 2, u if u is NEVER or t is ALWAYS else t
 
     def _image(self, k: int) -> tuple:

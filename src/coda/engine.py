@@ -63,8 +63,14 @@ Normalising is not idempotent in cost: a builtin's result is walked again
 in full, also where it holds operands already normalised, and a stuck `=`
 or `ar` coda in it re-runs its guard and charges for it again.
 
-Normal-form memo.  The engine remembers each coda it normalized together
-with the steps and nodes that evaluation charged.  The
+Normal-form memo.  The engine remembers each coda it normalized inside an
+evaluation together with the steps and nodes that evaluation charged: a
+coda met while another `eval_coda` of the engine runs, such as a rewrite's
+operands and result, `while`'s loop, `def`'s computed name and the `=`
+residue check.  A coda handed in from outside (a law verdict's sides, a
+carrier's (space : x), `evaluate`'s data) is met once, so it neither reads
+nor fills the memo.  `depth` counts the nesting, and `begin()` resets it,
+so a window opened after a branch raised starts from codas handed in.  The
 memo is exact: a hit charges the stored steps and nodes, and is taken only
 when they fit strictly inside the window's remaining budget, so exhaustion
 happens where recomputing would have put it; an entry is stored only when
@@ -195,6 +201,7 @@ class Engine:
         self.max_nodes = self.nodes + self.budget.max_nodes
         self.exhausted = False
         self.context = self.base
+        self.depth = 0
 
     # -- budget ------------------------------------------------------------
 
@@ -244,14 +251,15 @@ class Engine:
 
     def eval_coda(self, c: Coda, defn: Optional[Definition]) -> Data:
         """The normal form of `c`, a coda with a head, whose head's entry in
-        the context is `defn`: from the memo, or by rewriting and storing
-        the result.  `eval_data` keeps atoms away from it."""
+        the context is `defn`: by rewriting, and when it is nested in
+        another evaluation, from the memo or stored in it.  `eval_data`
+        keeps atoms away from it."""
         if self.spent():
             return (c,)
-        memo = self._memo
-        # once a def has replaced `base` in this window, the entries no
-        # longer apply, and none is stored
-        hit = memo.get(c._hash) if self.context is self.base else None
+        # a coda handed in is met once; once a def has replaced `base` in
+        # this window, the entries no longer apply, and none is stored
+        memo = self._memo if self.depth and self.context is self.base else None
+        hit = None if memo is None else memo.get(c._hash)
         if hit is not None:
             key, result, steps, nodes = hit
             if ((key is c or key == c) and self.steps + steps < self.max_steps
@@ -260,6 +268,7 @@ class Engine:
                 self.nodes += nodes
                 return result
         key, steps, nodes = c, self.steps, self.nodes
+        self.depth += 1
         while True:
             if defn is None and is_lang_atom(c.left[0]):
                 defn = _lang_definition(c.left[0])
@@ -290,7 +299,8 @@ class Engine:
             self.charge(res)
             result = self.eval_data(res)
             break
-        if not self.exhausted and self.context is self.base:
+        self.depth -= 1
+        if memo is not None and not self.exhausted and self.context is self.base:
             if len(memo) >= MEMO_CAP:
                 memo.clear()
             memo[key._hash] = (key, result, self.steps - steps, self.nodes - nodes)

@@ -466,10 +466,14 @@ def test_strict_space_evaluates_each_left_side_once():
     ctx, applied = counting("sort")
     assert check_algebraic(parse("sort"), probes, ctx).holds
     assert applied[0] <= p * p  # 12,795 when every case evaluated both sides
-    # `pass` is not strict: every case evaluates both sides, as before
+    # `pass` is not strict: every case evaluates both sides, 3P² + P in all:
+    # each tuple's left side once, each right side's outer `pass` once, and
+    # each probe's nested (pass : x) once, from the memo after that; the
+    # memo holds only those P nested codas, so it is never cleared (25,149
+    # when it filed every side too, and was cleared six times at MEMO_CAP)
     ctx, applied = counting("pass")
     assert check_associative(parse("pass"), probes, ctx).holds
-    assert applied[0] == 25_149
+    assert applied[0] == 3 * p * p + p == 24_934
 
 
 def coda_constructions(monkeypatch, verdict):

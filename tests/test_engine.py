@@ -18,6 +18,7 @@ from coda.prelude import prelude
 from coda.terms import COLON, Coda
 
 from conftest import SAFE_WORDS, random_data, shallow_recursion_error
+from test_algebra import counting
 from test_prelude import MARKED, MEMBERS
 
 # builtins that decide by comparing or ordering, and the guards that pass B
@@ -181,9 +182,51 @@ def test_walking_a_normal_form_again_charges(src, result):
 
 
 def test_atoms_bypass_the_memo():
+    # the atoms are never looked up, the coda handed in is met once and is
+    # not stored, and only the coda nested in its evaluation is
     eng = Engine(prelude())
     assert render(eng.eval_data(parse("a (:b) (pass : c (d:e))"))) == "a (:b) c (d:e)"
-    assert {key for key, *_ in eng._memo.values()} == {parse("pass : c (d:e)")[0], parse("d:e")[0]}
+    assert {key for key, *_ in eng._memo.values()} == {parse("d:e")[0]}
+
+
+def test_only_nested_codas_are_memoised():
+    ctx, applied = counting("rev")
+    eng = Engine(ctx)
+    for _ in range(2):
+        eng.begin()
+        assert render(eng.eval_data(parse("rev : a b"))) == "b a"
+    assert applied[0] == 2  # handed in twice, rewritten twice
+    for _ in range(2):
+        eng.begin()
+        assert render(eng.eval_data(parse("pass : (rev : a b)"))) == "b a"
+    assert applied[0] == 3  # nested twice, rewritten once
+
+
+class _Raised(Exception):
+    pass
+
+
+def test_begin_resets_the_nesting():
+    # a branch that raises leaves the nesting count where the raise found
+    # it; the next window starts again from a coda handed in
+    applied = [0]
+
+    def apply(eng, a, b):
+        applied[0] += 1
+        if a:
+            raise _Raised
+        return b
+
+    eng = Engine(prelude().bind(Definition(name="zzz", trigger=word("zzz"), apply=apply)))
+    with pytest.raises(_Raised):
+        eng.eval_data(parse("pass : (zzz x : a)"))
+    applied[0] = 0
+    eng.begin()
+    assert render(eng.eval_data(parse("pass : (zzz : b) (zzz : b)"))) == "b b"
+    assert applied[0] == 1  # the repeated nested coda is read from the memo
+    eng.begin()
+    assert render(eng.eval_data(parse("zzz : c"))) == "c"
+    assert parse("zzz : c")[0] not in {key for key, *_ in eng._memo.values()}
 
 
 def test_no_runtime_errors_on_junk():
@@ -497,17 +540,28 @@ def _windowed(eng, form):
 
 def test_memo_hit_respects_the_remaining_budget():
     # the memo is filled under a budget with room to spare, then read in
-    # windows of budgets that run out before, at and after its entries' cost
-    form = parse("sort : (rev : b a) (rev : c)")
-    ctx = prelude()
+    # windows of budgets that run out before, at and after the point its
+    # nested entry's cost reaches; the entry is hit exactly when that cost
+    # fits strictly inside what the window has left when it is met
+    inner = "sort : (rev : b a) (rev : c)"
+    form = parse(f"pass : ({inner})")
+    ctx, applied = counting("sort")
+    entry = evaluate(parse(inner), ctx).steps_used
     cost = evaluate(form, ctx).steps_used
     shared = Engine(ctx, Budget(max_steps=cost + 1))
     shared.eval_data(form)
-    for steps in (cost - 1, cost, cost + 1):
-        for d in (form, parse("pass : x") + form):
+    hits = 0
+    for steps in (cost - 1, cost, cost + 1, cost + 2):
+        # one `pass` step, or two, is charged before the entry is met
+        for before, d in ((1, form), (2, parse("pass : x") + form)):
             budget = shared.budget = Budget(max_steps=steps)
             expect = _run(_Unmemoised(ctx, budget), d)
+            applied[0] = 0
             assert _windowed(shared, d) == expect
+            hit = before + entry < steps
+            assert (applied[0] == 0) == hit
+            hits += hit
+    assert hits == 3
     eng = Engine(ctx)
     eng.eval_data(form)
     budget = shared.budget = Budget(max_nodes=eng.nodes)
@@ -519,16 +573,16 @@ def test_def_inside_an_evaluation_bypasses_the_memo():
     assert ev("(f : x) (def f : g) (f : x)") == "(f:x) (g:x)"
     ctx = prelude()
     eng = Engine(ctx)
-    eng.eval_data(parse("f : x"))
+    eng.eval_data(parse("pass : (f : x)"))
     eng.begin()
-    assert render(eng.eval_data(parse("(def f : g) (f : x)"))) == "(g:x)"
+    assert render(eng.eval_data(parse("pass : (def f : g) (f : x)"))) == "(g:x)"
     # an evaluation in which a def fires is not stored: a hit would skip
     # the def, and the engine would go on in the old context
     defines = "pass : (def h : g) (h : x)"
     eng.begin()
-    eng.eval_data(parse(defines))
+    eng.eval_data(parse(f"pass : ({defines})"))
     eng.begin()
-    assert render(eng.eval_data(parse(f"({defines}) (h : y)"))) == "(g:x) (g:y)"
+    assert render(eng.eval_data(parse(f"pass : ({defines}) (h : y)"))) == "(g:x) (g:y)"
 
 
 def test_budget_bounds_time():
