@@ -21,13 +21,13 @@ image of element i.  On the two-element bool carrier, for instance,
 `enumerate_endos` lists (0, 0), (0, 1), (1, 0), (1, 1), so the identity is
 `report.endos[1] == (0, 1)`.
 
-Carriers come from two directions: extraction through the rewriting engine,
-or directly from a Python-level addition function when an independent oracle
-(mod-n arithmetic, saturation, and so on) is wanted.  `closed` is derived
-from the table: no sum is None.  Each cap is set by a constant here; work past
-one raises a subclass of `terms.CapExceeded`, so extraction past its cap
-refuses.  None in a `carrier_from_function` table is a sum the function left
-undefined.
+Carriers are extracted through the rewriting engine: Z_n is the carrier of
+`while remove a^n`, and saturation at q-1 that of `first q-1`.  A table that
+no extraction gives, such as a truncation whose sums past its top are
+undefined, comes from a Python addition by `carrier_from_function`, where
+None is a sum the function left undefined.  `closed` is derived from the
+table: no sum is None.  Each cap is set by a constant here; work past one
+raises a subclass of `terms.CapExceeded`, so extraction past its cap refuses.
 
 Extraction reads a space as the paper defines it, associative data with the
 neutral as identity, so its carrier is a monoid.  It walks the right Cayley
@@ -47,7 +47,7 @@ import collections.abc
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import ProbeSet, Witness, apply_to, default_probes
@@ -279,7 +279,8 @@ def carrier_from_function(
     to_data: Optional[Callable] = None,
     labels: Optional[Sequence[str]] = None,
 ) -> CarrierTable:
-    """Oracle carrier: elements and addition supplied as plain Python.
+    """A carrier whose elements and addition are plain Python: a table that
+    no extraction gives.
 
     `add` may return a value outside `values` (or None) to leave an entry
     undefined, which makes the carrier open.
@@ -296,14 +297,23 @@ def carrier_from_function(
     )
 
 
+def _counting_carrier(arg: str, n: int, space: Data) -> CarrierTable:
+    """The carrier of n elements a^k that `space` extracts over the probe a,
+    each labelled by its count k.  n < 1 is a ValueError naming `arg`."""
+    if n < 1:
+        raise ValueError(f"{arg} must be at least 1, not {n}")
+    c = extract_carrier(space, ProbeSet(((word("a"),),)), cap=n)
+    return replace(c, labels=tuple(str(len(e)) for e in c.elements))
+
+
 def zn_carrier(n: int) -> CarrierTable:
-    """Integers modulo n under addition."""
-    return carrier_from_function(range(n), lambda x, y: (x + y) % n, 0)
+    """Integers modulo n under addition: the carrier of `while remove a^n`."""
+    return _counting_carrier("n", n, (word("while"), word("remove")) + (word("a"),) * n)
 
 
 def saturation_carrier(q: int) -> CarrierTable:
-    """{0..q-1} with addition clamped at q-1."""
-    return carrier_from_function(range(q), lambda x, y: min(x + y, q - 1), 0)
+    """{0..q-1} with addition clamped at q-1: the carrier of `first q-1`."""
+    return _counting_carrier("q", q, (word("first"), word(str(q - 1))))
 
 
 # ---------------------------------------------------------------------------

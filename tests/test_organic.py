@@ -31,7 +31,7 @@ from coda.organic import (
     search_spaces,
     seq,
 )
-from coda.spacelab import extract_carrier
+from coda.spacelab import extract_carrier, saturation_carrier, zn_carrier
 from coda.terms import CapExceeded
 
 from conftest import words_over
@@ -147,6 +147,11 @@ def test_arithmetic_runs_in_the_engine(monkeypatch):
         mediant((1, 2), (1, 3))
     with pytest.raises(RuntimeError):
         inner_bool_endos(c2)
+    # the gate's Z_n and saturation tables are the engine's too
+    with pytest.raises(RuntimeError):
+        zn_carrier(3)
+    with pytest.raises(RuntimeError):
+        saturation_carrier(3)
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))

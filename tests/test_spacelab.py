@@ -9,7 +9,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from coda.algebra import REFUTED, ProbeSet, check_associative, default_probes, product, product_chain
+from coda.algebra import (
+    REFUTED,
+    ProbeSet,
+    check_associative,
+    default_probes,
+    product,
+    product_chain,
+    sum_data,
+)
 from coda.encoding import word
 from coda.engine import Budget, Engine, TriBool, equal
 from coda.lang import parse
@@ -77,18 +85,49 @@ def test_bool_carrier():
     assert c.add == ((0, 1), (1, 1))
 
 
+def assert_counting_table(c, n, add):
+    """c is {0..n-1} labelled "0".."n-1", with neutral 0 and sum add."""
+    assert c.labels == tuple(map(str, range(n))) and c.neutral == 0
+    assert c.add == tuple(tuple(add(x, y) for y in range(n)) for x in range(n))
+
+
 def test_zn_carrier_monoid():
-    for n in (2, 3, 4, 6):
+    # the engine's `while remove a^n` against the stdlib's (x + y) % n
+    for n in range(1, 25):
         c = zn_carrier(n)
+        assert_counting_table(c, n, lambda x, y: (x + y) % n)
+        assert c.elements == tuple((word("a"),) * k for k in range(n))
         assert monoid_by_loop(c)
         assert is_commutative(c)
         assert is_cancellative(c)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be at least 1"):
+            zn_carrier(n)
 
 
 def test_saturation_carrier():
+    # the engine's `first q-1` against the stdlib's min(x + y, q - 1)
+    for q in range(1, 25):
+        assert_counting_table(saturation_carrier(q), q, lambda x, y: min(x + y, q - 1))
     c = saturation_carrier(3)
     assert c.add[2][2] == 2
     assert not is_cancellative(c)
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="^q must be at least 1"):
+            saturation_carrier(q)
+
+
+def test_chinese_remainder_on_extracted_carriers():
+    # Z_m x Z_n on the disjoint letters a and b is Z_mn exactly when m and n
+    # are coprime, and then it has phi(mn) isomorphisms to Z_mn
+    for m, n in itertools.product(range(2, 6), repeat=2):
+        zm_zn = sum_data(product(parse("while remove" + " a" * m), parse("is a")),
+                         product(parse("while remove" + " b" * n), parse("is b")))
+        c = extract_carrier(zm_zn, ProbeSet(((word("a"),), (word("b"),))), cap=m * n)
+        assert c.size == m * n and c.closed
+        phi = sum(math.gcd(k, m * n) == 1 for k in range(m * n))
+        assert len(list(isomorphisms(c, zn_carrier(m * n)))) == (
+            phi if math.gcd(m, n) == 1 else 0)
 
 
 def test_open_carrier_from_function():
