@@ -5,7 +5,8 @@ import pytest
 
 from coda import organic
 from coda.algebra import REFUTED, ProbeSet, check_associative, small_probes
-from coda.engine import Budget, Engine
+from coda.encoding import word, word_text
+from coda.engine import Budget, Engine, _lang_definition
 from coda.lang import parse
 from coda.organic import (
     DEMOS,
@@ -16,8 +17,10 @@ from coda.organic import (
     bool_seq_truncated,
     demo_bool,
     ev,
+    ev_apply,
     fibonacci,
     gauss_mult,
+    hom,
     inner,
     inner_bool_endos,
     int_data,
@@ -87,6 +90,52 @@ def test_organic_n_reads_its_rem_maps_from_the_calculus(monkeypatch):
     failing = {a.description: a.actual for a in report.assertions if not a.passed}
     assert failing == {"rem(2,2)(4)": "1",
                        "rem(2,2) equals mod 2 on the carrier": "11 failing, first 2"}
+
+
+def test_rationals_check_the_engine_pairs_unreduced(monkeypatch):
+    # a matrix_hom that doubles both counts keeps every value as a Fraction,
+    # so only the checks that compare the pair itself fail
+    exact = organic.matrix_hom
+    monkeypatch.setattr(organic, "matrix_hom", lambda mat, d, ctx=None: pair_data(
+        *(2 * k for k in organic.sort_pair(exact(mat, d, ctx)))))
+    report = organic.rationals()
+    failing = {a.description for a in report.assertions if not a.passed}
+    assert failing == {"1/2 + 1/3",
+                       "adding n/d as the matrix (d 0; n d) follows the sum rule",
+                       "multiplying by n/d as the matrix (n 0; 0 d) follows the product rule"}
+
+
+def test_n2_checks_the_mediant_unreduced(monkeypatch):
+    # a mediant scaled by 2 everywhere but at 1/2 and 1/3 has the same value
+    exact = organic.mediant
+    monkeypatch.setattr(organic, "mediant", lambda x, y: exact(x, y) if (x, y) == ((1, 2), (1, 3))
+                        else tuple(2 * k for k in exact(x, y)))
+    report = organic.demo_N2()
+    failing = {a.description for a in report.assertions if not a.passed}
+    assert failing == {"the mediant of x and y is (x0 + y0)/(x1 + y1)"}
+
+
+@pytest.mark.parametrize("images", [
+    {"a": parse("B")},
+    {"a": parse("A")},
+    {"a": parse("{x}")},
+    {"a": parse("r"), "B": parse("q")},
+    {"A": parse("r"), "B": parse("s (A:B) {get B : A}")},
+], ids=["a-B", "a-A", "a-lang", "a-r-B-q", "A-B-data"])
+def test_hom_maps_each_atom_as_its_table_says(images):
+    # the images and generators are data, so the words A and B and language
+    # atoms map as any other; an atom with no entry maps to ()
+    x = tuple(map(word, ("a", "A", "B", "c", "a")))
+    want = tuple(c for g in x for c in images.get(word_text(g), ()))
+    assert ev_apply(hom(images), x) == want
+
+
+def test_matrix_maps_share_one_compiled_atom():
+    # 20 distinct matrices, none a demo's: one atom compiled at most
+    before = _lang_definition.cache_info().misses
+    for k in range(20):
+        matrix_hom((k, 17, 19, 23), pair_data(1, 1))
+    assert _lang_definition.cache_info().misses - before <= 1
 
 
 def test_qatom():

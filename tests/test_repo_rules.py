@@ -1,6 +1,6 @@
 """Rules the repository keeps about itself: the acceptance gate is frozen,
-and src/ holds no import and no top-level name or method that is never
-read."""
+src/ holds no import and no top-level name or method that is never read,
+and src/ compiles no source it rendered from data."""
 import ast
 import hashlib
 import pathlib
@@ -69,3 +69,22 @@ def test_every_top_level_name_and_method_in_src_is_used():
                          and not (m.name.startswith("__") and m.name.endswith("__"))
                          and m.name not in used]
     assert not dead, "\n".join(dead)
+
+
+def test_no_source_in_src_is_rendered_from_data():
+    # a call to lang_atom(...) or parse(...) in src/coda/*.py with a
+    # render(...) call anywhere among its arguments fails: data that is to
+    # act goes in as data, not as source text to be compiled again
+    def name(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call) and name(n) in ("lang_atom", "parse"):
+                args = [*n.args, *(k.value for k in n.keywords)]
+                if any(isinstance(m, ast.Call) and name(m) == "render"
+                       for arg in args for m in ast.walk(arg)):
+                    found.append(f"{path.name}:{n.lineno}: {name(n)} of rendered data")
+    assert not found, "\n".join(found)
