@@ -129,11 +129,9 @@ def default_probes(
     return ProbeSet(tuple(probes), budget)
 
 
-def small_probes(
-    alphabet: Sequence[str] = (), budget: Budget = DEFAULT_BUDGET
-) -> ProbeSet:
+def small_probes(alphabet: Sequence[str] = ()) -> ProbeSet:
     """A light probe set for bulk screening (candidate search)."""
-    return default_probes(alphabet, SizeBound(2, 1), budget)
+    return default_probes(alphabet, SizeBound(2, 1))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ sets as semilattices, and bounded boolean sequences.
 
 Each demo returns a DemoReport of machine-checked assertions, comparing
 engine-level rewriting and carrier-level computation against independent
-oracles (ints, `Fraction`, complex, `matrix_action`).  The integer, 2x2
+oracles (ints, `QAtom.make`, complex, `matrix_action`).  The integer, 2x2
 matrix, Gaussian integer and rational arithmetic runs in the engine: a
 homomorphism is its table of generator images, the data `hom` puts after
 one fixed language atom, `ap {get B : A}`, and its result is normalised by
@@ -18,8 +18,8 @@ organic-N's rem and multiplication maps are programs too (`REM_PROGRAMS`,
 `induced_endo` and judged by the single-map checks.  The mediant is the
 engine's, `sort` of the two pair data.  The boolean sequences' eight inner
 maps are programs too (`TABLE_ROWS`), induced on the truncated carrier.
-Only lowest terms are Python: no builtin divides out a gcd, so `QAtom.make`
-and `q_add` reduce, and they serve as oracles only.
+Lowest terms are a program too, `LOWEST_TERMS`, subtractive Euclid in one
+`while`; `QAtom.make` and `q_add` reduce in Python as oracles only.
 """
 
 from __future__ import annotations
@@ -490,8 +490,23 @@ def demo_gaussian() -> DemoReport:
 
 # ---------------------------------------------------------------------------
 # Positive rationals: n/d is the pair data a^n b^d, and sums and products are
-# sort homomorphisms.  QAtom and q_add are oracles: they keep lowest terms,
-# which no builtin does.
+# sort homomorphisms.  Lowest terms is subtractive Euclid, a walk down the
+# Stern-Brocot tree: LOWEST_TERMS writes a^n b^d as the runs (x:(:)^n)
+# (y:(:)^d) and the columns (u:a) (v:b) of a matrix P with (n, d) = x u + y v.
+# Its `while` step is a fixed point when x = y; otherwise `remove` takes the
+# shorter run from the longer, and u is added to v when x was longer, v to u
+# when y was.  det P stays 1, so at x = y, u + v is n/d in lowest terms.  A
+# zero count gives ().  QAtom and q_add reduce in Python, as oracles only.
+_X, _Y = "(get x:B)", "(get y:B)"
+_SUB_X, _SUB_Y = f"(remove {_Y} : {_X})", f"(remove {_X} : {_Y})"
+LOWEST_TERMS: Data = product_chain(
+    (lang_atom("sort : (get u:B) (get v:B)"),),
+    (word("while"), lang_atom(
+        f"(if {_SUB_Y} : B) (nif {_SUB_Y} : (x: {_SUB_X}) (y: {_SUB_Y}) "
+        f"(u: (get u:B) (if (remove {_SUB_X} : {_X}) : get v:B)) "
+        f"(v: (get v:B) (if (remove {_SUB_Y} : {_Y}) : get u:B)))")),
+    (lang_atom("nif (is a:B) : nif (is b:B) : (x: atoms : is a:B) (y: atoms : is b:B) (u:a) (v:b)"),))
+
 
 @dataclass(frozen=True)
 class QAtom:
@@ -503,9 +518,9 @@ class QAtom:
     @staticmethod
     def make(numerator: int, denominator: int) -> Optional["QAtom"]:
         """gcd-normalized atom; an empty numerator is the zero rational and
-        disappears entirely."""
-        if denominator < 1:
-            raise ValueError("denominator must be at least 1")
+        disappears entirely.  A negative numerator is refused."""
+        if denominator < 1 or numerator < 0:
+            raise ValueError("numerator must be at least 0 and denominator at least 1")
         if numerator == 0:
             return None
         g = gcd(numerator, denominator)
@@ -540,7 +555,6 @@ def rationals() -> DemoReport:
     r = DemoReport("rationals")
     plus = lambda y: (y[1], 0, y[0], y[1])  # (d 0; n d) adds n/d
     times = lambda u: (u[0], 0, 0, u[1])  # (n 0; 0 d) multiplies by n/d
-    value = lambda d: Fraction(*sort_pair(d))
 
     r.check("1/2 + 1/3", (5, 6), sort_pair(matrix_hom(plus((1, 3)), pair_data(1, 2))))
 
@@ -557,18 +571,19 @@ def rationals() -> DemoReport:
         (u, x) for u, x in cases
         if sort_pair(matrix_hom(times(u), pair_data(*x))) != (u[0] * x[0], u[1] * x[1])))
 
+    # u x + u y has the denominator u1 x1 u1 y1: it is u (x + y) times u1/u1
     cases = [(pick(), pick(), pick()) for _ in range(5)]
     r.check_none("multiplication is a homomorphism of the sum", (
         (u, x, y) for u, x, y in cases
-        if value(matrix_hom(times(u), matrix_hom(plus(y), pair_data(*x))))
-        != value(matrix_hom(plus(sort_pair(matrix_hom(times(u), pair_data(*y)))),
-                            matrix_hom(times(u), pair_data(*x))))))
+        if matrix_hom(times((u[1], u[1])), matrix_hom(times(u), matrix_hom(plus(y), pair_data(*x))))
+        != matrix_hom(plus(sort_pair(matrix_hom(times(u), pair_data(*y)))),
+                      matrix_hom(times(u), pair_data(*x)))))
 
     cases = [(pick(), pick()) for _ in range(5)]
     r.check_none("every sampled nonzero multiplication has an inverse", (
         (u, x) for u, x in cases
-        if value(matrix_hom(times(u[::-1]), matrix_hom(times(u), pair_data(*x))))
-        != Fraction(*x)))
+        if QAtom(*sort_pair(ev_apply(LOWEST_TERMS, matrix_hom(
+            times(u[::-1]), matrix_hom(times(u), pair_data(*x)))))) != QAtom.make(*x)))
     return r
 
 
@@ -594,23 +609,14 @@ FIB_BUDGET = Budget(max_steps=2_000_000, max_nodes=500_000_000)
 
 
 def fibonacci(k: int) -> List[int]:
-    """Iterate the sum-of-last-two endomorphism of the number-sequence
-    space, collecting the stored values."""
+    """The first k values of the number sequence that the sum-of-last-two
+    endomorphism extends, by one evaluation: a `while` whose step appends
+    that sum and keeps the first k codas, so its fixed point is the answer."""
     if k < 0 or k > 30:
         raise ValueError("k must be between 0 and 30")
-    vals = [1, 1][:k]
-    if k <= 2:
-        return vals
-    nseq = seq(parse(N_SOURCE), "n")
-    step = product(inner(nseq, "n", parse(N_SOURCE)), (word("last"), word("2")))
-    state = tuple(parse("(n:a) (n:a)"))
-    while len(vals) < k:
-        nxt = ev_apply(step, state, budget=FIB_BUDGET)
-        if len(nxt) != 1:
-            raise ValueError("iteration lost its shape")
-        vals.append(len(nxt[0].right))
-        state = state + nxt
-    return vals
+    step = product(inner(seq(parse(N_SOURCE), "n"), "n", parse(N_SOURCE)), (word("last"), word("2")))
+    keep = (word("while"), lang_atom(f"first {k} : B (A : B)")) + step
+    return [len(c.right) for c in ev_apply(keep, parse("(n:a) (n:a)"), budget=FIB_BUDGET)]
 
 
 def _fib_oracle(k: int) -> List[int]:

@@ -1,19 +1,22 @@
 import itertools
+import time
 from math import gcd
 
 import pytest
 
 from coda import organic
-from coda.algebra import REFUTED, ProbeSet, check_associative, small_probes
+from coda.algebra import REFUTED, ProbeSet, apply_to, check_associative, small_probes
 from coda.encoding import word, word_text
-from coda.engine import Budget, Engine, _lang_definition
+from coda.engine import DEFAULT_BUDGET, Budget, Engine, _lang_definition, evaluate
 from coda.lang import parse
 from coda.organic import (
     DEMOS,
+    LOWEST_TERMS,
     DemoReport,
     QAtom,
     _bool_probes,
     _colon_count,
+    _fib_oracle,
     bool_seq_truncated,
     demo_bool,
     ev,
@@ -33,7 +36,9 @@ from coda.organic import (
     rem_value,
     search_spaces,
     seq,
+    sort_pair,
 )
+from coda.prelude import prelude
 from coda.spacelab import extract_carrier, saturation_carrier, zn_carrier
 from coda.terms import CapExceeded
 
@@ -141,8 +146,9 @@ def test_matrix_maps_share_one_compiled_atom():
 def test_qatom():
     assert QAtom.make(4, 6) == QAtom(2, 3)
     assert QAtom.make(0, 5) is None
-    with pytest.raises(ValueError):
-        QAtom.make(1, 0)
+    for n, d in ((1, 0), (-4, 6), (-1, 1)):  # a QAtom is a positive rational
+        with pytest.raises(ValueError):
+            QAtom.make(n, d)
     s = q_add(QAtom.make(1, 2), QAtom.make(1, 3))
     assert (s.numerator, s.denominator) == (5, 6)
     # the gate checks these sums' values; each is also in lowest terms
@@ -150,6 +156,50 @@ def test_qatom():
     for x, y in itertools.product(atoms, repeat=2):
         s = q_add(x, y)
         assert s is None or gcd(s.numerator, s.denominator) == 1, (x, y)
+
+
+def lowest(d):
+    return sort_pair(ev_apply(LOWEST_TERMS, d))
+
+
+def test_lowest_terms_is_qatom_make():
+    pairs = [(n, d) for n in range(1, 17) for d in range(1, 17)]
+    for n, d in pairs + [(127, 128), (128, 1), (1, 128)]:
+        q = QAtom.make(n, d)
+        got = lowest(pair_data(n, d))
+        assert got == (q.numerator, q.denominator), (n, d)
+        assert lowest(pair_data(*got)) == got, (n, d)  # idempotent
+    # the counts are read, not the order
+    assert ev_apply(LOWEST_TERMS, parse("b a a b")) == parse("a b")
+    assert lowest(parse("b a b a a b a b b")) == (4, 5)
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (0, 6), (0, 128), (1, 0), (6, 0), (128, 0), (0, 0)])
+def test_lowest_terms_of_a_zero_count_is_empty(n, d):
+    # the zero rational is empty, as QAtom.make's None, and n/0 is no
+    # rational: both normalize to () at once, never at the budget
+    start = time.perf_counter()
+    out = evaluate(apply_to(LOWEST_TERMS, pair_data(n, d)), prelude(), DEFAULT_BUDGET)
+    assert time.perf_counter() - start < 0.1
+    assert out.normalized and out.result == ()
+    assert out.steps_used < 100  # one while iteration, whatever the count
+
+
+def test_no_demo_reads_a_rational_through_python(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a value was read through Fraction")
+
+    monkeypatch.setattr(organic, "Fraction", refused)
+    for name, demo in DEMOS.items():
+        assert demo().passed, name
+
+
+def test_rationals_reduce_by_the_program(monkeypatch):
+    # with lowest terms a no-op, only the check that reads lowest terms fails
+    monkeypatch.setattr(organic, "LOWEST_TERMS", (word("pass"),))
+    report = organic.rationals()
+    failing = {a.description for a in report.assertions if not a.passed}
+    assert failing == {"every sampled nonzero multiplication has an inverse"}
 
 
 def test_ev_refuses_a_partial_form():
@@ -245,8 +295,17 @@ def test_fibonacci():
     assert fibonacci(0) == []
     assert fibonacci(1) == [1]
     assert fibonacci(10) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    for k in (2, 3, 6, 20):
+        assert fibonacci(k) == _fib_oracle(k), k
     with pytest.raises(ValueError):
         fibonacci(31)
+
+
+def test_fibonacci_is_one_evaluation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(organic, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    assert fibonacci(10) == _fib_oracle(10)
+    assert len(calls) == 1
 
 
 def test_seq_and_inner_shapes():
