@@ -136,15 +136,17 @@ def small_probes(alphabet: Sequence[str] = ()) -> ProbeSet:
 
 @dataclass(frozen=True)
 class Witness:
-    """A counterexample: two expressions that should agree but never do."""
+    """A counterexample: two expressions that should agree but never do.
+    `still_violates` re-checks it under `budget` unless given another."""
 
     probes: Tuple[Data, ...]
     lhs: Data
     rhs: Data
+    budget: Budget = DEFAULT_BUDGET
 
     def still_violates(self, ctx: Optional[Context] = None,
-                       budget: Budget = DEFAULT_BUDGET) -> bool:
-        return equal(self.lhs, self.rhs, ctx or prelude(), budget) is NEVER
+                       budget: Optional[Budget] = None) -> bool:
+        return equal(self.lhs, self.rhs, ctx or prelude(), budget or self.budget) is NEVER
 
 
 @dataclass

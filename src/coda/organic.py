@@ -15,7 +15,8 @@ that of (n 0; 0 d); the sum and product rules are checked on the engine's
 unreduced pairs.
 organic-N's rem and multiplication maps are programs too (`REM_PROGRAMS`,
 `ap const a^k` clamped by `first`), induced on the truncated carrier by
-`induced_endo` and judged by the single-map checks.  The mediant is the
+`induced_endo` and judged by the single-map checks; each rem map's values
+are judged against `rem_value` on the whole carrier.  The mediant is the
 engine's, `sort` of the two pair data.  The boolean sequences' eight inner
 maps are programs too (`TABLE_ROWS`), induced on the truncated carrier.
 Lowest terms are a program too, `LOWEST_TERMS`, subtractive Euclid in one
@@ -243,8 +244,6 @@ def organic_N() -> DemoReport:
         if ev_apply(n_space, a_data(m) + a_data(n)) != a_data(m + n)))
 
     triple = parse("ap const a a a")
-    r.check("(ap const a a a) : a a is a^6",
-            render(a_data(6)), render(ev_apply(triple, a_data(2))))
     r.check_none("(ap const a a a) multiplies by 3 for n <= 8", (
         n for n in range(9) if ev_apply(triple, a_data(n)) != a_data(3 * n)))
 
@@ -252,23 +251,13 @@ def organic_N() -> DemoReport:
     r.check_none("composition of x2 and x3 acts as x6", (
         n for n in range(6) if ev_apply(h6, a_data(n)) != a_data(6 * n)))
 
-    r.check("(while remove a a a : a^7) reduces to a",
-            render(a_data(1)), render(ev(parse("while remove a a a : a a a a a a a"))))
-    r.check("(min a a : a^5) saturates at a^2",
-            render(a_data(2)), render(ev(parse("min a a : a a a a a"))))
-
     carrier = bounded_n_carrier()
-    rem = {pq: induced_endo(carrier, parse(src)) for pq, src in REM_PROGRAMS.items()}
-    r.check("rem(3,3)(7)", 1, rem[3, 3][7])
-    r.check("rem(1,3)(5)", 2, rem[1, 3][5])
-    r.check("rem(2,2)(4)", 0, rem[2, 2][4])
-
-    for p in (2, 3, 5):
-        r.check_none(f"rem({p},{p}) equals mod {p} on the carrier",
-                     (n for n in range(carrier.size) if rem[p, p][n] != n % p))
-    for p, q in ((3, 3), (1, 3), (2, 4)):
-        r.check_true(f"rem({p},{q}) is idempotent", is_idempotent(rem[p, q]))
-        r.check_true(f"rem({p},{q}) is a subspace", is_subspace(rem[p, q], carrier))
+    for (p, q), src in REM_PROGRAMS.items():
+        rem = induced_endo(carrier, parse(src))
+        r.check_none(f"rem({p},{q}) equals rem_value on the carrier",
+                     (n for n in range(carrier.size) if rem[n] != rem_value(p, q, n)))
+        r.check_true(f"rem({p},{q}) is idempotent", is_idempotent(rem))
+        r.check_true(f"rem({p},{q}) is a subspace", is_subspace(rem, carrier))
 
     # multiplication by k, clamped at the carrier's top by `first`; no
     # centrality check, as the only unit named here is x1, which commutes
@@ -377,9 +366,7 @@ def demo_N2() -> DemoReport:
 
     r.check_none("reduce matches integer addition for |z| <= 4", (
         (z1, z2) for z1 in range(-4, 5) for z2 in range(-4, 5)
-        if reduce_int(int_data(z1) + int_data(z2)) != z1 + z2))
-    r.check("reduce of a^2 b^3 is b", render(int_data(-1)),
-            render(ev_apply(Z_REDUCE, parse("a a b b b"))))
+        if ev_apply(Z_REDUCE, int_data(z1) + int_data(z2)) != int_data(z1 + z2)))
 
     r.check_none("central homomorphisms of reduce act as integer multiplication", (
         (k, z) for k in range(-3, 4) for z in range(-4, 5)
@@ -644,8 +631,6 @@ def demo_seq() -> DemoReport:
             render(ev(parse("min : (n:a a a) (n:) (n:a a) (n:a) (n:)"))))
     r.check("first : T", "(n:a a a)",
             render(ev(parse("first : (n:a a a) (n:) (n:a a) (n:a) (n:)"))))
-    for k in (1, 2, 6, 10):
-        r.check(f"fibonacci({k})", _fib_oracle(k), fibonacci(k))
     return r
 
 
@@ -843,7 +828,8 @@ def demo_bool() -> DemoReport:
 
 def demo_fibonacci() -> DemoReport:
     r = DemoReport("fibonacci")
-    r.check("first 10 values", _fib_oracle(10), fibonacci(10))
+    for k in (1, 2, 6, 10):
+        r.check(f"fibonacci({k})", _fib_oracle(k), fibonacci(k))
     return r
 
 

@@ -52,7 +52,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .algebra import ProbeSet, Witness, apply_to, default_probes
 from .encoding import word
-from .engine import Context, Engine
+from .engine import DEFAULT_BUDGET, Budget, Context, Engine
 from .lang import render
 from .prelude import prelude
 from .terms import CapExceeded, Coda, Data, data_key
@@ -73,7 +73,8 @@ class TooManyEndos(CapExceeded):
 class NotASpace(Exception):
     """Data whose carrier breaks a monoid law.  `witness` is an
     `algebra.Witness`: two forms that the law equates, which
-    `witness.still_violates()` normalises apart in a fresh engine."""
+    `witness.still_violates()` normalises apart in a fresh engine, under the
+    witness's budget: the default's or the probes', whichever is larger."""
 
     def __init__(self, law: str, witness: Witness):
         super().__init__(f"{law} fails: {render(witness.lhs)} is not {render(witness.rhs)}")
@@ -238,7 +239,12 @@ def extract_carrier(
     def normal(x: Data) -> Optional[Data]:
         return _normalize(eng, space, x)
 
+    # a sum that the probes' budget normalised may need all of it again
+    recheck = Budget(max(probes.budget.max_steps, DEFAULT_BUDGET.max_steps),
+                     max(probes.budget.max_nodes, DEFAULT_BUDGET.max_nodes))
+
     def refute(law: str, witness: Witness) -> None:
+        witness = replace(witness, budget=recheck)
         if witness.still_violates(ctx):
             raise NotASpace(law, witness)
 

@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 from coda import organic
-from coda.algebra import REFUTED, ProbeSet, apply_to, check_associative, small_probes
-from coda.encoding import word, word_text
+from coda.algebra import REFUTED, ProbeSet, apply_to, check_associative, product, small_probes
+from coda.encoding import lang_atom, word, word_text
 from coda.engine import DEFAULT_BUDGET, Budget, Engine, _lang_definition, evaluate
 from coda.lang import parse
 from coda.organic import (
@@ -86,15 +86,32 @@ def test_rem_values():
     assert [rem_value(2, 2, n) for n in range(6)] == [0, 1, 0, 1, 0, 1]
 
 
+def _failing(report):
+    return {a.description: a.actual for a in report.assertions if not a.passed}
+
+
 def test_organic_n_reads_its_rem_maps_from_the_calculus(monkeypatch):
-    # rem(2,2) given the program of rem(3,3): only the two checks that read
-    # its map fail, and the carrier check names the n where n % 3 != n % 2
+    # rem(2,2) given the program of rem(3,3): only the check that reads its
+    # values fails, naming the n where rem(3,3) and rem(2,2) differ
     monkeypatch.setitem(organic.REM_PROGRAMS, (2, 2), "while remove a a a")
-    report = organic.organic_N()
-    assert not report.passed
-    failing = {a.description: a.actual for a in report.assertions if not a.passed}
-    assert failing == {"rem(2,2)(4)": "1",
-                       "rem(2,2) equals mod 2 on the carrier": "11 failing, first 2"}
+    assert _failing(organic.organic_N()) == {
+        "rem(2,2) equals rem_value on the carrier": "11 failing, first 2"}
+
+
+def test_organic_n_checks_every_rem_program_on_the_carrier(monkeypatch):
+    # `min a a` is rem(1,3): idempotent and a subspace, but not rem(2,4),
+    # which sends n >= 4 to 2 + n % 2
+    monkeypatch.setitem(organic.REM_PROGRAMS, (2, 4), "min a a")
+    assert _failing(organic.organic_N()) == {
+        "rem(2,4) equals rem_value on the carrier": "7 failing, first 3"}
+
+
+def test_n2_reads_the_whole_reduce_normal_form(monkeypatch):
+    # a reduction that leaves a stray c keeps every a/b count right, so only
+    # the check that compares normal forms sees it
+    monkeypatch.setattr(organic, "Z_REDUCE", product((lang_atom("B c"),), organic.Z_REDUCE))
+    assert _failing(organic.demo_N2()) == {
+        "reduce matches integer addition for |z| <= 4": "81 failing, first (-4, -4)"}
 
 
 def test_rationals_check_the_engine_pairs_unreduced(monkeypatch):

@@ -1,15 +1,21 @@
 """Rules the repository keeps about itself: the acceptance gate is frozen,
 src/ holds no import and no top-level name or method that is never read,
-and src/ compiles no source it rendered from data."""
+src/ compiles no source it rendered from data, and the benchmark's seed-7
+traced runs print what CI pins."""
 import ast
+import contextlib
 import hashlib
 import pathlib
+import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "coda"
 GATE = ROOT / "tests" / "test_acceptance.py"
 # a PR that adds a criterion re-pins this and says why in CHANGES.md
 GATE_SHA256 = "ab91f786961a5af1b52169bd3c29a45e94a9205a0a930e613ec60c1a405e01a0"
+CI = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_the_acceptance_gate_is_unchanged():
@@ -88,3 +94,30 @@ def test_no_source_in_src_is_rendered_from_data():
                        for arg in args for m in ast.walk(arg)):
                     found.append(f"{path.name}:{n.lineno}: {name(n)} of rendered data")
     assert not found, "\n".join(found)
+
+
+def test_seed_7_traced_runs_match_the_ci_pins():
+    # the pins are the `for pin in ...` words of CI's bench-selfcheck job,
+    # workload:outputs digest:engine.steps:prelude.rewrites.  The three runs
+    # overlap: on two CPUs that took 4.7-6.0 s, against 6.5-7.4 s one after
+    # another.  A run still going when the test leaves is killed
+    words = re.search(r"for pin in (.*?); do", CI.read_text(encoding="utf-8"), re.S).group(1)
+    pins = {w: rest for w, *rest in (pin.split(":") for pin in words.split() if pin != "\\")}
+    assert sorted(pins) == ["eval", "lab", "search"]
+    with contextlib.ExitStack() as stack:
+        runs = {}
+        for w in pins:
+            runs[w] = stack.enter_context(subprocess.Popen(
+                [sys.executable, "perfbench/run.py", "--workload", w, "--seed", "7",
+                 "--seconds", "1", "--trace", "1"],
+                cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            stack.callback(runs[w].kill)
+        outs = {w: (run.communicate(timeout=120), run.returncode) for w, run in runs.items()}
+    for w, ((out, err), code) in outs.items():
+        assert code == 0, err
+        fields = [line.split() for line in out.splitlines()]
+        counts = {f[0]: f"{float(f[1]):.0f}" for f in fields
+                  if f[:1] in (["engine.steps"], ["prelude.rewrites"])}
+        got = [re.search(r"outputs digest ([0-9a-f]+)", out).group(1),
+               counts["engine.steps"], counts["prelude.rewrites"]]
+        assert got == pins[w], w

@@ -18,8 +18,8 @@ from coda.algebra import (
     product_chain,
     sum_data,
 )
-from coda.encoding import word
-from coda.engine import Budget, Engine, TriBool, equal
+from coda.encoding import lang_atom, word
+from coda.engine import DEFAULT_BUDGET, Budget, Engine, TriBool, equal
 from coda.lang import parse
 from coda.organic import (
     REM_PROGRAMS,
@@ -437,6 +437,18 @@ def test_a_table_that_is_not_the_sum_is_refused():
         extract_carrier(product(parse("sort"), parse("first 2")), probes)
     assert refusal.value.witness.probes == tuple((word(w),) for w in "aba")
     assert refusal.value.witness.still_violates()
+
+
+def test_a_refutation_is_rechecked_under_the_extraction_budget():
+    # slow is an identity whose one evaluation takes more steps than the
+    # default budget allows, so `not` after it fails right identity only
+    # under the probes' larger budget; the refusal's witness re-checks there
+    slow = (lang_atom("B (first 0 : " + "(pass:a) " * DEFAULT_BUDGET.max_steps + ")"),)
+    probes = ProbeSet(((), (COLON,)), Budget(10 ** 7, 10 ** 8))
+    with pytest.raises(NotASpace, match="^right identity fails: ") as refusal:
+        extract_carrier(product(parse("not"), slow), probes)
+    assert refusal.value.witness.still_violates()
+    assert not refusal.value.witness.still_violates(budget=DEFAULT_BUDGET)
 
 
 def test_a_law_the_engine_cannot_refute_fails_nothing():
